@@ -17,9 +17,8 @@ certificate implies Q_n(eta_n) < 1 for all n >= 2, t >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
 

@@ -7,25 +7,23 @@
 Exit codes: 0 success, 1 audit assertion failure, 2 schema/usage problems,
 3 numeric failures, 4 IO errors.  Scenario names bundled with the package
 (figure1, figure2, figure3, beta71) are accepted in place of a path.
-PD_THREADS caps parallelism for scenario batches.
+The exact numeric mode is honoured only on Bernoulli routes; asking for it
+on a normal or exponential scenario is a numeric failure (exit code 3).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from . import audit as audit_mod
-from . import diagnostics as dg
 from . import figures as fig
 from . import priors as pr
 from .families import DomainError
 from .quadrature import QuadratureError
-from .scenario import ScenarioError, load_scenario, run_scenario
-from .util import parallel_map
+from .scenario import ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -97,7 +95,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     names = ("figure1", "figure2", "figure3") if args.which == "all" else (f"figure{args.which}",)
     try:
         scenarios = [fig.bundled_scenario(name) for name in names]
-        batches = parallel_map(lambda s: fig.emit_scenario_files(s, args.out), scenarios)
+        batches = [fig.emit_scenario_files(s, args.out) for s in scenarios]
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

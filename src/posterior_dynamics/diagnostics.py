@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import families as fam
 from . import priors as pr
-from .engine import ExpectedPosteriorSequence, log_expected_posterior_normal
+from .engine import ExpectedPosteriorSequence
 from .families import FamilySpec, DomainError
 from .priors import DiscreteAtoms, Prior
-from .util import ExactValue
+from .util import rational_log
 
 FLOAT_TIE_RTOL = 1e-13
 # log-space guard for the float log-concavity scan; second differences of
@@ -55,44 +54,29 @@ def _values_of(seq) -> list:
     return seq.values if isinstance(seq, ExpectedPosteriorSequence) else list(seq)
 
 
-def _exact_log(v) -> float:
-    if isinstance(v, ExactValue):
-        return v.log()
-    f = Fraction(v)
-    return ExactValue(f.numerator, f.denominator).log()
+def _local_extrema(seq, sign: int, what: str) -> list[int]:
+    """The mode convention on sign * value: sign 1 finds modes, -1 minima."""
+    values = _values_of(seq)
+    n = len(values)
+    if n < 3:
+        raise DomainError(f"{what} detection needs a horizon of at least 3")
+    cmp = _comparator(values)
+    out = [1] if sign * cmp(0, 1) >= 0 else []
+    for i in range(1, n - 1):
+        if sign * cmp(i, i - 1) > 0 and sign * cmp(i, i + 1) >= 0:
+            out.append(i + 1)
+    return out
 
 
 def detect_modes(seq) -> list[int]:
     """Indices (1-based) of local maxima under the documented convention."""
-    values = _values_of(seq)
-    n = len(values)
-    if n < 3:
-        raise DomainError("mode detection needs a horizon of at least 3")
-    cmp = _comparator(values)
-    modes = []
-    if cmp(0, 1) >= 0:
-        modes.append(1)
-    for i in range(1, n - 1):
-        if cmp(i, i - 1) > 0 and cmp(i, i + 1) >= 0:
-            modes.append(i + 1)
-    return modes
+    return _local_extrema(seq, 1, "mode")
 
 
 def detect_minima(seq) -> list[int]:
     """Local minima: the mode convention applied to the mirrored sequence
     (strict fall into n, weak rise out; left boundary counts; right never)."""
-    values = _values_of(seq)
-    n = len(values)
-    if n < 3:
-        raise DomainError("minimum detection needs a horizon of at least 3")
-    cmp = _comparator(values)
-    minima = []
-    if cmp(0, 1) <= 0:
-        minima.append(1)
-    for i in range(1, n - 1):
-        if cmp(i, i - 1) < 0 and cmp(i, i + 1) <= 0:
-            minima.append(i + 1)
-    return minima
+    return _local_extrema(seq, -1, "minimum")
 
 
 def logconcavity_scan(seq) -> list[int]:
@@ -121,7 +105,7 @@ def logconcavity_scan(seq) -> list[int]:
     logs = (
         seq.log_values
         if isinstance(seq, ExpectedPosteriorSequence)
-        else [_exact_log(v) for v in values]
+        else [rational_log(v) for v in values]
     )
     out = []
     for i in range(1, n - 1):
@@ -221,11 +205,16 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
             0.5 * (float(seq.theta0) + float(seq.theta1)), sigma
         )
     if prior is not None and not isinstance(prior, DiscreteAtoms):
+        args = (seq.family, prior, seq.theta0, seq.theta1)
         for n in _log_spaced(seq.horizon):
-            asym = asymptotic_expected_posterior(
-                seq.family, prior, seq.theta0, seq.theta1, n
-            )
-            report.asymptotic_ratios.append((n, float(seq.value(n)) / asym))
+            asym = asymptotic_expected_posterior(*args, n)
+            if asym > 0.0:
+                ratio = float(seq.value(n)) / asym
+            else:  # the asymptote underflows; divide in log space instead
+                log_scale, const = _asymptote_parts(*args, n)
+                log_asym = log_scale + math.log(const * math.sqrt(n))
+                ratio = math.exp(seq.log_values[n - 1] - log_asym)
+            report.asymptotic_ratios.append((n, ratio))
     return report
 
 
@@ -249,19 +238,26 @@ def asymptotic_expected_posterior(
     ratio and the n-th power of the affinity.  Requires a continuous prior
     with positive density at the relevant parameter.
     """
+    log_scale, const = _asymptote_parts(family, prior, theta0, theta1, n)
+    return math.exp(log_scale) * const * math.sqrt(n)
+
+
+def _asymptote_parts(family: FamilySpec, prior: Prior, theta0, theta1, n: float):
+    """(log_scale, const) with asymptote exp(log_scale) * const * sqrt(n);
+    log_scale is 0 on the diagonal."""
     if isinstance(prior, DiscreteAtoms):
         raise DomainError("asymptotics require continuous prior")
     t0, t1 = float(theta0), float(theta1)
     if t0 == t1:
         if pr.prior_log_density(prior, t0) == float("-inf"):
             raise DomainError(f"prior density vanishes at theta={t0}")
-        return 0.5 * math.sqrt(fam.fisher_information(family, t0) / math.pi) * math.sqrt(n)
+        return 0.0, 0.5 * math.sqrt(fam.fisher_information(family, t0) / math.pi)
     mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
     lr = pr.prior_log_density(prior, t0) - pr.prior_log_density(prior, mid)
     if not math.isfinite(lr):
         raise DomainError("prior density vanishes at theta0 or the midpoint")
     const = 0.5 * math.sqrt(fam.fisher_information(family, mid) / math.pi)
-    return math.exp(lr + n * math.log(affinity)) * const * math.sqrt(n)
+    return lr + n * math.log(affinity), const
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ wiggles this library hunts for must not be floating-point artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import partial
+from typing import Union
 
 from . import families as fam
 from . import priors as pr
@@ -38,7 +39,7 @@ from .priors import (
 )
 from .quadrature import integrate_half_line, integrate_real_line
 from .specialfn import bessel_K_half, binomial_square_sum, legendre_ratios
-from .util import ExactValue, format_float, logsumexp, tree_sum_fractions
+from .util import ExactValue, logsumexp, rational_log, tree_sum_fractions
 
 Real = Union[int, float, Fraction]
 
@@ -46,11 +47,12 @@ METHOD_EXACT = "exact_rational"
 METHOD_NORMAL = "closed_form_normal"
 METHOD_EXP_BESSEL = "closed_form_exp_bessel"
 METHOD_UNIFORM = "uniform_prior_legendre"
-METHOD_QUADRATURE = "quadrature"
 METHOD_BRUTEFORCE = "brute_force"
 
 REPR_RATIONAL = "rational"
 REPR_FLOAT = "float"
+
+NUMERIC_MODES = ("auto", "exact", "float")
 
 BRUTEFORCE_CAP = 14
 
@@ -87,19 +89,6 @@ class ExpectedPosteriorSequence:
     def float_values(self) -> list[float]:
         return [float(v) for v in self.values] if self.values else []
 
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for n, v, lv in zip(self.ns(), self.values, self.log_values):
-            row = {
-                "n": n,
-                "psi": format_float(float(v)),
-                "log_psi": format_float(lv),
-                "method": self.method,
-                "repr": self.representation,
-            }
-            rows.append(row)
-        return rows
-
     def rational_strings(self) -> list[str | None]:
         """Canonical "p/q" per value, or None where reduction is too big."""
         out = []
@@ -113,12 +102,33 @@ class ExpectedPosteriorSequence:
         return out
 
 
-def _log_of(value) -> float:
-    if isinstance(value, ExactValue):
-        return value.log()
-    if isinstance(value, Fraction):
-        return ExactValue(value.numerator, value.denominator).log()
-    return math.log(value) if value > 0 else float("-inf")
+def _resolve_exact(mode: str, exact_ok: bool, requirement: str) -> bool:
+    """Whether a Bernoulli route runs exact: ``auto`` picks exact when the
+    inputs allow it, ``exact`` is honoured or refused, never downgraded."""
+    if mode not in NUMERIC_MODES:
+        raise DomainError(f"unknown numeric mode {mode!r}")
+    if mode == "exact" and not exact_ok:
+        raise DomainError(f"exact mode requires {requirement}")
+    return mode != "float" and exact_ok
+
+
+def _bernoulli_float_log(theta0, theta1, n: int, log_pi0: float, log_marginal) -> float:
+    """log psi(n) = log sum_k pi(theta0) p_theta0(k) p_theta1(k) / m(k) over
+    u_n = k, where ``log_marginal(n, k)`` is log m(k), the prior predictive."""
+    family = fam.bernoulli()
+    terms = []
+    for k in range(n + 1):
+        lp0 = fam.suff_stat_log_density(family, theta0, n, k)
+        lp1 = fam.suff_stat_log_density(family, theta1, n, k)
+        lmarg = log_marginal(n, k)
+        if lmarg == float("-inf"):
+            if lp1 > float("-inf"):
+                raise ImpossibleObservationError(
+                    f"impossible observation under prior support: u_{n}={k}"
+                )
+            continue
+        terms.append(log_pi0 + lp0 + lp1 - lmarg)
+    return logsumexp(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +166,25 @@ def expected_posterior_discrete(
         raise DomainError(f"theta1={theta1} outside [0, 1]")
     if horizon < 1:
         raise DomainError(f"horizon={horizon} must be >= 1")
-    if mode not in ("auto", "exact", "float"):
-        raise DomainError(f"unknown numeric mode {mode!r}")
-    exact = mode != "float" and _bernoulli_rational_inputs(prior, theta0, theta1)
-    if mode == "exact" and not exact:
-        raise DomainError("exact mode requires rational atoms, weights, theta0, theta1")
-    if exact:
+    if _resolve_exact(
+        mode, _bernoulli_rational_inputs(prior, theta0, theta1),
+        "rational atoms, weights, theta0, theta1",
+    ):
         values = _discrete_exact_values(prior, theta0, theta1, horizon)
         logs = [v.log() if v.num > 0 else float("-inf") for v in values]
         return ExpectedPosteriorSequence(
             family, theta0, theta1, METHOD_EXACT, REPR_RATIONAL, values, logs,
             prior_value=prior.weight_of(theta0),
         )
-    logs = _discrete_float_logs(prior, theta0, theta1, horizon)
+    t0w = math.log(float(prior.weight_of(theta0)))
+    weighted = [(t, math.log(float(w))) for t, w in prior.atoms]
+
+    def log_marginal(n: int, k: int) -> float:
+        return logsumexp(lw + fam.suff_stat_log_density(family, t, n, k) for t, lw in weighted)
+
+    logs = [
+        _bernoulli_float_log(theta0, theta1, n, t0w, log_marginal) for n in range(1, horizon + 1)
+    ]
     values = [math.exp(lv) for lv in logs]
     return ExpectedPosteriorSequence(
         family, theta0, theta1, METHOD_EXACT, REPR_FLOAT, values, logs,
@@ -233,31 +249,6 @@ def _discrete_exact_values(
     return values
 
 
-def _discrete_float_logs(prior: DiscreteAtoms, theta0, theta1, horizon: int) -> list[float]:
-    family = fam.bernoulli()
-    t0w = math.log(float(prior.weight_of(theta0)))
-    log_w = [math.log(float(w)) for w in prior.weights]
-    logs = []
-    for n in range(1, horizon + 1):
-        terms = []
-        for k in range(n + 1):
-            lp0 = fam.suff_stat_log_density(family, theta0, n, k)
-            lp1 = fam.suff_stat_log_density(family, theta1, n, k)
-            lmarg = logsumexp(
-                lw + fam.suff_stat_log_density(family, t, n, k)
-                for t, lw in zip(prior.thetas, log_w)
-            )
-            if lmarg == float("-inf"):
-                if lp1 > float("-inf"):
-                    raise ImpossibleObservationError(
-                        f"impossible observation under prior support: u_{n}={k}"
-                    )
-                continue
-            terms.append(t0w + lp0 + lp1 - lmarg)
-        logs.append(logsumexp(terms))
-    return logs
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli observations, uniform prior (Legendre route)
 # ---------------------------------------------------------------------------
@@ -278,17 +269,12 @@ def expected_posterior_uniform(
     family.require_theta(theta1)
     if horizon < 1:
         raise DomainError(f"horizon={horizon} must be >= 1")
-    if mode not in ("auto", "exact", "float"):
-        raise DomainError(f"unknown numeric mode {mode!r}")
     rational = isinstance(theta0, (int, Fraction)) and isinstance(theta1, (int, Fraction))
-    exact = mode != "float" and rational
-    if mode == "exact" and not exact:
-        raise DomainError("exact mode requires rational theta0, theta1")
-    if exact:
+    if _resolve_exact(mode, rational, "rational theta0, theta1"):
         y = Fraction(theta0) * Fraction(theta1)
         z = (1 - Fraction(theta0)) * (1 - Fraction(theta1))
         values = binomial_square_sum(y, z, horizon)
-        logs = [_log_of(v) for v in values]
+        logs = [rational_log(v) for v in values]
         return ExpectedPosteriorSequence(
             family, theta0, theta1, METHOD_UNIFORM, REPR_RATIONAL, values, logs,
             prior_value=Fraction(1),
@@ -429,11 +415,10 @@ def expected_posterior_beta(
         and Fraction(prior.b).denominator == 1
     )
     rational = isinstance(theta0, (int, Fraction)) and isinstance(theta1, (int, Fraction))
-    exact = mode != "float" and integer_shape and rational
-    if mode == "exact" and not exact:
-        raise DomainError("exact mode requires integer Beta shapes and rational thetas")
-    a_int, b_int = int(prior.a), int(prior.b)
-    if exact:
+    if _resolve_exact(
+        mode, integer_shape and rational, "integer Beta shapes and rational thetas"
+    ):
+        a_int, b_int = int(prior.a), int(prior.b)
         t0, t1 = Fraction(theta0), Fraction(theta1)
         # 1/B(a,b) = (a+b-1)! / ((a-1)! (b-1)!) for integer shapes
         inv_beta = Fraction(
@@ -450,24 +435,20 @@ def expected_posterior_beta(
                 p1 = fam.binomial_pmf_exact(t1, n, k)
                 total += p0 * p1 / marg
             values.append(total * density0)
-        logs = [_log_of(v) for v in values]
+        logs = [rational_log(v) for v in values]
         return ExpectedPosteriorSequence(
             family, theta0, theta1, METHOD_EXACT, REPR_RATIONAL, values, logs,
             prior_value=density0,
         )
-    logs = []
     log_density0 = pr.prior_log_density(prior, theta0)
-    for n in range(1, horizon + 1):
-        terms = []
-        for k in range(n + 1):
-            lp0 = fam.suff_stat_log_density(family, theta0, n, k)
-            lp1 = fam.suff_stat_log_density(family, theta1, n, k)
-            lmarg = pr.marginal_suffstat_logpmf(family, prior, n, k)
-            terms.append(log_density0 + lp0 + lp1 - lmarg)
-        logs.append(logsumexp(terms))
+    log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
+    logs = [
+        _bernoulli_float_log(theta0, theta1, n, log_density0, log_marginal)
+        for n in range(1, horizon + 1)
+    ]
     values = [math.exp(lv) for lv in logs]
     return ExpectedPosteriorSequence(
-        family, theta0, theta1, METHOD_QUADRATURE, REPR_FLOAT, values, logs,
+        family, theta0, theta1, METHOD_EXACT, REPR_FLOAT, values, logs,
         prior_value=math.exp(log_density0),
     )
 
@@ -499,44 +480,27 @@ def expected_posterior_quadrature(
             log_pi0 = math.log(float(prior.weight_of(theta0)))
         else:
             log_pi0 = pr.prior_log_density(prior, theta0)
-        terms = []
-        for k in range(n + 1):
-            lp0 = fam.suff_stat_log_density(family, theta0, n, k)
-            lp1 = fam.suff_stat_log_density(family, theta1, n, k)
-            lmarg = pr.marginal_suffstat_logpmf(family, prior, n, k)
-            if lmarg == float("-inf"):
-                if lp1 > float("-inf"):
-                    raise ImpossibleObservationError(
-                        f"impossible observation under prior support: u_{n}={k}"
-                    )
-                continue
-            terms.append(log_pi0 + lp0 + lp1 - lmarg)
-        return math.exp(logsumexp(terms)), 0.0
+        log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
+        return math.exp(_bernoulli_float_log(theta0, theta1, n, log_pi0, log_marginal)), 0.0
     if family.kind == NORMAL and isinstance(prior, StdNormal):
-        log_pi0 = pr.prior_log_density(prior, theta0)
+        integrate, support_lo = integrate_real_line, -math.inf
+    elif family.kind == EXPONENTIAL and isinstance(prior, ExpPrior):
+        integrate, support_lo = integrate_half_line, 0.0
+    else:
+        raise UnsupportedConjugacyError(
+            f"unsupported conjugacy: {family.kind} with {type(prior).__name__}"
+        )
+    log_pi0 = pr.prior_log_density(prior, theta0)
 
-        def integrand(u: float) -> float:
-            lp0 = fam.suff_stat_log_density(family, theta0, n, u)
-            lp1 = fam.suff_stat_log_density(family, theta1, n, u)
-            lmarg = pr.marginal_suffstat_logpmf(family, prior, n, u)
-            return math.exp(log_pi0 + lp0 + lp1 - lmarg)
+    def integrand(u: float) -> float:
+        if u <= support_lo:
+            return 0.0
+        lp0 = fam.suff_stat_log_density(family, theta0, n, u)
+        lp1 = fam.suff_stat_log_density(family, theta1, n, u)
+        lmarg = pr.marginal_suffstat_logpmf(family, prior, n, u)
+        return math.exp(log_pi0 + lp0 + lp1 - lmarg)
 
-        return integrate_real_line(integrand, tol=tol)
-    if family.kind == EXPONENTIAL and isinstance(prior, ExpPrior):
-        log_pi0 = pr.prior_log_density(prior, theta0)
-
-        def integrand(u: float) -> float:
-            if u <= 0:
-                return 0.0
-            lp0 = fam.suff_stat_log_density(family, theta0, n, u)
-            lp1 = fam.suff_stat_log_density(family, theta1, n, u)
-            lmarg = pr.marginal_suffstat_logpmf(family, prior, n, u)
-            return math.exp(log_pi0 + lp0 + lp1 - lmarg)
-
-        return integrate_half_line(integrand, tol=tol)
-    raise UnsupportedConjugacyError(
-        f"unsupported conjugacy: {family.kind} with {type(prior).__name__}"
-    )
+    return integrate(integrand, tol=tol)
 
 
 # ---------------------------------------------------------------------------

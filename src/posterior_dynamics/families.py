@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .util import logsumexp
-
 Real = Union[int, float, Fraction]
 
 BERNOULLI = "bernoulli"
@@ -271,10 +269,3 @@ def numeric_affinity(family: FamilySpec, theta0: Real, theta1: Real, tol: float 
         return root * root
     root, _ = integrate_half_line(lambda x: math.exp(half_log(x)), tol=tol)
     return root * root
-
-
-def marginal_mixture_logpdf(family: FamilySpec, thetas, log_weights, n: int, u: Real) -> float:
-    """log of sum_j exp(log_weights[j]) * p_{thetas[j]}(u_n = u)."""
-    return logsumexp(
-        lw + suff_stat_log_density(family, t, n, u) for t, lw in zip(thetas, log_weights)
-    )

@@ -17,7 +17,7 @@ from importlib import resources
 
 from . import diagnostics as dg
 from .engine import ExpectedPosteriorSequence
-from .scenario import Scenario, load_scenario, run_scenario, scenario_from_json, scenario_to_json
+from .scenario import Scenario, run_scenario, scenario_from_json, scenario_to_json
 from .util import format_float
 
 BUNDLED = ("figure1", "figure2", "figure3", "beta71")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from . import families as fam
 from .families import BERNOULLI, EXPONENTIAL, NORMAL, DomainError, FamilySpec

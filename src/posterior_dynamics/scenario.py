@@ -22,7 +22,7 @@ Rationals travel as "p/q" strings so exact mode has exact inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -51,7 +51,7 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        if self.numeric_mode not in ("exact", "float", "auto"):
+        if self.numeric_mode not in engine.NUMERIC_MODES:
             raise ScenarioError(f"numeric_mode {self.numeric_mode!r} not in exact/float/auto")
         if self.horizon < 3:
             raise ScenarioError(f"horizon={self.horizon} must be >= 3 for diagnostics")
@@ -104,11 +104,14 @@ def load_scenario(path: str) -> Scenario:
 
 
 def run_scenario(scenario: Scenario) -> engine.ExpectedPosteriorSequence:
-    """Dispatch to the best applicable route: closed form, then exact
-    rational summation, then the conjugate/quadrature route."""
+    """Dispatch to the route for the (family, prior) pairing.  Only the
+    Bernoulli routes have an exact mode; asking the float closed forms for
+    it is refused rather than silently downgraded."""
     family, prior = scenario.family, scenario.prior
     t0, t1, horizon = scenario.theta0, scenario.theta1, scenario.horizon
     mode = scenario.numeric_mode
+    if mode == "exact" and family.kind != BERNOULLI:
+        raise fam.DomainError(f"exact mode is not available for the {family.kind} family")
     if family.kind == NORMAL and isinstance(prior, StdNormal):
         return engine.expected_posterior_normal(float(t0), float(t1), family.sigma, horizon)
     if family.kind == EXPONENTIAL and isinstance(prior, ExpPrior):

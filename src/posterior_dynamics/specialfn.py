@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .util import logsumexp
 
@@ -188,9 +188,6 @@ class BesselHalfSeq:
     theta: float
     log_k: tuple[float, ...]
     rho: tuple[float, ...]
-
-    def logconcavity_argument(self, n: int) -> float:
-        return self.rho[n]
 
 
 def bessel_K_half(theta: float, n_max: int) -> BesselHalfSeq:

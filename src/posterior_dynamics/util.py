@@ -1,4 +1,4 @@
-"""Numeric helpers: stable log-space sums, big-rational values, parallel map.
+"""Numeric helpers: stable log-space sums and big-rational values.
 
 Exact sequence values can carry integer numerators/denominators with
 hundreds of thousands of bits, so this module avoids gcd normalization on
@@ -12,10 +12,8 @@ cross-multiplication.  Results are therefore exact in all cases.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 LOG2 = math.log(2.0)
 
@@ -104,10 +102,6 @@ class ExactValue:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "ExactValue":
-        return cls(f.numerator, f.denominator)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
@@ -186,20 +180,9 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def thread_count() -> int:
-    """Worker cap from PD_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("PD_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map honoring the PD_THREADS cap."""
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+def rational_log(value) -> float:
+    """log of a positive ExactValue, Fraction or int."""
+    if not isinstance(value, ExactValue):
+        f = Fraction(value)
+        value = ExactValue(f.numerator, f.denominator)
+    return value.log()

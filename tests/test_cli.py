@@ -9,6 +9,7 @@ import pytest
 from posterior_dynamics import cli
 from posterior_dynamics import figures as fig
 from posterior_dynamics import priors as pr
+from posterior_dynamics.families import DomainError
 from posterior_dynamics.scenario import (
     Scenario,
     ScenarioError,
@@ -127,6 +128,22 @@ class TestCliCommands:
         assert report["repr"] == "float"
         assert "psi_rational" not in report["values"][0]
 
+    @pytest.mark.parametrize("family,prior", [
+        ({"kind": "normal", "sigma": 2.0}, {"type": "stdnormal"}),
+        ({"kind": "exponential"}, {"type": "exp", "lambda": 1}),
+    ])
+    def test_exact_mode_refused_on_float_routes(self, tmp_path, family, prior):
+        payload = minimal_scenario(
+            family=family, prior=prior, theta0=0.5, theta1=1.5, numeric_mode="exact"
+        )
+        with pytest.raises(DomainError, match="exact"):
+            run_scenario(scenario_from_json(payload))
+        path = tmp_path / "exact.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert not out.exists() or not any(out.iterdir())
+
     def test_audit_known_suite(self, tmp_path):
         assert cli.main(["audit", "turan", "--seed", "42", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "audit_turan.json").read_text())
@@ -161,14 +178,6 @@ class TestDeterminism:
         assert cli.main(["psi", str(path), "--out", str(out2)]) == 0
         for name in ("scn.csv", "scn.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_parallel_figures_match_serial(self, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        monkeypatch.delenv("PD_THREADS", raising=False)
-        assert cli.main(["figures", "3", "--out", str(serial)]) == 0
-        monkeypatch.setenv("PD_THREADS", "2")
-        assert cli.main(["figures", "3", "--out", str(parallel)]) == 0
-        assert (serial / "figure3.csv").read_bytes() == (parallel / "figure3.csv").read_bytes()
 
 
 class TestExponentialPriorScenario:

@@ -122,6 +122,25 @@ class TestAsymptotics:
         v20 = dg.asymptotic_expected_posterior(family, prior, 1.0, 4.0, 20)
         assert v20 < v10
 
+    @pytest.mark.parametrize("route,prior", [
+        (lambda h: engine.expected_posterior_uniform(F(1, 2), F(3, 4), h, mode="float"),
+         pr.Uniform01()),
+        (lambda h: engine.expected_posterior_exponential(1.0, 4.0, h), pr.ExpPrior(1)),
+    ])
+    def test_growth_law_ratios_survive_asymptote_underflow(self, route, prior):
+        seq = route(12000)
+        ratios = dict(dg.analyze(seq, prior=prior).asymptotic_ratios)
+        underflowed = 0
+        for n, ratio in ratios.items():
+            asym = dg.asymptotic_expected_posterior(seq.family, prior, seq.theta0, seq.theta1, n)
+            if asym > 0.0:
+                assert ratio == float(seq.value(n)) / asym
+            else:
+                underflowed += 1
+                assert math.isfinite(ratio)
+        assert underflowed > 0
+        assert ratios[12000] == pytest.approx(1.0, abs=1e-4)
+
     def test_growth_constant_exposed(self):
         value = dg.sqrt_n_constant(fam.bernoulli(), 0.5)
         assert value == pytest.approx(math.sqrt(4.0 / (2 * math.pi)), rel=1e-15)

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from posterior_dynamics import diagnostics as dg
 from posterior_dynamics import engine
 from posterior_dynamics import families as fam
+from posterior_dynamics import figures
 from posterior_dynamics import orders
 from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
@@ -228,6 +230,31 @@ class TestBetaRoute:
         for n in range(1, 11):
             assert via_beta.value(n) == via_uniform.value(n)
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(DomainError, match="numeric mode"):
+            engine.expected_posterior_beta(pr.Beta(7, 1), F(3, 4), F(9, 10), 5, mode="sloppy")
+
+    def test_float_route_is_labelled_a_finite_sum(self):
+        seq = engine.expected_posterior_beta(pr.Beta(7, 1), F(3, 4), F(9, 10), 5, mode="float")
+        assert seq.method == engine.METHOD_EXACT
+        assert seq.representation == engine.REPR_FLOAT
+
+
+class TestQuadratureOracleBernoulli:
+    """The oracle's finite sum and the float sequence routes share one kernel."""
+
+    @pytest.mark.parametrize("route,prior,theta0,theta1", [
+        (engine.expected_posterior_discrete, FIGURE1_PRIOR, F(1, 2), F(13, 20)),
+        (engine.expected_posterior_beta, pr.Beta(7, 1), F(3, 4), F(9, 10)),
+    ])
+    def test_oracle_value_is_identical(self, route, prior, theta0, theta1):
+        seq = route(prior, theta0, theta1, 40, mode="float")
+        for n in (1, 2, 9, 40):
+            value, err = engine.expected_posterior_quadrature(
+                fam.bernoulli(), prior, theta0, theta1, n
+            )
+            assert (value, err) == (seq.value(n), 0.0)
+
 
 class TestSequenceBehavior:
     def test_diagonal_sequences_increase(self):
@@ -254,10 +281,11 @@ class TestSequenceBehavior:
 
     def test_csv_rows_shape(self):
         seq = engine.expected_posterior_uniform(F(1, 2), F(1, 2), 3)
-        rows = seq.csv_rows()
-        assert [r["n"] for r in rows] == [1, 2, 3]
-        assert rows[0]["repr"] == "rational"
-        assert rows[1]["psi"] == "1.125"
+        assert seq.representation == "rational"
+        text = figures.sequence_csv(seq, dg.analyze(seq))
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+        assert rows[1][1] == "1.125"
 
     def test_exact_value_comparisons(self):
         a = ExactValue(1, 3)

@@ -1,0 +1,66 @@
+"""Golden-output guard: sha256 of the CSV/JSON bytes the CLI emits.
+
+Refactors must leave these bytes alone.  A change that alters an output on
+purpose (a corrected digit, a renamed label) updates the hash here and says
+so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from posterior_dynamics import cli
+
+FIGURE1_PRIOR = {"type": "atoms", "atoms": [
+    {"theta": "1/2", "weight": "4100/5001"},
+    {"theta": "13/20", "weight": "1/5001"},
+    {"theta": "17/20", "weight": "900/5001"},
+]}
+
+SCENARIOS = {
+    "atoms_float": {
+        "family": {"kind": "bernoulli"}, "prior": FIGURE1_PRIOR,
+        "theta0": "1/2", "theta1": "13/20", "horizon": 60, "numeric_mode": "float",
+    },
+    "beta_float": {
+        "family": {"kind": "bernoulli"}, "prior": {"type": "beta", "a": 7, "b": 1},
+        "theta0": "3/4", "theta1": "9/10", "horizon": 60, "numeric_mode": "float",
+    },
+}
+
+GOLDEN = {
+    "figure1.csv": "e8a08a68eab54bc53ce63922714193b190fd800bd7758cc2209647b3050c2255",
+    "figure1.json": "bc67a14b0d680f34692d063b6c5fa5aee297fa89d7997a7606e6ed54eb99cfdb",
+    "beta71.csv": "fe6f466538421e0df23786a6f50752c88ad2c02466fc691d4b4edc2796e9f9c0",
+    "beta71.json": "61a6d5425d1602fbbd0d4d78e9ad455dafd9f0a71c0ea93300a2e209c5d3e6af",
+    "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
+    "atoms_float.json": "34b5bbb244b60a07c335e5ca76e5aae3deb6d5ca23de6b70e80be2fe4e8fa600",
+    "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
+    "beta_float.json": "ed5e895330918e566b286dce48404408e6c065777c182d7a9d4d41ac2246870a",
+    "audit_all.json": "a52da565c54ca186794e06e308fcac77d40b5317b22ed9f8fab9d93c5744d075",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    scenarios = tmp_path_factory.mktemp("scenarios")
+    tokens = ["figure1", "beta71"]
+    for name, body in SCENARIOS.items():
+        path = scenarios / f"{name}.json"
+        path.write_text(json.dumps({"schema": 1, **body, "outputs": ["csv", "json"]}))
+        tokens.append(str(path))
+    for token in tokens:
+        assert cli.main(["psi", token, "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["audit", "all", "--seed", "42", "--out", str(out)]) == cli.EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden(emitted, name):
+    assert _sha256(emitted / name) == GOLDEN[name]
