@@ -14,6 +14,7 @@ rendered in floating point does not sprout phantom modes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import families as fam
@@ -21,7 +22,7 @@ from . import priors as pr
 from .engine import ExpectedPosteriorSequence
 from .families import FamilySpec, DomainError
 from .priors import DiscreteAtoms, Prior
-from .util import rational_log
+from .util import certified_sign
 
 FLOAT_TIE_RTOL = 1e-13
 # log-space guard for the float log-concavity scan; second differences of
@@ -30,7 +31,7 @@ LC_FLOAT_GUARD = 1e-14
 
 
 def _comparator(values):
-    """Three-way compare; exact for ExactValue/Fraction, guarded for floats."""
+    """Three-way compare; exact for ExactValue and other rationals, guarded for floats."""
     if values and isinstance(values[0], float):
 
         def cmp(i: int, j: int) -> int:
@@ -99,26 +100,14 @@ def logconcavity_scan(seq) -> list[int]:
             if rhs - lhs > LC_FLOAT_GUARD * scale:
                 out.append(i + 1)
         return out
-    # exact branch: a guarded log fast path decides all comparisons whose
-    # gap exceeds 1e-9 (log errors sit near 1e-14); only near-ties pay for
-    # the exact big-integer cross products
-    logs = (
-        seq.log_values
-        if isinstance(seq, ExpectedPosteriorSequence)
-        else [rational_log(v) for v in values]
-    )
+    # exact branch: the floats decide where certified_sign can (each side is
+    # two conversions and one product), the rest escalate to exact products
+    floats = [float(v) for v in values]
     out = []
     for i in range(1, n - 1):
-        lhs_log = 2.0 * logs[i]
-        rhs_log = logs[i - 1] + logs[i + 1]
-        gap = rhs_log - lhs_log
-        if abs(gap) > 1e-9 * max(1.0, abs(lhs_log), abs(rhs_log)):
-            if gap > 0:
-                out.append(i + 1)
-            continue
-        lhs = values[i] * values[i]
-        rhs = values[i - 1] * values[i + 1]
-        if lhs < rhs:
+        a, b, c = floats[i - 1 : i + 2]
+        sign = certified_sign(b * b, 3, a * c, 3) if min(a, b, c) >= sys.float_info.min else 0
+        if sign < 0 or (sign == 0 and values[i] * values[i] < values[i - 1] * values[i + 1]):
             out.append(i + 1)
     return out
 

@@ -39,7 +39,7 @@ from .priors import (
 )
 from .quadrature import integrate_half_line, integrate_real_line
 from .specialfn import bessel_K_half, binomial_square_sum, legendre_ratios
-from .util import ExactValue, logsumexp, rational_log, tree_sum_fractions
+from .util import ExactValue, logsumexp, tree_sum_fractions
 
 Real = Union[int, float, Fraction]
 
@@ -61,7 +61,7 @@ BRUTEFORCE_CAP = 14
 class ExpectedPosteriorSequence:
     """Values of the expected posterior for n = 1..N plus tags.
 
-    ``values`` holds ExactValue/Fraction entries in rational mode and floats
+    ``values`` holds ExactValue entries in rational mode and floats
     otherwise; ``log_values`` always holds float logs.  ``prior_value`` is
     the n = 0 expectation (the prior weight/density at theta0), reported
     separately rather than as part of the range.
@@ -91,15 +91,7 @@ class ExpectedPosteriorSequence:
 
     def rational_strings(self) -> list[str | None]:
         """Canonical "p/q" per value, or None where reduction is too big."""
-        out = []
-        for v in self.values:
-            if isinstance(v, Fraction):
-                out.append(ExactValue(v.numerator, v.denominator).canonical_str())
-            elif isinstance(v, ExactValue):
-                out.append(v.canonical_str())
-            else:
-                out.append(None)
-        return out
+        return [v.canonical_str() if isinstance(v, ExactValue) else None for v in self.values]
 
 
 def _resolve_exact(mode: str, exact_ok: bool, requirement: str) -> bool:
@@ -274,7 +266,7 @@ def expected_posterior_uniform(
         y = Fraction(theta0) * Fraction(theta1)
         z = (1 - Fraction(theta0)) * (1 - Fraction(theta1))
         values = binomial_square_sum(y, z, horizon)
-        logs = [rational_log(v) for v in values]
+        logs = [v.log() for v in values]
         return ExpectedPosteriorSequence(
             family, theta0, theta1, METHOD_UNIFORM, REPR_RATIONAL, values, logs,
             prior_value=Fraction(1),
@@ -434,8 +426,9 @@ def expected_posterior_beta(
                 p0 = fam.binomial_pmf_exact(t0, n, k)
                 p1 = fam.binomial_pmf_exact(t1, n, k)
                 total += p0 * p1 / marg
-            values.append(total * density0)
-        logs = [rational_log(v) for v in values]
+            value = total * density0
+            values.append(ExactValue(value.numerator, value.denominator))
+        logs = [v.log() for v in values]
         return ExpectedPosteriorSequence(
             family, theta0, theta1, METHOD_EXACT, REPR_RATIONAL, values, logs,
             prior_value=density0,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .util import logsumexp
+from .util import ExactValue, logsumexp
 
 Real = Union[int, float, Fraction]
 
@@ -120,16 +120,12 @@ def turan_ratio(n: int, x: float) -> TuranRatio:
 
 
 def binomial_square_sum(y: Real, z: Real, n_max: int) -> list:
-    """[S_1, ..., S_{n_max}]; exact Fractions when y and z are rational.
+    """[S_1, ..., S_{n_max}] as exact ExactValues, for rational y, z.
 
     S_n is symmetric in (y, z), homogeneous of degree n, and connects to
     Legendre polynomials through S_n(y,z) = (y-z)^n (n+1) P_n((y+z)/(y-z))
     for y > z; for y == z it collapses to y^n (n+1) C(2n, n).
     """
-    if isinstance(y, float) or isinstance(z, float):
-        return [
-            math.exp(log_binomial_square_sum(float(y), float(z), n)) for n in range(1, n_max + 1)
-        ]
     y = Fraction(y)
     z = Fraction(z)
     if y < 0 or z < 0 or (y == 0 and z == 0):
@@ -152,7 +148,9 @@ def binomial_square_sum(y: Real, z: Real, n_max: int) -> list:
             total += c * c * pow_ps[k] * pow_rq[n - k]
             if k < n:
                 c = c * (n - k) // (k + 1)
-        out.append(Fraction((n + 1) * total, (q * s) ** n))
+        # reduced, because canonical_str judges the size of the stored pair
+        value = Fraction((n + 1) * total, (q * s) ** n)
+        out.append(ExactValue(value.numerator, value.denominator))
     return out
 
 

@@ -2,16 +2,17 @@
 
 Exact sequence values can carry integer numerators/denominators with
 hundreds of thousands of bits, so this module avoids gcd normalization on
-the hot path.  ``ExactValue`` keeps raw (num, den) pairs and resolves
-comparisons through a guarded float fast path: when two values differ by
-more than 1e-9 relative, a 55-bit approximation (relative error < 1e-15)
-already determines the sign; only near-ties fall back to exact
-cross-multiplication.  Results are therefore exact in all cases.
+the hot path.  ``ExactValue`` keeps raw (num, den) pairs; its float and
+log come from the 64 leading bits of each operand (``_split``).  The
+floats decide a comparison only where ``certified_sign`` proves them
+right; all others escalate to exact cross-multiplication, so results are
+exact in all cases.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,37 +35,49 @@ def logsumexp(terms: Iterable[float]) -> float:
     return m + math.log(sum(math.exp(t - m) for t in ts))
 
 
-def log_big_int(x: int) -> float:
-    """log of a positive integer of arbitrary size."""
-    if x <= 0:
-        raise ValueError("log_big_int requires a positive integer")
-    if x.bit_length() <= 900:
-        return math.log(x)
-    e = x.bit_length() - 60
-    return math.log(x >> e) + e * LOG2
+def _split(num: int, den: int) -> tuple[float, int]:
+    """(m, e) with num/den = m * 2^e, for positive ints of any size.
+
+    Each operand keeps its own 64 leading bits (relative error < 2^-63
+    each) and the division rounds once, so m is within 2^-53 + 2^-62.
+    """
+    sn = max(num.bit_length() - 64, 0)
+    sd = max(den.bit_length() - 64, 0)
+    return (num >> sn) / (den >> sd), sn - sd
 
 
 def ratio_to_float(num: int, den: int) -> float:
-    """num/den with relative error below 1e-15, for ints of any size."""
+    """num/den for ints of any size, within 2^-53 + 2^-62 relative of the
+    true value unless the result is subnormal; raises OverflowError beyond
+    the float range."""
     if den == 0:
         raise ZeroDivisionError("ratio_to_float: zero denominator")
-    sign = 1
-    if num < 0:
-        sign, num = -1, -num
-    if den < 0:
-        sign, den = -sign, -den
     if num == 0:
         return 0.0
-    shift = max(num.bit_length(), den.bit_length()) - 55
-    if shift > 0:
-        num >>= shift
-        den >>= shift
-        if den == 0:
-            return sign * math.inf
-    try:
-        return sign * (num / den)
-    except OverflowError:
-        return sign * math.exp(log_big_int(num) - log_big_int(den))
+    sign = -1.0 if (num < 0) != (den < 0) else 1.0
+    m, e = _split(abs(num), abs(den))
+    return sign * math.ldexp(m, e)
+
+
+# relative error bound of one rounding step: a correctly rounded float
+# operation (2^-53) or one ratio_to_float (2^-53 + 2^-62)
+ROUNDING = 2.0**-53 + 2.0**-62
+
+
+def certified_sign(x: float, x_roundings: int, y: float, y_roundings: int) -> int:
+    """Sign of X - Y from positive floats x and y that X and Y reach through
+    at most ``x_roundings`` and ``y_roundings`` steps of relative error
+    ROUNDING, all on normal floats.  With k steps in total, |x - X| + |y - Y|
+    <= k ROUNDING max(x, y) up to O((k ROUNDING)^2); the sign is returned
+    only when both floats are normal and their relative gap exceeds twice
+    that, which also absorbs the rounding of the gap.  0 means "escalate to
+    exact"; an infinite or nan operand makes the gap nan, which gives 0.
+    """
+    if min(x, y) < sys.float_info.min:
+        return 0
+    if abs(x - y) / max(x, y) > 2.0 * (x_roundings + y_roundings) * ROUNDING:
+        return 1 if x > y else -1
+    return 0
 
 
 def tree_sum_fractions(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
@@ -111,14 +124,13 @@ class ExactValue:
     def log(self) -> float:
         if self.num <= 0:
             raise ValueError("log of a non-positive ExactValue")
-        return log_big_int(self.num) - log_big_int(self.den)
+        m, e = _split(self.num, self.den)
+        return math.log(m) + e * LOG2
 
     def __mul__(self, other):
         if isinstance(other, ExactValue):
             return ExactValue(self.num * other.num, self.den * other.den)
-        if isinstance(other, int):
-            return ExactValue(self.num * other, self.den)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return ExactValue(self.num * other.numerator, self.den * other.denominator)
         return NotImplemented
 
@@ -127,17 +139,16 @@ class ExactValue:
     def _cmp(self, other) -> int:
         if isinstance(other, ExactValue):
             onum, oden = other.num, other.den
-        elif isinstance(other, int):
-            onum, oden = other, 1
-        elif isinstance(other, Fraction):
+        elif isinstance(other, (int, Fraction)):
             onum, oden = other.numerator, other.denominator
         else:
             raise TypeError(f"cannot compare ExactValue with {type(other)!r}")
-        f1 = ratio_to_float(self.num, self.den)
-        f2 = ratio_to_float(onum, oden)
-        gap = abs(f1 - f2)
-        if gap > 1e-9 * max(abs(f1), abs(f2)) and math.isfinite(gap):
-            return 1 if f1 > f2 else -1
+        try:
+            sign = certified_sign(float(self), 1, ratio_to_float(onum, oden), 1)
+        except OverflowError:  # beyond the float range: decide exactly
+            sign = 0
+        if sign:
+            return sign
         d = self.num * oden - onum * self.den
         return (d > 0) - (d < 0)
 
@@ -178,11 +189,3 @@ class ExactValue:
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit rendering used in CSV emission."""
     return format(x, ".17g")
-
-
-def rational_log(value) -> float:
-    """log of a positive ExactValue, Fraction or int."""
-    if not isinstance(value, ExactValue):
-        f = Fraction(value)
-        value = ExactValue(f.numerator, f.denominator)
-    return value.log()

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
 from posterior_dynamics import diagnostics as dg
@@ -214,6 +215,56 @@ class TestExponentialRoute:
             assert off.value(n) == pytest.approx(
                 ratio * diag.value(n) * affinity**n, rel=1e-10
             )
+
+
+# the closed forms against 50-digit references derived independently: the
+# normal one as a Gaussian convolution, the exponential one as a finite sum
+ORACLE_DPS = 50
+NORMAL_CASES = ((0.0, 0.0, 1.0), (-1 / 3, 1 / 3, 100.0), (0.5, -0.2, 2.0), (1.0, 1.2, 3.0))
+EXP_CASES = ((1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (3.0, 0.7, 1.0), (0.8, 1.2, 2.5))
+
+
+def _normal_reference(t0, t1, sigma, n):
+    """The posterior mean is c * xbar with xbar ~ N(t1, sigma^2/n), so psi(n)
+    is the N(c t1, tau^2 + c^2 sigma^2/n) density at t0."""
+    t0, t1, s2 = mp.mpf(t0), mp.mpf(t1), mp.mpf(sigma) ** 2
+    tau2 = 1 / (1 + n / s2)
+    c = tau2 * n / s2
+    var = tau2 + c * c * s2 / n
+    return mp.exp(-((t0 - c * t1) ** 2) / (2 * var)) / mp.sqrt(2 * mp.pi * var)
+
+
+def _exponential_reference(t0, t1, rate, n):
+    """E over S ~ Gamma(n, t1) of the Gamma(n+1, S+rate) posterior density
+    at t0; expanding (S+rate)^(n+1) leaves a finite sum of Gamma moments."""
+    t0, t1, r = mp.mpf(t0), mp.mpf(t1), mp.mpf(rate)
+    total = mp.fsum(
+        math.comb(n + 1, j) * math.factorial(n + j - 1) * r ** (n + 1 - j) / (t0 + t1) ** (n + j)
+        for j in range(n + 2)
+    )
+    return (t0 * t1) ** n * mp.exp(-r * t0) * total / (math.factorial(n - 1) * math.factorial(n))
+
+
+class TestMpmathOracle:
+    def test_normal_closed_form(self):
+        ns = [*range(1, 50), *range(50, 10_000, 97), 10_000]
+        with mp.workdps(ORACLE_DPS):
+            for t0, t1, sigma in NORMAL_CASES:
+                seq = engine.expected_posterior_normal(t0, t1, sigma, 10_000)
+                for n in ns:
+                    want = float(_normal_reference(t0, t1, sigma, n))
+                    assert seq.value(n) == pytest.approx(want, rel=1e-12)
+
+    def test_exponential_closed_form(self):
+        # only n <= 100: near n = 1000 the closed form is already ~1e-11 off,
+        # because its log-space terms cancel (the known log_cancellation
+        # defect), so larger n would test that defect rather than the route
+        with mp.workdps(ORACLE_DPS):
+            for t0, t1, rate in EXP_CASES:
+                seq = engine.expected_posterior_exponential(t0, t1, 100, rate=rate)
+                for n in range(1, 101):
+                    want = float(_exponential_reference(t0, t1, rate, n))
+                    assert seq.value(n) == pytest.approx(want, rel=1e-12)
 
 
 class TestBetaRoute:

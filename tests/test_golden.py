@@ -8,9 +8,10 @@ so in CHANGES.md.
 import hashlib
 import json
 
+import mpmath as mp
 import pytest
 
-from posterior_dynamics import cli
+from posterior_dynamics import cli, figures, scenario
 
 FIGURE1_PRIOR = {"type": "atoms", "atoms": [
     {"theta": "1/2", "weight": "4100/5001"},
@@ -30,10 +31,10 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "figure1.csv": "e8a08a68eab54bc53ce63922714193b190fd800bd7758cc2209647b3050c2255",
-    "figure1.json": "bc67a14b0d680f34692d063b6c5fa5aee297fa89d7997a7606e6ed54eb99cfdb",
-    "beta71.csv": "fe6f466538421e0df23786a6f50752c88ad2c02466fc691d4b4edc2796e9f9c0",
-    "beta71.json": "61a6d5425d1602fbbd0d4d78e9ad455dafd9f0a71c0ea93300a2e209c5d3e6af",
+    "figure1.csv": "2b6f116a451c8dbcd3b6c955fb2f9313022ab15c90c723eb671b5d81d3107eae",
+    "figure1.json": "6d5d467cacce908d87f8732b55b40aad07fc6fdc4a4422827ff79e17f32aef02",
+    "beta71.csv": "3f7ad6e5aa03a789aaa370835e9a10120a369ae79422ab96c2acec15cedea199",
+    "beta71.json": "70d1578d2241f06204a848b69b99db13d1a3d6486c57278db46c8e329d5618f0",
     "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
     "atoms_float.json": "34b5bbb244b60a07c335e5ca76e5aae3deb6d5ca23de6b70e80be2fe4e8fa600",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
@@ -64,3 +65,18 @@ def emitted(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_golden(emitted, name):
     assert _sha256(emitted / name) == GOLDEN[name]
+
+
+def test_figure1_digits_are_correct(emitted):
+    """Every psi printed for figure1 is within 2^-52 of the exact value and
+    every log_psi within 1e-15 of a 50-digit log of it."""
+    seq = scenario.run_scenario(figures.bundled_scenario("figure1"))
+    rows = (emitted / "figure1.csv").read_text().splitlines()[1:]
+    assert len(rows) == seq.horizon
+    with mp.workdps(50):
+        for row, value in zip(rows, seq.values):
+            exact = value.as_fraction()
+            psi, log_psi = (float(x) for x in row.split(",")[1:3])
+            assert abs(psi - float(exact)) <= 2**-52 * float(exact)
+            want = mp.log(mp.mpf(exact.numerator) / exact.denominator)
+            assert abs(log_psi - want) <= 1e-15

@@ -1,0 +1,130 @@
+"""Big-rational conversion and the certified comparison rule, checked
+against Fraction and brute-force oracles."""
+
+import math
+import random
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from posterior_dynamics import diagnostics as dg
+from posterior_dynamics.util import ROUNDING, ExactValue, certified_sign, ratio_to_float
+
+# widest bit-length gap between numerator and denominator that still
+# leaves the quotient near the float range
+RANGE_BITS = 1100
+
+
+@st.composite
+def big_ints(draw, bits):
+    """A positive int of ``bits`` bits: random bits, or a power of two
+    nudged by a few units, where truncation and rounding are tightest."""
+    if draw(st.booleans()):
+        x = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+        return x | 1 << (bits - 1)
+    return max(1, (1 << (bits - 1)) + draw(st.integers(-64, 64)))
+
+
+@st.composite
+def ratios(draw, max_bits=10**5):
+    """(num, den) with unbalanced bit lengths up to ``max_bits`` each."""
+    num_bits = draw(st.integers(1, max_bits))
+    den_bits = draw(st.integers(max(1, num_bits - RANGE_BITS), num_bits + RANGE_BITS))
+    return draw(big_ints(num_bits)), draw(big_ints(den_bits))
+
+
+class TestRegressions:
+    def test_near_tie_at_small_value(self):
+        a = ExactValue(3 * 2**1000 + 2**975 - 1, 2**1030)
+        b = F(97189948, 34785637027044922)
+        assert a.as_fraction() > b
+        assert a > b
+
+    def test_unbalanced_operands_keep_their_bits(self):
+        want = 1.0654613332037199e-112
+        assert abs(ratio_to_float(3**600, 7**400 * 2**200) - want) <= 2**-52 * want
+
+
+class TestCertifiedSign:
+    def test_decides_clear_gaps(self):
+        assert certified_sign(2.0, 1, 1.0, 1) == 1
+        assert certified_sign(1.0, 3, 1.0 + 2**-40, 3) == -1
+
+    def test_escalates_within_the_bound(self):
+        assert certified_sign(1.0, 1, 1.0 + 2**-52, 1) == 0
+        assert certified_sign(1.0, 3, 1.0 + 8 * ROUNDING, 3) == 0
+
+    def test_escalates_off_the_normal_range(self):
+        tiny = sys.float_info.min / 4
+        assert certified_sign(tiny, 1, 1.0, 1) == 0
+        assert certified_sign(0.0, 1, 1.0, 1) == 0
+        assert certified_sign(math.inf, 1, 1.0, 1) == 0
+        assert certified_sign(math.nan, 1, 1.0, 1) == 0
+
+
+class TestRatioToFloat:
+    @given(ratios())
+    def test_within_bound_of_fraction(self, pair):
+        num, den = pair
+        exact = F(num, den)
+        want = float(exact) if exact < F(sys.float_info.max) else math.inf
+        if not sys.float_info.min <= want < math.inf:
+            return  # subnormal or overflowing: no relative bound is claimed
+        got = ratio_to_float(num, den)
+        assert abs(F(got) - exact) <= F(ROUNDING) * exact
+        assert abs(got - want) <= math.ulp(want)
+
+    def test_signs_and_zero(self):
+        assert ratio_to_float(0, -7) == 0.0
+        assert ratio_to_float(-1, 4) == -0.25
+        assert ratio_to_float(3, -4) == -0.75
+        with pytest.raises(ZeroDivisionError):
+            ratio_to_float(1, 0)
+
+
+class TestExactValueOrdering:
+    @given(ratios(max_bits=4000), st.integers(1, 2**80), st.integers(-3, 3),
+           st.integers(1, 2**40))
+    def test_orders_like_fraction_near_ties(self, pair, q, nudge, scale):
+        num, den = pair
+        a, exact = ExactValue(num, den), F(num, den)
+        # floor(A q)/q, nudged by a few units of 1/q, ties A to ~1/q
+        b = F(num * q // den + nudge, q)
+        for other in (b, ExactValue(b.numerator * scale, b.denominator * scale)):
+            assert (a < other) == (exact < b)
+            assert (a <= other) == (exact <= b)
+            assert (a > other) == (exact > b)
+            assert (a >= other) == (exact >= b)
+            assert (a == other) == (exact == b)
+
+    def test_beyond_float_range(self):
+        huge = ExactValue(2**5000 + 1, 3)
+        assert huge > ExactValue(2**5000, 3)
+        assert ExactValue(1, 2**5000) < ExactValue(2, 2**5000)
+
+
+def _brute_force_scan(values):
+    fr = [v.as_fraction() for v in values]
+    return [i + 1 for i in range(1, len(fr) - 1) if fr[i] * fr[i] < fr[i - 1] * fr[i + 1]]
+
+
+class TestLogconcavityScan:
+    @given(st.integers(1, 2**20), st.integers(1, 2**20), st.integers(0, 300),
+           st.lists(st.integers(-2, 2), min_size=3, max_size=12), st.integers(0, 1200))
+    def test_matches_fraction_products(self, p, q, shift, nudges, underflow):
+        # a geometric sequence ties every comparison; nudging each term by
+        # d/scale relative puts the ties near 2^-shift, and dividing all of
+        # them by 2^underflow takes some past the float range
+        scale = 4 << shift
+        values = [
+            ExactValue(p**k * (scale + d), q**k * scale << underflow)
+            for k, d in enumerate(nudges, start=1)
+        ]
+        assert dg.logconcavity_scan(values) == _brute_force_scan(values)
+
+    def test_underflowing_values_escalate(self):
+        values = [ExactValue(k * k + 1, 2**1100) for k in range(1, 9)]
+        assert dg.logconcavity_scan(values) == _brute_force_scan(values)
