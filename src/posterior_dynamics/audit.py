@@ -57,13 +57,17 @@ def suite_turan(seed: int = 0) -> dict:
         _check("ratio_3_below_bound", r3 < 16 / 15, value=r3, bound=16 / 15)
     )
 
-    # 1 < R_n(x) <= bound on the grid, equality only at (2, sqrt 3)
-    ok_lower, ok_upper, equality_witnesses = True, True, []
+    # 1 < R_n(x) <= bound on the grid, equality only at (2, sqrt 3); the
+    # scaled sequence (n+1) P_n is log-concave there, strictly from 3
+    ok_lower, ok_upper, ok_scaled, equality_witnesses = True, True, True, []
     worst = None
     for x in TURAN_GRID_X:
         ratios = sf.legendre_ratios(TURAN_MAX_N + 1, x)
         for n in range(2, TURAN_MAX_N + 1):
             value = ratios[n] / ratios[n - 1]
+            scaled = value * (n * (n + 2)) / (n + 1) ** 2
+            if not scaled <= 1.0 + 1e-14 or (n >= 3 and not scaled < 1.0):
+                ok_scaled = False
             bound = float(sf.turan_bound(n))
             if not value > 1.0:
                 ok_lower = False
@@ -114,15 +118,6 @@ def suite_turan(seed: int = 0) -> dict:
         )
     )
 
-    # scaled sequence (n+1) P_n is log-concave on the grid, strictly from 3
-    ok_scaled = True
-    for x in TURAN_GRID_X:
-        for n in range(2, TURAN_MAX_N + 1):
-            value = sf.turan_ratio(n, x).ratio * (n * (n + 2)) / (n + 1) ** 2
-            if n >= 3 and not value < 1.0:
-                ok_scaled = False
-            if not value <= 1.0 + 1e-14:
-                ok_scaled = False
     checks.append(_check("scaled_sequence_logconcave", ok_scaled))
 
     # classical regime inside (-1, 1): spot check with explicit polynomials

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -61,9 +61,6 @@ class BiPoly:
             out[key] = out.get(key, 0) - val
         return BiPoly(out)
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.coeffs.items()})
-
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         out: dict[tuple[int, int], Coeff] = {}
         for (i1, j1), v1 in self.coeffs.items():
@@ -74,9 +71,6 @@ class BiPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def substitute(self, m_value: Coeff | float, t_value: Coeff | float):
         """Exact when both substitution points are rational."""
@@ -192,9 +186,10 @@ def _quadratic_nonneg_on_halfline(c2: int, c1: int, c0: int) -> bool:
     return vertex_value >= 0
 
 
-def _bracketed_golden_min(coeffs: Sequence[Coeff], lo: float = 0.0, hi: float = 100.0):
-    """Global minimum of a coefficient row on [lo, hi]: coarse scan then
+def _bracketed_golden_min(coeffs: Sequence[Coeff]):
+    """Global minimum of a coefficient row on [0, 100]: coarse scan then
     golden-section inside the best bracket.  Deterministic."""
+    lo, hi = 0.0, 100.0
     grid = 2000
     best_i, best_v = 0, float("inf")
     for i in range(grid + 1):

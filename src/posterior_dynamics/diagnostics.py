@@ -6,9 +6,12 @@ weakly falls out of it; the left boundary n = 1 counts when value(1) >=
 value(2); the right boundary never counts; plateau runs collapse to their
 first index (the strict-rise requirement does this on its own).
 
-Comparisons are exact for rational sequences.  Float sequences compare
-through a relative tie tolerance of 1e-13 so that a genuine plateau
-rendered in floating point does not sprout phantom modes.
+Modes, minima and the eventual-decrease index are read off one list: the
+sign of value(n+1) - value(n) for each adjacent pair.  Floats tie within a
+relative 1e-13, so that a genuine plateau rendered in floating point does
+not sprout phantom modes.  Rationals are converted to float once per value
+and each pair is decided by ``certified_sign``, or exactly where it cannot
+decide; the exact log-concavity scan follows the same rule on products.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import priors as pr
 from .engine import ExpectedPosteriorSequence
 from .families import FamilySpec, DomainError
 from .priors import DiscreteAtoms, Prior
-from .util import certified_sign
+from .util import certified_sign, float_or_inf
 
 FLOAT_TIE_RTOL = 1e-13
 # log-space guard for the float log-concavity scan; second differences of
@@ -30,25 +33,22 @@ FLOAT_TIE_RTOL = 1e-13
 LC_FLOAT_GUARD = 1e-14
 
 
-def _comparator(values):
-    """Three-way compare; exact for ExactValue and other rationals, guarded for floats."""
-    if values and isinstance(values[0], float):
-
-        def cmp(i: int, j: int) -> int:
-            a, b = values[i], values[j]
-            if math.isclose(a, b, rel_tol=FLOAT_TIE_RTOL, abs_tol=0.0):
-                return 0
-            return 1 if a > b else -1
-
-        return cmp
-
-    def cmp(i: int, j: int) -> int:
-        a, b = values[i], values[j]
-        if a == b:
-            return 0
-        return 1 if a > b else -1
-
-    return cmp
+def _step_signs(values) -> list[int]:
+    """sign(values[i+1] - values[i]) for each adjacent pair: floats tie
+    within FLOAT_TIE_RTOL; rationals are decided by certified_sign on one
+    float per value, and exactly where it returns 0."""
+    if isinstance(values[0], float):
+        return [
+            0 if math.isclose(a, b, rel_tol=FLOAT_TIE_RTOL, abs_tol=0.0) else (1 if b > a else -1)
+            for a, b in zip(values, values[1:])
+        ]
+    floats = [float_or_inf(v) for v in values]
+    signs = [certified_sign(y, 1, x, 1) for x, y in zip(floats, floats[1:])]
+    for i, sign in enumerate(signs):
+        if sign == 0:
+            a, b = values[i], values[i + 1]
+            signs[i] = (b > a) - (b < a)
+    return signs
 
 
 def _values_of(seq) -> list:
@@ -61,12 +61,9 @@ def _local_extrema(seq, sign: int, what: str) -> list[int]:
     n = len(values)
     if n < 3:
         raise DomainError(f"{what} detection needs a horizon of at least 3")
-    cmp = _comparator(values)
-    out = [1] if sign * cmp(0, 1) >= 0 else []
-    for i in range(1, n - 1):
-        if sign * cmp(i, i - 1) > 0 and sign * cmp(i, i + 1) >= 0:
-            out.append(i + 1)
-    return out
+    steps = [sign * s for s in _step_signs(values)]
+    out = [1] if steps[0] <= 0 else []
+    return out + [i + 1 for i in range(1, n - 1) if steps[i - 1] > 0 and steps[i] <= 0]
 
 
 def detect_modes(seq) -> list[int]:
@@ -102,7 +99,7 @@ def logconcavity_scan(seq) -> list[int]:
         return out
     # exact branch: the floats decide where certified_sign can (each side is
     # two conversions and one product), the rest escalate to exact products
-    floats = [float(v) for v in values]
+    floats = [float_or_inf(v) for v in values]
     out = []
     for i in range(1, n - 1):
         a, b, c = floats[i - 1 : i + 2]
@@ -119,11 +116,8 @@ def eventual_decrease_index(seq) -> int | None:
     n = len(values)
     if n < 2:
         raise DomainError("eventual-decrease scan needs a horizon of at least 2")
-    cmp = _comparator(values)
-    last_rise = None
-    for i in range(n - 1):
-        if cmp(i, i + 1) <= 0:
-            last_rise = i
+    steps = _step_signs(values)
+    last_rise = max((i for i, s in enumerate(steps) if s >= 0), default=None)
     if last_rise is None:
         return 1
     if last_rise == n - 2:
@@ -158,12 +152,12 @@ class DiagnosticsReport:
         }
 
 
-def _log_spaced(n_max: int, count: int = 20) -> list[int]:
-    if n_max <= count:
+def _log_spaced(n_max: int) -> list[int]:
+    if n_max <= 20:
         return list(range(1, n_max + 1))
     points = {1, n_max}
-    for i in range(1, count):
-        points.add(max(1, round(n_max ** (i / count))))
+    for i in range(1, 20):
+        points.add(max(1, round(n_max ** (i / 20))))
     return sorted(points)
 
 
@@ -210,11 +204,6 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
 # ---------------------------------------------------------------------------
 # asymptotic equivalents
 # ---------------------------------------------------------------------------
-
-
-def sqrt_n_constant(family: FamilySpec, theta: float) -> float:
-    """sqrt(I(theta) / (2 pi)): the density scale of the √n growth law."""
-    return math.sqrt(fam.fisher_information(family, theta) / (2.0 * math.pi))
 
 
 def asymptotic_expected_posterior(

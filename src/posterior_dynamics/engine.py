@@ -47,7 +47,6 @@ METHOD_EXACT = "exact_rational"
 METHOD_NORMAL = "closed_form_normal"
 METHOD_EXP_BESSEL = "closed_form_exp_bessel"
 METHOD_UNIFORM = "uniform_prior_legendre"
-METHOD_BRUTEFORCE = "brute_force"
 
 REPR_RATIONAL = "rational"
 REPR_FLOAT = "float"
@@ -61,20 +60,29 @@ BRUTEFORCE_CAP = 14
 class ExpectedPosteriorSequence:
     """Values of the expected posterior for n = 1..N plus tags.
 
-    ``values`` holds ExactValue entries in rational mode and floats
-    otherwise; ``log_values`` always holds float logs.  ``prior_value`` is
-    the n = 0 expectation (the prior weight/density at theta0), reported
-    separately rather than as part of the range.
+    Exact routes pass ``values`` (ExactValue entries), float routes pass
+    ``log_values``; the other list is derived, so ``values`` holds
+    ExactValues or floats and ``log_values`` always holds float logs.
     """
 
     family: FamilySpec
     theta0: Real
     theta1: Real
     method: str
-    representation: str
-    values: list
-    log_values: list[float]
-    prior_value: float | Fraction | None = None
+    values: list | None = None
+    log_values: list[float] | None = None
+
+    def __post_init__(self):
+        if (self.values is None) == (self.log_values is None):
+            raise ValueError("pass exactly one of values and log_values")
+        if self.values is None:
+            self.values = [math.exp(lv) for lv in self.log_values]
+        else:
+            self.log_values = [v.log() if v.num > 0 else float("-inf") for v in self.values]
+
+    @property
+    def representation(self) -> str:
+        return REPR_RATIONAL if isinstance(self.values[0], ExactValue) else REPR_FLOAT
 
     @property
     def horizon(self) -> int:
@@ -163,11 +171,7 @@ def expected_posterior_discrete(
         "rational atoms, weights, theta0, theta1",
     ):
         values = _discrete_exact_values(prior, theta0, theta1, horizon)
-        logs = [v.log() if v.num > 0 else float("-inf") for v in values]
-        return ExpectedPosteriorSequence(
-            family, theta0, theta1, METHOD_EXACT, REPR_RATIONAL, values, logs,
-            prior_value=prior.weight_of(theta0),
-        )
+        return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     t0w = math.log(float(prior.weight_of(theta0)))
     weighted = [(t, math.log(float(w))) for t, w in prior.atoms]
 
@@ -177,11 +181,7 @@ def expected_posterior_discrete(
     logs = [
         _bernoulli_float_log(theta0, theta1, n, t0w, log_marginal) for n in range(1, horizon + 1)
     ]
-    values = [math.exp(lv) for lv in logs]
-    return ExpectedPosteriorSequence(
-        family, theta0, theta1, METHOD_EXACT, REPR_FLOAT, values, logs,
-        prior_value=float(prior.weight_of(theta0)),
-    )
+    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, log_values=logs)
 
 
 def _discrete_exact_values(
@@ -266,16 +266,9 @@ def expected_posterior_uniform(
         y = Fraction(theta0) * Fraction(theta1)
         z = (1 - Fraction(theta0)) * (1 - Fraction(theta1))
         values = binomial_square_sum(y, z, horizon)
-        logs = [v.log() for v in values]
-        return ExpectedPosteriorSequence(
-            family, theta0, theta1, METHOD_UNIFORM, REPR_RATIONAL, values, logs,
-            prior_value=Fraction(1),
-        )
+        return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_UNIFORM, values=values)
     logs = _uniform_float_logs(float(theta0), float(theta1), horizon)
-    values = [math.exp(lv) for lv in logs]
-    return ExpectedPosteriorSequence(
-        family, theta0, theta1, METHOD_UNIFORM, REPR_FLOAT, values, logs, prior_value=1.0
-    )
+    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_UNIFORM, log_values=logs)
 
 
 def _uniform_float_logs(theta0: float, theta1: float, horizon: int) -> list[float]:
@@ -329,11 +322,7 @@ def expected_posterior_normal(
     family = fam.normal(sigma)
     t0, t1 = float(theta0), float(theta1)
     logs = [log_expected_posterior_normal(t0, t1, sigma, n) for n in range(1, horizon + 1)]
-    values = [math.exp(lv) for lv in logs]
-    prior_value = math.exp(pr.prior_log_density(StdNormal(), t0))
-    return ExpectedPosteriorSequence(
-        family, theta0, theta1, METHOD_NORMAL, REPR_FLOAT, values, logs, prior_value=prior_value
-    )
+    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_NORMAL, log_values=logs)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +367,7 @@ def expected_posterior_exponential(
             + math.log((n + mid) + mid * bess.rho[n])
         )
         logs.append(diag + (mid - t0) + n * log_off + log_rate)
-    values = [math.exp(lv) for lv in logs]
-    prior_value = math.exp(pr.prior_log_density(ExpPrior(rate), theta0))
-    return ExpectedPosteriorSequence(
-        family, theta0, theta1, METHOD_EXP_BESSEL, REPR_FLOAT, values, logs,
-        prior_value=prior_value,
-    )
+    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXP_BESSEL, log_values=logs)
 
 
 # ---------------------------------------------------------------------------
@@ -428,22 +412,14 @@ def expected_posterior_beta(
                 total += p0 * p1 / marg
             value = total * density0
             values.append(ExactValue(value.numerator, value.denominator))
-        logs = [v.log() for v in values]
-        return ExpectedPosteriorSequence(
-            family, theta0, theta1, METHOD_EXACT, REPR_RATIONAL, values, logs,
-            prior_value=density0,
-        )
+        return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     log_density0 = pr.prior_log_density(prior, theta0)
     log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
     logs = [
         _bernoulli_float_log(theta0, theta1, n, log_density0, log_marginal)
         for n in range(1, horizon + 1)
     ]
-    values = [math.exp(lv) for lv in logs]
-    return ExpectedPosteriorSequence(
-        family, theta0, theta1, METHOD_EXACT, REPR_FLOAT, values, logs,
-        prior_value=math.exp(log_density0),
-    )
+    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, log_values=logs)
 
 
 # ---------------------------------------------------------------------------

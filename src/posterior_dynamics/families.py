@@ -242,10 +242,11 @@ def binomial_pmf_exact(theta: Fraction, n: int, k: int) -> Fraction:
     return math.comb(n, k) * theta**k * (1 - theta) ** (n - k)
 
 
-def numeric_affinity(family: FamilySpec, theta0: Real, theta1: Real, tol: float = 1e-12) -> float:
+def numeric_affinity(family: FamilySpec, theta0: Real, theta1: Real) -> float:
     """Squared affinity by direct summation/quadrature; reduction cross-check."""
     from .quadrature import integrate_half_line, integrate_real_line
 
+    tol = 1e-12  # quadrature tolerance; the Poisson sum stops below 1e-3 of it
     family.require_theta(theta0)
     family.require_theta(theta1)
 

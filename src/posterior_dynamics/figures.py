@@ -80,10 +80,11 @@ def render_json(obj: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About six round tick values covering [lo, hi]."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(count - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     start = math.ceil(lo / step) * step
@@ -95,16 +96,9 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return out or [lo]
 
 
-def polyline_svg(
-    xs: list[float],
-    ys: list[float],
-    marks: list[tuple[float, float, str]] | None = None,
-    x_label: str = "n",
-    y_label: str = "psi(n)",
-    width: int = 720,
-    height: int = 480,
-) -> str:
-    """Minimal line plot: one polyline, tick marks, optional point labels."""
+def polyline_svg(xs: list[float], ys: list[float], marks: list[tuple[float, float, str]]) -> str:
+    """Minimal plot of psi(n) against n: one polyline, tick marks, labelled points."""
+    width, height = 720, 480
     pad_l, pad_r, pad_t, pad_b = 72, 24, 24, 48
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
@@ -145,7 +139,7 @@ def polyline_svg(
         )
     points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
-    for mx, my, label in marks or []:
+    for mx, my, label in marks:
         parts.append(
             f'<circle cx="{px(mx):.2f}" cy="{py(my):.2f}" r="3.5" fill="#d62728"/>'
         )
@@ -155,12 +149,12 @@ def polyline_svg(
         )
     parts.append(
         f'<text x="{(pad_l + width - pad_r) // 2}" y="{height - 10}" font-size="12" '
-        f'text-anchor="middle">{x_label}</text>'
+        f'text-anchor="middle">n</text>'
     )
     parts.append(
         f'<text x="16" y="{(pad_t + height - pad_b) // 2}" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 16 {(pad_t + height - pad_b) // 2})">'
-        f"{y_label}</text>"
+        "psi(n)</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

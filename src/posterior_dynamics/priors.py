@@ -120,8 +120,6 @@ class ExpPrior:
 
 Prior = Union[DiscreteAtoms, Uniform01, Beta, StdNormal, ExpPrior]
 
-CONTINUOUS_PRIORS = (Uniform01, Beta, StdNormal, ExpPrior)
-
 
 def atoms(*pairs: tuple[Real, Real]) -> DiscreteAtoms:
     """Convenience constructor; weights are coerced to exact Fractions."""

@@ -139,10 +139,7 @@ def integrate(
 
 
 def integrate_half_line(
-    f: Callable[[float], float],
-    tol: float = 1e-10,
-    rel_tol: float = 1e-13,
-    max_intervals: int = 2000,
+    f: Callable[[float], float], tol: float = 1e-10, rel_tol: float = 1e-13
 ) -> tuple[float, float]:
     """Integral of f over (0, inf) via u = t/(1-t)."""
 
@@ -152,14 +149,11 @@ def integrate_half_line(
             return 0.0
         return f(t / om) / (om * om)
 
-    return integrate(g, 0.0, 1.0, tol=tol, rel_tol=rel_tol, max_intervals=max_intervals)
+    return integrate(g, 0.0, 1.0, tol=tol, rel_tol=rel_tol)
 
 
 def integrate_real_line(
-    f: Callable[[float], float],
-    tol: float = 1e-10,
-    rel_tol: float = 1e-13,
-    max_intervals: int = 2000,
+    f: Callable[[float], float], tol: float = 1e-10, rel_tol: float = 1e-13
 ) -> tuple[float, float]:
     """Integral of f over (-inf, inf) via u = t/(1-t^2)."""
 
@@ -169,4 +163,4 @@ def integrate_real_line(
             return 0.0
         return f(t / om) * (1.0 + t * t) / (om * om)
 
-    return integrate(g, -1.0, 1.0, tol=tol, rel_tol=rel_tol, max_intervals=max_intervals)
+    return integrate(g, -1.0, 1.0, tol=tol, rel_tol=rel_tol)

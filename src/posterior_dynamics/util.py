@@ -80,6 +80,15 @@ def certified_sign(x: float, x_roundings: int, y: float, y_roundings: int) -> in
     return 0
 
 
+def float_or_inf(v) -> float:
+    """float(v) for a float, int, Fraction or ExactValue; inf beyond the
+    float range, where certified_sign escalates."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def tree_sum_fractions(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
     """Sum of nums[i]/dens[i] as one unnormalized (num, den) pair.
 
@@ -143,10 +152,7 @@ class ExactValue:
             onum, oden = other.numerator, other.denominator
         else:
             raise TypeError(f"cannot compare ExactValue with {type(other)!r}")
-        try:
-            sign = certified_sign(float(self), 1, ratio_to_float(onum, oden), 1)
-        except OverflowError:  # beyond the float range: decide exactly
-            sign = 0
+        sign = certified_sign(float_or_inf(self), 1, float_or_inf(other), 1)
         if sign:
             return sign
         d = self.num * oden - onum * self.den

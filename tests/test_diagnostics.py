@@ -141,10 +141,6 @@ class TestAsymptotics:
         assert underflowed > 0
         assert ratios[12000] == pytest.approx(1.0, abs=1e-4)
 
-    def test_growth_constant_exposed(self):
-        value = dg.sqrt_n_constant(fam.bernoulli(), 0.5)
-        assert value == pytest.approx(math.sqrt(4.0 / (2 * math.pi)), rel=1e-15)
-
 
 class TestNormalSolver:
     def test_wide_prior_example(self):

@@ -29,7 +29,6 @@ class TestDiscreteRoute:
         assert [v.as_fraction() for v in seq.values] == [F(2, 3), F(4, 5), F(8, 9)]
         assert seq.method == engine.METHOD_EXACT
         assert seq.representation == engine.REPR_RATIONAL
-        assert seq.prior_value == F(1, 2)
 
     def test_point_mass_is_constant_one(self):
         prior = pr.atoms((F(2, 5), F(1)))

@@ -106,25 +106,61 @@ class TestExactValueOrdering:
         assert ExactValue(1, 2**5000) < ExactValue(2, 2**5000)
 
 
+def _nudged_geometric(p, q, shift, nudges, scale_bits):
+    """p^k (scale + d_k) / (q^k scale) times 2^scale_bits, k = 1, 2, ...
+
+    A geometric sequence ties every log-concavity comparison, and with p
+    near q every step; nudging each term by d_k/scale relative, scale =
+    4 * 2^shift, puts the ties near 2^-shift, and a large |scale_bits|
+    takes some terms past the float range on either side."""
+    scale = 4 << shift
+    up, down = max(scale_bits, 0), max(-scale_bits, 0)
+    return [
+        ExactValue(p**k * (scale + d) << up, q**k * scale << down)
+        for k, d in enumerate(nudges, start=1)
+    ]
+
+
 def _brute_force_scan(values):
     fr = [v.as_fraction() for v in values]
     return [i + 1 for i in range(1, len(fr) - 1) if fr[i] * fr[i] < fr[i - 1] * fr[i + 1]]
 
 
+def _brute_force_verdicts(values):
+    """(modes, minima, eventual decrease) of the documented convention,
+    read off the Fraction values directly."""
+    fr = [None] + [v.as_fraction() for v in values]  # fr[n] is value(n)
+    last = len(values)
+    modes = [n for n in range(1, last) if (n == 1 or fr[n - 1] < fr[n]) and fr[n] >= fr[n + 1]]
+    minima = [n for n in range(1, last) if (n == 1 or fr[n - 1] > fr[n]) and fr[n] <= fr[n + 1]]
+    decrease = None
+    if fr[last - 1] > fr[last]:
+        decrease = min(
+            n for n in range(1, last + 1) if all(fr[m] > fr[m + 1] for m in range(n, last))
+        )
+    return modes, minima, decrease
+
+
+GEOMETRIC = (st.integers(1, 2**20), st.integers(1, 2**20), st.integers(0, 300),
+             st.lists(st.integers(-2, 2), min_size=3, max_size=12), st.integers(-1200, 1200))
+
+
 class TestLogconcavityScan:
-    @given(st.integers(1, 2**20), st.integers(1, 2**20), st.integers(0, 300),
-           st.lists(st.integers(-2, 2), min_size=3, max_size=12), st.integers(0, 1200))
-    def test_matches_fraction_products(self, p, q, shift, nudges, underflow):
-        # a geometric sequence ties every comparison; nudging each term by
-        # d/scale relative puts the ties near 2^-shift, and dividing all of
-        # them by 2^underflow takes some past the float range
-        scale = 4 << shift
-        values = [
-            ExactValue(p**k * (scale + d), q**k * scale << underflow)
-            for k, d in enumerate(nudges, start=1)
-        ]
+    @given(*GEOMETRIC)
+    def test_matches_fraction_products(self, p, q, shift, nudges, scale_bits):
+        values = _nudged_geometric(p, q, shift, nudges, scale_bits)
         assert dg.logconcavity_scan(values) == _brute_force_scan(values)
 
     def test_underflowing_values_escalate(self):
         values = [ExactValue(k * k + 1, 2**1100) for k in range(1, 9)]
         assert dg.logconcavity_scan(values) == _brute_force_scan(values)
+
+
+class TestStepVerdicts:
+    @given(*GEOMETRIC[:1], st.integers(-1, 1), *GEOMETRIC[2:])
+    def test_match_fraction_scan_near_ties(self, p, dq, shift, nudges, scale_bits):
+        values = _nudged_geometric(p, max(p + dq, 1), shift, nudges, scale_bits)
+        got = (dg.detect_modes(values), dg.detect_minima(values),
+               dg.eventual_decrease_index(values))
+        assert got == _brute_force_verdicts(values)
+
