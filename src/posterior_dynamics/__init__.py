@@ -25,9 +25,7 @@ from .families import (
     bhattacharyya_reduction,
     exponential,
     fisher_information,
-    log_density,
     normal,
-    poisson,
     suff_stat_log_density,
 )
 from .priors import (

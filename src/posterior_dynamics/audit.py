@@ -47,8 +47,8 @@ def suite_turan(seed: int = 0) -> dict:
     checks = []
     sqrt3 = math.sqrt(3.0)
 
-    r2 = sf.turan_ratio(2, sqrt3).ratio
-    r3 = sf.turan_ratio(3, sqrt3).ratio
+    r2 = sf.turan_ratio(2, sqrt3)
+    r3 = sf.turan_ratio(3, sqrt3)
     checks.append(_check("ratio_2_at_sqrt3", abs(r2 - 9 / 8) <= 1e-14, value=r2, expected=1.125))
     checks.append(
         _check("ratio_3_at_sqrt3", abs(r3 - 19 / 18) <= 1e-14, value=r3, expected=19 / 18)
@@ -60,7 +60,7 @@ def suite_turan(seed: int = 0) -> dict:
     # 1 < R_n(x) <= bound on the grid, equality only at (2, sqrt 3); the
     # scaled sequence (n+1) P_n is log-concave there, strictly from 3
     ok_lower, ok_upper, ok_scaled, equality_witnesses = True, True, True, []
-    worst = None
+    worst_lower = worst_upper = None
     for x in TURAN_GRID_X:
         ratios = sf.legendre_ratios(TURAN_MAX_N + 1, x)
         for n in range(2, TURAN_MAX_N + 1):
@@ -71,15 +71,15 @@ def suite_turan(seed: int = 0) -> dict:
             bound = float(sf.turan_bound(n))
             if not value > 1.0:
                 ok_lower = False
-                worst = (n, x, value)
+                worst_lower = (n, x, value)
             gap = bound - value
             if gap < -1e-15 * bound:
                 ok_upper = False
-                worst = (n, x, value)
+                worst_upper = (n, x, value)
             if abs(gap) <= 1e-12:
                 equality_witnesses.append((n, x))
-    checks.append(_check("reverse_inequality_grid", ok_lower, worst=worst))
-    checks.append(_check("bound_grid", ok_upper, worst=worst))
+    checks.append(_check("reverse_inequality_grid", ok_lower, worst=worst_lower))
+    checks.append(_check("bound_grid", ok_upper, worst=worst_upper))
     checks.append(
         _check(
             "equality_only_at_2_sqrt3",
@@ -189,14 +189,14 @@ def suite_bessel(seed: int = 0) -> dict:
     )
 
     # recursion vs quadrature for the diagonal and the combined integrals
-    ok_diag, ok_comb, worst = True, True, 0.0
+    ok_diag, ok_comb, worst_diag, worst_comb = True, True, 0.0, 0.0
     for theta in BESSEL_THETAS:
         bess = sf.bessel_K_half(theta, 12)
         for n in range(0, 11):
             direct = _poly_integral(n, n, theta)
             routed = _poly_integral_from_bessel(n, theta, bess)
             rel = abs(direct - routed) / direct
-            worst = max(worst, rel)
+            worst_diag = max(worst_diag, rel)
             if rel > 1e-8:
                 ok_diag = False
         for n in range(1, 11):
@@ -205,11 +205,11 @@ def suite_bessel(seed: int = 0) -> dict:
                 0.5 * _poly_integral_from_bessel(n - 1, theta, bess)
             )
             rel = abs(direct - routed) / direct
-            worst = max(worst, rel)
+            worst_comb = max(worst_comb, rel)
             if rel > 1e-8:
                 ok_comb = False
-    checks.append(_check("diagonal_integral_identity", ok_diag, worst_rel=worst))
-    checks.append(_check("combined_integral_recurrence", ok_comb, worst_rel=worst))
+    checks.append(_check("diagonal_integral_identity", ok_diag, worst_rel=worst_diag))
+    checks.append(_check("combined_integral_recurrence", ok_comb, worst_rel=worst_comb))
 
     # closed form vs quadrature of the defining integral
     ok_psi, worst_psi = True, 0.0
@@ -414,14 +414,15 @@ def suite_orders(seed: int = 42) -> dict:
                 except pr.ImpossibleObservationError:
                     continue
                 succ_prob = sum(t * w for t, w in zip(post.thetas, post.weights))
+                up = dn = None
+                if succ_prob > 0:
+                    up = pr.posterior_given_suffstat(family, prior, n + 1, k + 1)
+                if succ_prob < 1:
+                    dn = pr.posterior_given_suffstat(family, prior, n + 1, k)
                 for theta in thetas:
                     q_now = post.weight_of(theta)
-                    q_up = pr.posterior_given_suffstat(family, prior, n + 1, k + 1).weight_of(
-                        theta
-                    ) if succ_prob > 0 else None
-                    q_dn = pr.posterior_given_suffstat(family, prior, n + 1, k).weight_of(
-                        theta
-                    ) if succ_prob < 1 else None
+                    q_up = up.weight_of(theta) if up is not None else None
+                    q_dn = dn.weight_of(theta) if dn is not None else None
                     # expectation under the prior predictive: exact martingale
                     exp_marginal = (succ_prob * (q_up or 0)) + ((1 - succ_prob) * (q_dn or 0))
                     if exp_marginal != q_now:

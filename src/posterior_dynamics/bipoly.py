@@ -72,13 +72,6 @@ class BiPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
 
-    def substitute(self, m_value: Coeff | float, t_value: Coeff | float):
-        """Exact when both substitution points are rational."""
-        total = 0
-        for (i, j), val in self.coeffs.items():
-            total += val * m_value**i * t_value**j
-        return total
-
     def coefficients_in_m(self) -> dict[int, list[Coeff]]:
         """degree-in-m -> ascending t-coefficient list of that m-power."""
         out: dict[int, list[Coeff]] = {}

@@ -257,13 +257,14 @@ def _normal_log_slope(n: float, theta: float, sigma: float) -> float:
 
 _N_LO = 1e-6
 _N_HI = 1e9
+_BISECT_RTOL = 1e-6
 
 
-def _bisect(fn, lo: float, hi: float, decreasing: bool, rel_tol: float = 1e-6) -> float:
+def _bisect(fn, lo: float, hi: float, decreasing: bool) -> float:
     """Root of a monotone sign change on [lo, hi]."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(1.0, abs(mid)):
+        if hi - lo <= _BISECT_RTOL * max(1.0, abs(mid)):
             return mid
         v = fn(mid)
         if (v > 0) == decreasing:

@@ -518,23 +518,3 @@ def expected_posterior_bruteforce(
         i0 = thetas.index(t0)
         total += gen_prob * w0 * seq_probs[i0] / marginal
     return total
-
-
-# ---------------------------------------------------------------------------
-# reduction to the diagonal
-# ---------------------------------------------------------------------------
-
-
-def reduction_check_factor(
-    family: FamilySpec, prior: Prior, theta0: Real, theta1: Real
-) -> tuple[float, float, float]:
-    """(theta_mid, affinity, prior density ratio at theta0 over theta_mid).
-
-    The off-diagonal sequence equals ratio * diagonal(theta_mid) * affinity^n;
-    exposed for the cross-route identity tests.
-    """
-    mid, affinity = fam.bhattacharyya_reduction(family, theta0, theta1)
-    if isinstance(prior, pr.DiscreteAtoms):
-        raise DomainError("the diagonal reduction needs a continuous prior")
-    ratio = math.exp(pr.prior_log_density(prior, theta0) - pr.prior_log_density(prior, mid))
-    return mid, affinity, ratio

@@ -1,16 +1,15 @@
 """Canonical one-dimensional exponential families.
 
-Four families are supported, each with density
+Three families are supported, each with density
 exp(eta(t) T(x) - A(eta(t)) - B(x)) and the parameterization fixed as:
 
     bernoulli    t in (0,1),   eta = log(t/(1-t)), T(x) = x
     normal       t in R,       eta = t,            T(x) = x / sigma^2   (sigma fixed)
-    poisson      t in (0,inf), eta = log t,        T(x) = x
     exponential  t in (0,inf), eta = t,            T(x) = -x
 
 The sufficient statistic of n iid draws is u_n = sum x_i, with laws
-Binomial(n,t), Normal(n t, n sigma^2), Poisson(n t) and Gamma(n, rate=t).
-Closed forms are implemented directly; eta/T only serve property tests.
+Binomial(n,t), Normal(n t, n sigma^2) and Gamma(n, rate=t), all in closed
+form; n = 1 gives the density of a single draw.
 
 For two parameters t0, t1 the density p_{tmid} proportional to
 sqrt(p_{t0} p_{t1}) stays inside the family; ``bhattacharyya_reduction``
@@ -30,10 +29,11 @@ Real = Union[int, float, Fraction]
 
 BERNOULLI = "bernoulli"
 NORMAL = "normal"
-POISSON = "poisson"
 EXPONENTIAL = "exponential"
 
-_KINDS = (BERNOULLI, NORMAL, POISSON, EXPONENTIAL)
+# open interval of valid parameters, per kind
+_DOMAINS = {BERNOULLI: (0.0, 1.0), NORMAL: (-math.inf, math.inf), EXPONENTIAL: (0.0, math.inf)}
+_KINDS = tuple(_DOMAINS)
 
 NEG_INF = float("-inf")
 
@@ -44,7 +44,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One of the four supported families; sigma is set iff kind == normal."""
+    """One of the three supported families; sigma is set iff kind == normal."""
 
     kind: str
     sigma: float | None = None
@@ -58,47 +58,15 @@ class FamilySpec:
         elif self.sigma is not None:
             raise DomainError(f"sigma is only meaningful for the normal family, not {self.kind}")
 
-    # -- domain ------------------------------------------------------
-
-    def theta_domain(self) -> tuple[float, float]:
-        """Open interval of valid parameters."""
-        if self.kind == BERNOULLI:
-            return (0.0, 1.0)
-        if self.kind == NORMAL:
-            return (-math.inf, math.inf)
-        return (0.0, math.inf)
-
-    def contains(self, theta: Real, closure: bool = False) -> bool:
-        lo, hi = self.theta_domain()
-        if closure:
-            return lo <= theta <= hi
-        return lo < theta < hi
-
     def require_theta(self, theta: Real, closure: bool = False) -> None:
-        if not self.contains(theta, closure=closure):
-            lo, hi = self.theta_domain()
+        """Raise DomainError unless theta lies in the open parameter
+        interval, or in its closure when ``closure`` is set."""
+        lo, hi = _DOMAINS[self.kind]
+        if not (lo <= theta <= hi if closure else lo < theta < hi):
             kind = "closure of " if closure else ""
             raise DomainError(
                 f"theta={theta} outside {kind}({lo}, {hi}) for the {self.kind} family"
             )
-
-    # -- natural parameter -------------------------------------------
-
-    def eta(self, theta: float) -> float:
-        self.require_theta(theta)
-        t = float(theta)
-        if self.kind == BERNOULLI:
-            return math.log(t / (1.0 - t))
-        if self.kind == POISSON:
-            return math.log(t)
-        return t  # normal, exponential
-
-    def eta_inv(self, y: float) -> float:
-        if self.kind == BERNOULLI:
-            return 1.0 / (1.0 + math.exp(-y))
-        if self.kind == POISSON:
-            return math.exp(y)
-        return y
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -129,10 +97,6 @@ def normal(sigma: float) -> FamilySpec:
     return FamilySpec(NORMAL, float(sigma))
 
 
-def poisson() -> FamilySpec:
-    return FamilySpec(POISSON)
-
-
 def exponential() -> FamilySpec:
     return FamilySpec(EXPONENTIAL)
 
@@ -145,8 +109,6 @@ def fisher_information(family: FamilySpec, theta: Real) -> float:
         return 1.0 / (t * (1.0 - t))
     if family.kind == NORMAL:
         return 1.0 / (family.sigma**2)
-    if family.kind == POISSON:
-        return 1.0 / t
     return 1.0 / (t * t)  # exponential
 
 
@@ -168,35 +130,8 @@ def bhattacharyya_reduction(family: FamilySpec, theta0: Real, theta1: Real) -> t
     if family.kind == NORMAL:
         sig = family.sigma
         return (t0 + t1) / 2.0, math.exp(-((t0 - t1) ** 2) / (4.0 * sig * sig))
-    if family.kind == POISSON:
-        return math.sqrt(t0 * t1), math.exp(-((math.sqrt(t0) - math.sqrt(t1)) ** 2))
     mid = (t0 + t1) / 2.0
     return mid, t0 * t1 / (mid * mid)  # exponential
-
-
-def log_density(family: FamilySpec, theta: Real, x: Real) -> float:
-    """log p_theta(x); observations outside the support map to -inf."""
-    family.require_theta(theta)
-    t = float(theta)
-    xf = float(x)
-    if family.kind == BERNOULLI:
-        if xf == 1.0:
-            return math.log(t)
-        if xf == 0.0:
-            return math.log(1.0 - t)
-        return NEG_INF
-    if family.kind == NORMAL:
-        sig = family.sigma
-        return -0.5 * math.log(2.0 * math.pi * sig * sig) - (xf - t) ** 2 / (2.0 * sig * sig)
-    if family.kind == POISSON:
-        if xf < 0 or xf != int(xf):
-            return NEG_INF
-        k = int(xf)
-        return k * math.log(t) - t - math.lgamma(k + 1)
-    # exponential, density t*exp(-t*x) on [0, inf)
-    if xf < 0:
-        return NEG_INF
-    return math.log(t) - t * xf
 
 
 def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> float:
@@ -219,12 +154,6 @@ def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> f
     if family.kind == NORMAL:
         var = n * family.sigma**2
         return -0.5 * math.log(2.0 * math.pi * var) - (uf - n * t) ** 2 / (2.0 * var)
-    if family.kind == POISSON:
-        if uf < 0 or uf != int(uf):
-            return NEG_INF
-        k = int(uf)
-        lam = n * t
-        return k * math.log(lam) - lam - math.lgamma(k + 1)
     # exponential: Gamma(n, rate=theta)
     if uf < 0 or (uf == 0 and n > 1):
         return NEG_INF
@@ -240,33 +169,3 @@ def binomial_pmf_exact(theta: Fraction, n: int, k: int) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     return math.comb(n, k) * theta**k * (1 - theta) ** (n - k)
-
-
-def numeric_affinity(family: FamilySpec, theta0: Real, theta1: Real) -> float:
-    """Squared affinity by direct summation/quadrature; reduction cross-check."""
-    from .quadrature import integrate_half_line, integrate_real_line
-
-    tol = 1e-12  # quadrature tolerance; the Poisson sum stops below 1e-3 of it
-    family.require_theta(theta0)
-    family.require_theta(theta1)
-
-    def half_log(x):
-        return 0.5 * (log_density(family, theta0, x) + log_density(family, theta1, x))
-
-    if family.kind == BERNOULLI:
-        root = math.exp(half_log(0)) + math.exp(half_log(1))
-        return root * root
-    if family.kind == POISSON:
-        total, k = 0.0, 0
-        while True:
-            term = math.exp(half_log(k))
-            total += term
-            k += 1
-            if k > 20 and term < tol * 1e-3:
-                break
-        return total * total
-    if family.kind == NORMAL:
-        root, _ = integrate_real_line(lambda x: math.exp(half_log(x)), tol=tol)
-        return root * root
-    root, _ = integrate_half_line(lambda x: math.exp(half_log(x)), tol=tol)
-    return root * root

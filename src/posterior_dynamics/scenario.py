@@ -22,6 +22,7 @@ Rationals travel as "p/q" strings so exact mode has exact inputs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -98,8 +99,6 @@ def load_scenario(path: str) -> Scenario:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    import os
-
     return scenario_from_json(obj, name=os.path.splitext(os.path.basename(path))[0])
 
 

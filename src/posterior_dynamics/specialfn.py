@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .util import ExactValue, logsumexp
+from .util import ExactValue
 
 Real = Union[int, float, Fraction]
 
@@ -30,13 +30,12 @@ class SpecialFnDomainError(ValueError):
 
 @dataclass(frozen=True)
 class LegendreEval:
-    """P_n(x) as (log|P_n|, sign), plus the ratio P_n / P_{n-1} (n >= 1)."""
+    """P_n(x) as (log|P_n|, sign)."""
 
     n: int
     x: float
     log_abs: float
     sign: int
-    ratio: float | None
 
     @property
     def value(self) -> float:
@@ -76,23 +75,12 @@ def legendre_P(n: int, x: float) -> LegendreEval:
         raise SpecialFnDomainError(f"x={x} inside (-1, 1); supported domain is |x| >= 1")
     ratios = legendre_ratios(n, x)
     log_abs = math.fsum(math.log(r) for r in ratios)
-    return LegendreEval(n, x, log_abs, sign, ratios[-1] if ratios else None)
+    return LegendreEval(n, x, log_abs, sign)
 
 
 def legendre_leading_coefficient(n: int) -> Fraction:
     """Coefficient of x^n in P_n: C(2n, n) / 2^n."""
     return Fraction(math.comb(2 * n, n), 2**n)
-
-
-@dataclass(frozen=True)
-class TuranRatio:
-    """The ratio P_{n-1} P_{n+1} / P_n^2 with its bound and its x->inf limit."""
-
-    n: int
-    x: float
-    ratio: float
-    bound: Fraction  # (n+1)^2 / (n (n+2))
-    limit: Fraction  # n (2n+1) / ((n+1) (2n-1))
 
 
 def turan_bound(n: int) -> Fraction:
@@ -103,15 +91,15 @@ def turan_limit(n: int) -> Fraction:
     return Fraction(n * (2 * n + 1), (n + 1) * (2 * n - 1))
 
 
-def turan_ratio(n: int, x: float) -> TuranRatio:
-    """P_{n-1}(x) P_{n+1}(x) / P_n(x)^2 for n >= 1, x > 1, via ratios."""
+def turan_ratio(n: int, x: float) -> float:
+    """P_{n-1}(x) P_{n+1}(x) / P_n(x)^2 for n >= 1, x > 1, via ratios; its
+    bound is ``turan_bound(n)`` and its x -> inf limit ``turan_limit(n)``."""
     if n < 1:
         raise SpecialFnDomainError(f"n={n} must be >= 1")
     if not x > 1.0:
         raise SpecialFnDomainError(f"x={x} must be > 1")
     ratios = legendre_ratios(n + 1, x)
-    value = ratios[n] / ratios[n - 1]
-    return TuranRatio(n, x, value, turan_bound(n), turan_limit(n))
+    return ratios[n] / ratios[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -130,44 +118,25 @@ def binomial_square_sum(y: Real, z: Real, n_max: int) -> list:
     z = Fraction(z)
     if y < 0 or z < 0 or (y == 0 and z == 0):
         raise SpecialFnDomainError("binomial_square_sum needs y, z >= 0, not both 0")
+    # with D = q s, Y = p s and Z = r q, S_n = (n+1) Q_n / D^n where
+    # Q_n = sum_k C(n,k)^2 Y^k Z^(n-k) is an integer obeying the Legendre
+    # recurrence in homogeneous form (the division by n is exact):
+    #   n Q_n = (2n-1)(Y+Z) Q_{n-1} - (n-1)(Z-Y)^2 Q_{n-2},  Q_0 = 1, Q_1 = Y+Z
     p, q = y.numerator, y.denominator
     r, s = z.numerator, z.denominator
-    # term k of the numerator over denominator (q s)^n is
-    #   C(n,k)^2 p^k r^(n-k) q^(n-k) s^k = C(n,k)^2 (p s)^k (r q)^(n-k)
-    ps, rq = p * s, r * q
-    pow_ps = [1] * (n_max + 1)
-    pow_rq = [1] * (n_max + 1)
-    for i in range(1, n_max + 1):
-        pow_ps[i] = pow_ps[i - 1] * ps
-        pow_rq[i] = pow_rq[i - 1] * rq
+    big_y, big_z, d = p * s, r * q, q * s
+    sum_yz, diff_sq = big_y + big_z, (big_z - big_y) ** 2
+    prev, cur, den = 1, sum_yz, 1  # Q_0, Q_1, D^0
     out = []
     for n in range(1, n_max + 1):
-        total = 0
-        c = 1  # C(n, k), updated incrementally
-        for k in range(n + 1):
-            total += c * c * pow_ps[k] * pow_rq[n - k]
-            if k < n:
-                c = c * (n - k) // (k + 1)
+        if n > 1:
+            prev, cur = cur, ((2 * n - 1) * sum_yz * cur - (n - 1) * diff_sq * prev) // n
+        den *= d
         # reduced, because canonical_str judges the size of the stored pair
-        value = Fraction((n + 1) * total, (q * s) ** n)
-        out.append(ExactValue(value.numerator, value.denominator))
+        num = (n + 1) * cur
+        g = math.gcd(num, den)
+        out.append(ExactValue(num // g, den // g))
     return out
-
-
-def log_binomial_square_sum(y: float, z: float, n: int) -> float:
-    """log S_n(y, z) for floats, by direct stable summation."""
-    if y < 0 or z < 0 or (y == 0 and z == 0):
-        raise SpecialFnDomainError("binomial_square_sum needs y, z >= 0, not both 0")
-    if y == 0 or z == 0:
-        base = max(y, z)
-        return math.log(n + 1) + n * math.log(base)
-    ly, lz = math.log(y), math.log(z)
-    terms = []
-    lc = 0.0  # log C(n, k)
-    for k in range(n + 1):
-        terms.append(2.0 * lc + k * ly + (n - k) * lz)
-        lc += math.log(n - k) - math.log(k + 1) if k < n else 0.0
-    return math.log(n + 1) + logsumexp(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,10 @@ so the gate reads as a checklist.  Tolerances are pinned here and nowhere
 else; exact-arithmetic criteria compare big rationals, never floats.
 """
 
-import json
 import math
 import random
 import time
 from fractions import Fraction as F
-
-import pytest
 
 from posterior_dynamics import audit
 from posterior_dynamics import cli

@@ -1,17 +1,14 @@
 """Scenario schema, dispatch, emission, CLI behavior, determinism."""
 
 import json
-import os
 from fractions import Fraction as F
 
 import pytest
 
 from posterior_dynamics import cli
 from posterior_dynamics import figures as fig
-from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.scenario import (
-    Scenario,
     ScenarioError,
     run_scenario,
     scenario_from_json,
@@ -109,7 +106,7 @@ class TestCliCommands:
 
     def test_psi_unsupported_pairing_is_numeric_error(self, tmp_path):
         payload = minimal_scenario(
-            family={"kind": "poisson"},
+            family={"kind": "exponential"},
             prior={"type": "stdnormal"},
             theta0=1.0,
             theta1=1.0,
@@ -117,6 +114,17 @@ class TestCliCommands:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         assert cli.main(["psi", str(path), "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+
+    def test_psi_unknown_family_kind_is_schema_error(self, tmp_path):
+        payload = minimal_scenario(
+            family={"kind": "poisson"},
+            prior={"type": "stdnormal"},
+            theta0=1.0,
+            theta1=1.0,
+        )
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["psi", str(path), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
 
     def test_mode_override(self, tmp_path):
         path = tmp_path / "scn.json"

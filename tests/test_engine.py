@@ -16,6 +16,15 @@ from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.util import ExactValue
 
+
+def reduction_check_factor(family, prior, theta0, theta1):
+    """(theta_mid, affinity, prior density ratio at theta0 over theta_mid):
+    the off-diagonal sequence is ratio * diagonal(theta_mid) * affinity^n."""
+    mid, affinity = fam.bhattacharyya_reduction(family, theta0, theta1)
+    ratio = math.exp(pr.prior_log_density(prior, theta0) - pr.prior_log_density(prior, mid))
+    return mid, affinity, ratio
+
+
 COIN_OR_SURE = pr.atoms((F(1, 2), F(1, 2)), (F(1), F(1, 2)))
 
 FIGURE1_PRIOR = pr.atoms(
@@ -158,9 +167,7 @@ class TestNormalRoute:
     def test_reduction_identity(self):
         family = fam.normal(1.5)
         t0, t1 = -0.3, 0.8
-        mid, affinity, ratio = engine.reduction_check_factor(
-            family, pr.StdNormal(), t0, t1
-        )
+        mid, affinity, ratio = reduction_check_factor(family, pr.StdNormal(), t0, t1)
         off = engine.expected_posterior_normal(t0, t1, 1.5, 20)
         diag = engine.expected_posterior_normal(mid, mid, 1.5, 20)
         for n in range(1, 21):
@@ -205,9 +212,7 @@ class TestExponentialRoute:
 
     def test_reduction_identity(self):
         t0, t1 = 0.6, 2.1
-        mid, affinity, ratio = engine.reduction_check_factor(
-            fam.exponential(), pr.ExpPrior(1), t0, t1
-        )
+        mid, affinity, ratio = reduction_check_factor(fam.exponential(), pr.ExpPrior(1), t0, t1)
         off = engine.expected_posterior_exponential(t0, t1, 25)
         diag = engine.expected_posterior_exponential(mid, mid, 25)
         for n in range(1, 26):
@@ -326,7 +331,7 @@ class TestSequenceBehavior:
     def test_quadrature_unsupported_pairing(self):
         with pytest.raises(pr.UnsupportedConjugacyError):
             engine.expected_posterior_quadrature(
-                fam.poisson(), pr.StdNormal(), 1.0, 1.0, 2
+                fam.exponential(), pr.StdNormal(), 1.0, 1.0, 2
             )
 
     def test_csv_rows_shape(self):

@@ -139,7 +139,7 @@ class TestMarginals:
 
     def test_unsupported_conjugacy(self):
         with pytest.raises(pr.UnsupportedConjugacyError, match="unsupported conjugacy"):
-            pr.marginal_suffstat_logpmf(fam.poisson(), pr.StdNormal(), 2, 1)
+            pr.marginal_suffstat_logpmf(fam.exponential(), pr.StdNormal(), 2, 1.0)
 
 
 class TestPriorDensity:

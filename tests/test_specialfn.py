@@ -4,9 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from posterior_dynamics import specialfn as sf
 from posterior_dynamics.quadrature import integrate_half_line
+from posterior_dynamics.util import logsumexp
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,14 +55,14 @@ class TestLegendre:
 class TestTuranRatio:
     def test_equality_case(self):
         r2 = sf.turan_ratio(2, SQRT3)
-        assert r2.ratio == pytest.approx(9 / 8, abs=1e-14)
-        assert r2.bound == F(9, 8)
+        assert r2 == pytest.approx(9 / 8, abs=1e-14)
+        assert sf.turan_bound(2) == F(9, 8)
 
     def test_strict_case_at_three(self):
         r3 = sf.turan_ratio(3, SQRT3)
-        assert r3.ratio == pytest.approx(19 / 18, abs=1e-14)
-        assert r3.bound == F(16, 15)
-        assert r3.ratio < float(r3.bound)
+        assert r3 == pytest.approx(19 / 18, abs=1e-14)
+        assert sf.turan_bound(3) == F(16, 15)
+        assert r3 < float(sf.turan_bound(3))
 
     def test_limit_values(self):
         assert sf.turan_limit(2) == F(10, 9)
@@ -68,7 +71,7 @@ class TestTuranRatio:
 
     def test_limit_approached_for_huge_argument(self):
         for n in (2, 5, 17):
-            value = sf.turan_ratio(n, 1e9).ratio
+            value = sf.turan_ratio(n, 1e9)
             assert value == pytest.approx(float(sf.turan_limit(n)), rel=1e-8)
 
     def test_domain(self):
@@ -78,7 +81,36 @@ class TestTuranRatio:
             sf.turan_ratio(3, 1.0)
 
 
+def log_binomial_square_sum(y: float, z: float, n: int) -> float:
+    """log S_n(y, z) for floats y, z > 0, by direct stable summation."""
+    ly, lz = math.log(y), math.log(z)
+    terms = []
+    lc = 0.0  # log C(n, k)
+    for k in range(n + 1):
+        terms.append(2.0 * lc + k * ly + (n - k) * lz)
+        lc += math.log(n - k) - math.log(k + 1) if k < n else 0.0
+    return math.log(n + 1) + logsumexp(terms)
+
+
+SMALL_RATIONALS = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
 class TestBinomialSquareSum:
+    @given(SMALL_RATIONALS, SMALL_RATIONALS, st.integers(1, 60))
+    @example(F(2, 3), F(2, 3), 60)
+    @example(F(0), F(5, 7), 60)
+    @example(F(5, 7), F(0), 60)
+    def test_matches_direct_double_sum(self, y, z, n_max):
+        assume(y or z)
+        values = sf.binomial_square_sum(y, z, n_max)
+        assert len(values) == n_max
+        for n, value in enumerate(values, start=1):
+            direct = (n + 1) * sum(
+                math.comb(n, k) ** 2 * y**k * z ** (n - k) for k in range(n + 1)
+            )
+            # stored in lowest terms
+            assert (value.num, value.den) == (direct.numerator, direct.denominator)
+
     def test_equal_arguments(self):
         values = sf.binomial_square_sum(F(1), F(1), 3)
         assert values[1] == 18  # (n+1) C(2n,n) at n = 2
@@ -114,7 +146,7 @@ class TestBinomialSquareSum:
     def test_float_route_matches_exact(self):
         exact = sf.binomial_square_sum(F(3, 8), F(1, 8), 40)
         for n in (1, 7, 25, 40):
-            logv = sf.log_binomial_square_sum(0.375, 0.125, n)
+            logv = log_binomial_square_sum(0.375, 0.125, n)
             assert logv == pytest.approx(
                 math.log(float(exact[n - 1])), rel=1e-12, abs=1e-12
             )
