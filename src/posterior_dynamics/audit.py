@@ -524,6 +524,9 @@ def suite_orders(seed: int = 42) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_MINIMUM_FIELDS = ("min_value", "min_argmin", "expected_min", "expected_argmin")
+
+
 def suite_positivity(seed: int = 0) -> dict:
     checks = []
     try:
@@ -536,14 +539,7 @@ def suite_positivity(seed: int = 0) -> dict:
     checks.append(_check("reported_minima_match", report["minima_match"]))
     for row in report["rows"]:
         name = f"{row['poly']}_m{row['m_power']}"
-        detail = {
-            "method": row["method"],
-            "min_value": row["min_value"],
-            "min_argmin": row["min_argmin"],
-        }
-        if "expected_min" in row:
-            detail["expected_min"] = row["expected_min"]
-            detail["expected_argmin"] = row["expected_argmin"]
+        detail = {key: row[key] for key in _MINIMUM_FIELDS if key in row}
         checks.append(_check(f"row_{name}", row["positive"] and row.get("min_matches", True), **detail))
     return _finish("positivity", checks)
 

@@ -1,102 +1,66 @@
-"""Exact bivariate polynomial arithmetic and the positivity certificate that
-closes the log-concavity proof for the exponential observation model.
+"""Exact polynomial rows and the positivity certificate that closes the
+log-concavity proof for the exponential observation model.
 
-A ``BiPoly`` maps exponent pairs (i, j) -> integer/rational coefficient of
-m^i t^j.  Arithmetic is exact; printing is canonical in graded
-lexicographic order, so equal polynomials print identically.
+A polynomial in (m, t) is a list of rows: ``rows[i]`` lists the ascending
+t-coefficients of m^i.  Rows carry no trailing zeros and the list no
+trailing empty rows, so equal polynomials are equal lists.
 
 ``certify_logconcavity_polynomials`` rebuilds the discriminant identity
-E = A^2 - B^2 C from the three source polynomials, checks every
-coefficient-in-m of E against the expected expansion, and then certifies
-each coefficient positive for t >= 0 -- by an exact dominating-quadratic
-argument where one exists, and by bracketed golden-section minimization
-otherwise.  1 - Q_n(eta_n) = (A + B sqrt(C))/D with positive D, so the
-certificate implies Q_n(eta_n) < 1 for all n >= 2, t >= 0.
+E = A^2 - B^2 C from the three source polynomials, checks every row of E
+against the expected expansion, and certifies each row of A and E positive
+for t >= 0 with ``positive_on_halfline``, an exact Sturm-chain root count
+over ``Fraction``.  The five minima the paper states are reported from a
+bracketed golden-section scan; the scan decides nothing.
+1 - Q_n(eta_n) = (A + B sqrt(C))/D with positive D and m = n - 2 >= 0, so
+the certificate implies Q_n(eta_n) < 1 for all n >= 2, t >= 0.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 Coeff = Union[int, Fraction]
+Poly = list[list[Coeff]]
 
 
 class CertificationError(AssertionError):
     """An exact coefficient check of the certificate failed."""
 
 
-class BiPoly:
-    """Polynomial in (m, t) with exact coefficients, dict keyed by (i, j)."""
+def _trim(rows: Poly) -> Poly:
+    for row in rows:
+        while row and row[-1] == 0:
+            row.pop()
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], Coeff] | None = None):
-        self.coeffs: dict[tuple[int, int], Coeff] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                if val != 0:
-                    self.coeffs[key] = val
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    """Product of two polynomials in (m, t)."""
+    if not p or not q:
+        return []
+    width = max(map(len, p)) + max(map(len, q)) - 1
+    out: Poly = [[0] * width for _ in range(len(p) + len(q) - 1)]
+    for i, p_row in enumerate(p):
+        for j, q_row in enumerate(q):
+            for k, a in enumerate(p_row):
+                for h, b in enumerate(q_row):
+                    out[i + j][k + h] += a * b
+    return _trim(out)
 
-    @classmethod
-    def from_m_coefficients(cls, rows: Sequence[Sequence[Coeff]]) -> "BiPoly":
-        """rows[i] lists the t-coefficients (ascending) of m^i."""
-        coeffs = {}
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                if val != 0:
-                    coeffs[(i, j)] = val
-        return cls(coeffs)
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0) + val
-        return BiPoly(out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0) - val
-        return BiPoly(out)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict[tuple[int, int], Coeff] = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + v1 * v2
-        return BiPoly(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def coefficients_in_m(self) -> dict[int, list[Coeff]]:
-        """degree-in-m -> ascending t-coefficient list of that m-power."""
-        out: dict[int, list[Coeff]] = {}
-        for (i, j), val in self.coeffs.items():
-            row = out.setdefault(i, [])
-            while len(row) <= j:
-                row.append(0)
-            row[j] = val
-        return out
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for (i, j) in sorted(self.coeffs, key=lambda k: (-(k[0] + k[1]), -k[0], -k[1])):
-            val = self.coeffs[(i, j)]
-            part = str(val)
-            if i:
-                part += f"*m^{i}"
-            if j:
-                part += f"*t^{j}"
-            terms.append(part)
-        return " + ".join(terms)
-
-    __repr__ = __str__
+def poly_sub(p: Poly, q: Poly) -> Poly:
+    """Difference p - q of two polynomials in (m, t)."""
+    width = max(map(len, p + q), default=0)
+    out: Poly = [[0] * width for _ in range(max(len(p), len(q)))]
+    for sign, poly in ((1, p), (-1, q)):
+        for i, row in enumerate(poly):
+            for j, c in enumerate(row):
+                out[i][j] += sign * c
+    return _trim(out)
 
 
 def poly_eval(coeffs: Sequence[Coeff], t: float | Fraction):
@@ -111,44 +75,24 @@ def poly_eval(coeffs: Sequence[Coeff], t: float | Fraction):
 # the certified polynomials (in m = n - 2 and t = the rate parameter)
 # ---------------------------------------------------------------------------
 
-POLY_A = BiPoly.from_m_coefficients(
-    [
-        [132, -48, 2, 20, 8],
-        [302, -56, 4, 8],
-        [230, -16, 4],
-        [72],
-        [8],
-    ]
-)
-POLY_B = BiPoly.from_m_coefficients(
-    [
-        [60, 0, -10, -4],
-        [74, 0, -4],
-        [30],
-        [4],
-    ]
-)
-POLY_C = BiPoly.from_m_coefficients(
-    [
-        [1, 0, 4],
-        [4],
-        [4],
-    ]
-)
+POLY_A: Poly = [[132, -48, 2, 20, 8], [302, -56, 4, 8], [230, -16, 4], [72], [8]]
+POLY_B: Poly = [[60, 0, -10, -4], [74, 0, -4], [30], [4]]
+POLY_C: Poly = [[1, 0, 4], [4], [4]]
 
-# expected coefficients-in-m of E = A^2 - B^2 C (ascending powers of t)
-EXPECTED_E_ROWS: dict[int, list[int]] = {
-    0: [13824, -12672, -10368, 5568, 4896, 1152, 16],
-    1: [56448, -43776, -21120, 16096, 9200, 1312],
-    2: [92928, -60128, -13408, 17664, 6208, 480],
-    3: [81184, -42336, -416, 9344, 1824, 64],
-    4: [41024, -16192, 2816, 2432, 208],
-    5: [12064, -3200, 1088, 256],
-    6: [1920, -256, 128],
-    7: [128],
-}
+# expected rows of E = A^2 - B^2 C (the m^8 terms cancel)
+EXPECTED_E_ROWS: Poly = [
+    [13824, -12672, -10368, 5568, 4896, 1152, 16],
+    [56448, -43776, -21120, 16096, 9200, 1312],
+    [92928, -60128, -13408, 17664, 6208, 480],
+    [81184, -42336, -416, 9344, 1824, 64],
+    [41024, -16192, 2816, 2432, 208],
+    [12064, -3200, 1088, 256],
+    [1920, -256, 128],
+    [128],
+]
 
-# expected approximate minima over t >= 0 for rows with no simple bound
+# approximate minima over t >= 0 that the paper states, reported alongside
+# the exact verdict
 EXPECTED_MINIMA = {
     ("A", 0): (108.0, 0.73),
     ("E", 3): (49317.0, 1.09),
@@ -157,26 +101,45 @@ EXPECTED_MINIMA = {
     ("E", 0): (1981.0, 0.90),
 }
 
-# dominating-quadratic certificates: row -> (c2, c1, c0) with
-# row(t) - (c2 t^2 + c1 t + c0) having nonnegative coefficients and the
-# quadratic itself nonnegative on t >= 0
-QUADRATIC_BOUNDS = {
-    ("A", 2): (4, -16, 16),
-    ("A", 1): (4, -56, 196),
-    ("E", 6): (128, -256, 128),
-    ("E", 5): (800, -3200, 3200),
-    ("E", 4): (2000, -17000, 40000),
-}
+
+def _remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a divided by b (b nonzero, no trailing zeros)."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
-def _quadratic_nonneg_on_halfline(c2: int, c1: int, c0: int) -> bool:
-    """Is c2 t^2 + c1 t + c0 >= 0 for all t >= 0?  Exact rational check."""
-    if c2 <= 0:
-        return c2 == 0 and c1 >= 0 and c0 >= 0
-    if c1 >= 0:
-        return c0 >= 0
-    vertex_value = Fraction(c0) - Fraction(c1 * c1, 4 * c2)
-    return vertex_value >= 0
+def _sign_changes(values: Sequence[Fraction]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def positive_on_halfline(row: Sequence[Coeff]) -> bool:
+    """Is row(t) > 0 for every t >= 0?  Exact.
+
+    True iff row(0) > 0 and the row has no real root in (0, inf).  By
+    Sturm's theorem the number of distinct real roots in (0, inf) is the
+    sign changes of the Sturm chain at t = 0 minus those at t -> +inf
+    (signs of the leading coefficients); repeated roots need no special
+    case, because row(0) != 0.
+    """
+    p = [Fraction(c) for c in row]
+    while p and p[-1] == 0:
+        p.pop()
+    if not p or p[0] <= 0:
+        return False
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    chain.pop()
+    return _sign_changes([q[0] for q in chain]) == _sign_changes([q[-1] for q in chain])
 
 
 def _bracketed_golden_min(coeffs: Sequence[Coeff]):
@@ -212,36 +175,16 @@ def _bracketed_golden_min(coeffs: Sequence[Coeff]):
     return float(poly_eval(coeffs, t_min)), t_min
 
 
-def _row_positivity(name: str, degree: int, coeffs: Sequence[Coeff]) -> dict:
-    """Certify row(t) > 0 for t >= 0 and report how."""
-    entry: dict = {"poly": name, "m_power": degree}
-    if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
-        entry["method"] = "nonnegative-coefficients"
-        entry["positive"] = coeffs[0] > 0  # value at t = 0
-    elif (name, degree) in QUADRATIC_BOUNDS:
-        c2, c1, c0 = QUADRATIC_BOUNDS[(name, degree)]
-        diff = list(coeffs)
-        for idx, val in enumerate((c0, c1, c2)):
-            diff[idx] -= val
-        dominates = all(c >= 0 for c in diff)
-        bound_ok = _quadratic_nonneg_on_halfline(c2, c1, c0)
-        entry["method"] = "dominating-quadratic"
-        # diff[0] > 0 makes row(t) >= diff[0] strictly positive on t >= 0
-        entry["positive"] = dominates and bound_ok and diff[0] > 0
-    else:
-        entry["method"] = "numeric-minimum"
-        entry["positive"] = None  # decided below from the numeric minimum
-    value, argmin = _bracketed_golden_min(coeffs)
-    entry["min_value"] = value
-    entry["min_argmin"] = argmin
-    if entry["positive"] is None:
-        entry["positive"] = value > 0
+def _row_report(name: str, degree: int, row: Sequence[Coeff]) -> dict:
+    """The exact verdict on one row, and its minimum where the paper states one."""
+    entry: dict = {"poly": name, "m_power": degree, "positive": positive_on_halfline(row)}
     expected = EXPECTED_MINIMA.get((name, degree))
     if expected is not None:
-        entry["expected_min"] = expected[0]
-        entry["expected_argmin"] = expected[1]
-        entry["min_matches"] = (
-            abs(value - expected[0]) <= 1.0 and abs(argmin - expected[1]) <= 0.05
+        value, argmin = _bracketed_golden_min(row)
+        entry.update(
+            min_value=value, min_argmin=argmin, expected_min=expected[0],
+            expected_argmin=expected[1],
+            min_matches=abs(value - expected[0]) <= 1.0 and abs(argmin - expected[1]) <= 0.05,
         )
     return entry
 
@@ -252,24 +195,21 @@ def certify_logconcavity_polynomials() -> dict:
     Raises CertificationError naming the first mismatching coefficient;
     otherwise returns a JSON-ready report with the per-row positivity table.
     """
-    e_poly = POLY_A * POLY_A - POLY_B * POLY_B * POLY_C
-    rows = e_poly.coefficients_in_m()
-    if set(rows) != set(EXPECTED_E_ROWS):
+    e_rows = poly_sub(poly_mul(POLY_A, POLY_A), poly_mul(poly_mul(POLY_B, POLY_B), POLY_C))
+    if len(e_rows) != len(EXPECTED_E_ROWS):
         raise CertificationError(
-            f"E has m-powers {sorted(rows)}, expected {sorted(EXPECTED_E_ROWS)}"
+            f"E has degree {len(e_rows) - 1} in m, expected {len(EXPECTED_E_ROWS) - 1}"
         )
-    for degree, expected in EXPECTED_E_ROWS.items():
-        got = rows[degree] + [0] * (len(expected) - len(rows[degree]))
+    for degree, (got, expected) in enumerate(zip(e_rows, EXPECTED_E_ROWS)):
         if got != list(expected):
             raise CertificationError(
                 f"coefficient of m^{degree} in E is {got}, expected {list(expected)}"
             )
 
     report: dict = {"identity": "E = A^2 - B^2*C", "rows": []}
-    for degree, row in sorted(POLY_A.coefficients_in_m().items(), reverse=True):
-        report["rows"].append(_row_positivity("A", degree, row))
-    for degree in sorted(EXPECTED_E_ROWS, reverse=True):
-        report["rows"].append(_row_positivity("E", degree, EXPECTED_E_ROWS[degree]))
+    for name, rows in (("A", POLY_A), ("E", EXPECTED_E_ROWS)):
+        for degree in reversed(range(len(rows))):
+            report["rows"].append(_row_report(name, degree, rows[degree]))
     report["all_positive"] = all(r["positive"] for r in report["rows"])
     report["minima_match"] = all(r.get("min_matches", True) for r in report["rows"])
     return report

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import families as fam
 from . import priors as pr
-from .engine import ExpectedPosteriorSequence
+from .engine import METHOD_NORMAL, ExpectedPosteriorSequence
 from .families import FamilySpec, DomainError
 from .priors import DiscreteAtoms, Prior
 from .util import certified_sign, float_or_inf
@@ -179,7 +179,7 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
                 f"log-concave scan empty but interior modes {interior} found; "
                 "the unimodality implication failed"
             )
-    if seq.family.kind == fam.NORMAL and seq.method == "closed_form_normal":
+    if seq.method == METHOD_NORMAL:
         sigma = seq.family.sigma
         report.critical_points = normal_critical_points(
             float(seq.theta0), float(seq.theta1), sigma

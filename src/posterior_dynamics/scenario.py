@@ -66,31 +66,32 @@ class Scenario:
 
 
 def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
+    """Build a Scenario; every malformed field is a ScenarioError."""
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
     missing = {"family", "prior", "theta0", "theta1", "horizon"} - set(obj)
     if missing:
         raise ScenarioError(f"scenario missing fields: {sorted(missing)}")
-    try:
-        family = FamilySpec.from_json(obj["family"])
-        prior = pr.prior_from_json(obj["prior"])
-        theta0 = pr.rational_from_json(obj["theta0"])
-        theta1 = pr.rational_from_json(obj["theta1"])
-    except (fam.DomainError, pr.PriorError) as exc:
-        raise ScenarioError(str(exc)) from exc
     horizon = obj["horizon"]
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise ScenarioError(f"horizon must be an integer, got {horizon!r}")
-    return Scenario(
-        family=family,
-        prior=prior,
-        theta0=theta0,
-        theta1=theta1,
-        horizon=horizon,
-        numeric_mode=obj.get("numeric_mode", "auto"),
-        outputs=tuple(obj.get("outputs", ("csv", "json"))),
-        name=obj.get("name", name),
-    )
+    name = obj.get("name", name)
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
+    try:
+        return Scenario(
+            family=FamilySpec.from_json(obj["family"]),
+            prior=pr.prior_from_json(obj["prior"]),
+            theta0=pr.rational_from_json(obj["theta0"]),
+            theta1=pr.rational_from_json(obj["theta1"]),
+            horizon=horizon,
+            numeric_mode=obj.get("numeric_mode", "auto"),
+            outputs=tuple(obj.get("outputs", ("csv", "json"))),
+            name=name,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ScenarioError(detail) from exc
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,23 +1,29 @@
-"""Exact bivariate polynomial arithmetic and the positivity certificate."""
+"""Exact polynomial rows and the positivity certificate."""
 
 import random
 
+import mpmath as mp
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posterior_dynamics import bipoly
-from posterior_dynamics.bipoly import BiPoly, CertificationError
+from posterior_dynamics.bipoly import CertificationError, poly_mul, poly_sub, positive_on_halfline
 
 
-def substitute(poly: BiPoly, m_value, t_value):
-    """Value of ``poly`` at (m, t); exact when both points are rational."""
-    return sum(val * m_value**i * t_value**j for (i, j), val in poly.coeffs.items())
+def substitute(poly, m_value, t_value):
+    """Value of a row-list polynomial at (m, t); exact when both points are rational."""
+    return sum(
+        c * m_value**i * t_value**j for i, row in enumerate(poly) for j, c in enumerate(row)
+    )
 
 
-def random_poly(rng: random.Random) -> BiPoly:
-    coeffs = {}
+def random_poly(rng: random.Random):
+    rows = [[0] * 5 for _ in range(5)]
     for _ in range(rng.randint(1, 8)):
-        coeffs[(rng.randint(0, 4), rng.randint(0, 4))] = rng.randint(-9, 9)
-    return BiPoly(coeffs)
+        rows[rng.randint(0, 4)][rng.randint(0, 4)] = rng.randint(-9, 9)
+    return poly_sub(rows, [])  # canonical form: trailing zeros dropped
 
 
 class TestArithmetic:
@@ -25,39 +31,34 @@ class TestArithmetic:
         rng = random.Random(1234)
         for _ in range(60):
             a, b, c = random_poly(rng), random_poly(rng), random_poly(rng)
-            assert (a + b) * c == a * c + b * c
+            assert poly_mul(poly_sub(a, b), c) == poly_sub(poly_mul(a, c), poly_mul(b, c))
 
     def test_substitution_matches_expansion(self):
         rng = random.Random(99)
         for _ in range(30):
             a, b = random_poly(rng), random_poly(rng)
             m_val, t_val = rng.randint(-3, 3), rng.randint(-3, 3)
-            assert substitute(a * b, m_val, t_val) == substitute(a, m_val, t_val) * substitute(
-                b, m_val, t_val
-            )
+            a_val, b_val = substitute(a, m_val, t_val), substitute(b, m_val, t_val)
+            assert substitute(poly_mul(a, b), m_val, t_val) == a_val * b_val
+            assert substitute(poly_sub(a, b), m_val, t_val) == a_val - b_val
 
     def test_zero_coefficients_dropped(self):
-        poly = BiPoly({(1, 0): 2}) - BiPoly({(1, 0): 2})
-        assert poly == BiPoly({})
-        assert str(poly) == "0"
-
-    def test_canonical_printing_is_order_independent(self):
-        a = BiPoly({(2, 0): 1, (0, 1): 3})
-        b = BiPoly({(0, 1): 3, (2, 0): 1})
-        assert str(a) == str(b)
+        assert poly_sub([[0, 2]], [[0, 2]]) == []
+        assert poly_sub([[1, 2], [3], [4]], [[0, 2], [3], [4]]) == [[1]]
+        assert poly_sub([[1], [3], [4]], [[0], [3]]) == [[1], [], [4]]
+        assert poly_mul([[1]], []) == []
 
 
 class TestSourcePolynomials:
     def test_quartic_row_of_first_poly(self):
-        rows = bipoly.POLY_A.coefficients_in_m()
-        assert rows[2] == [230, -16, 4]  # 4 t^2 - 16 t + 230
-        assert rows[4] == [8]
+        assert bipoly.POLY_A[2] == [230, -16, 4]  # 4 t^2 - 16 t + 230
+        assert bipoly.POLY_A[4] == [8]
 
     def test_top_row_of_discriminant(self):
-        e_poly = bipoly.POLY_A * bipoly.POLY_A - bipoly.POLY_B * bipoly.POLY_B * bipoly.POLY_C
-        rows = e_poly.coefficients_in_m()
-        assert rows[7] == [128]
-        assert max(rows) == 7  # the m^8 terms cancel exactly
+        a, b, c = bipoly.POLY_A, bipoly.POLY_B, bipoly.POLY_C
+        e_rows = poly_sub(poly_mul(a, a), poly_mul(poly_mul(b, b), c))
+        assert e_rows[7] == [128]
+        assert len(e_rows) == 8  # the m^8 terms cancel exactly
 
 
 class TestCertification:
@@ -66,12 +67,19 @@ class TestCertification:
         assert report["all_positive"]
         assert report["minima_match"]
         by_name = {(r["poly"], r["m_power"]): r for r in report["rows"]}
+        assert len(by_name) == 13
         a0 = by_name[("A", 0)]
         assert abs(a0["min_value"] - 108.0) <= 1.0
         assert abs(a0["min_argmin"] - 0.73) <= 0.05
         e0 = by_name[("E", 0)]
         assert abs(e0["min_value"] - 1981.0) <= 1.0
         assert abs(e0["min_argmin"] - 0.90) <= 0.05
+
+    def test_minima_reported_only_where_the_paper_states_them(self):
+        report = bipoly.certify_logconcavity_polynomials()
+        scanned = {(r["poly"], r["m_power"]) for r in report["rows"] if "min_value" in r}
+        assert scanned == set(bipoly.EXPECTED_MINIMA)
+        assert all("method" not in r for r in report["rows"])
 
     def test_certificate_detects_tampering(self):
         original = bipoly.EXPECTED_E_ROWS[7]
@@ -82,9 +90,37 @@ class TestCertification:
         finally:
             bipoly.EXPECTED_E_ROWS[7] = original
 
-    def test_quadratic_halfline_check(self):
-        assert bipoly._quadratic_nonneg_on_halfline(4, -16, 16)
-        assert bipoly._quadratic_nonneg_on_halfline(2000, -17000, 40000)
-        assert not bipoly._quadratic_nonneg_on_halfline(1, -4, 3.9)
-        assert bipoly._quadratic_nonneg_on_halfline(0, 2, 1)
-        assert not bipoly._quadratic_nonneg_on_halfline(0, -1, 1)
+    def test_row_negative_only_beyond_the_scan_range(self):
+        # t^2 - 300 t + 22499 < 0 on about (149.9, 150.1), far past t = 100
+        assert not positive_on_halfline([22499, -300, 1])
+
+
+def oracle_positive(coeffs) -> bool:
+    """p(0) > 0 and no real root in (0, inf), from 50-digit mpmath roots of
+    the square-free part (sympy), so repeated roots cannot stall the solver."""
+    if not any(coeffs) or coeffs[0] <= 0:
+        return False
+    t = sympy.Symbol("t")
+    squarefree = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
+    if squarefree.degree() == 0:
+        return True
+    with mp.workdps(50):
+        roots = mp.polyroots([int(c) for c in squarefree.all_coeffs()], maxsteps=200)
+        return not any(abs(mp.im(r)) < mp.mpf(10) ** -30 and mp.re(r) > 0 for r in roots)
+
+
+class TestPositiveOnHalfline:
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=7))
+    @example([4, -4, 1])  # (t - 2)^2: a double positive root
+    @example([1, -6, 15, -20, 15, -6, 1])  # (t - 1)^6
+    @example([0, 3, 1])  # a root at t = 0
+    @example([5, 1, -1])  # negative leading coefficient
+    @example([18000, -270, 1])  # (t - 120)(t - 150): roots only beyond t = 100
+    @example([10201, -202, 1])  # (t - 101)^2
+    @example([-10, 1])  # root at t = 10, row(0) < 0
+    @example([10202, -202, 1])  # (t - 101)^2 + 1: positive
+    @example([3])
+    @example([])
+    def test_matches_mpmath_roots(self, coeffs):
+        assert positive_on_halfline(coeffs) == oracle_positive(coeffs)

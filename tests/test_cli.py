@@ -126,6 +126,26 @@ class TestCliCommands:
         path.write_text(json.dumps(payload))
         assert cli.main(["psi", str(path), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("overrides", [
+        {"prior": {"type": "atoms", "atoms": [{"weight": "1/1"}]}},
+        {"prior": {"type": "beta", "a": 2}},
+        {"family": {"kind": "normal", "sigma": "abc"}, "prior": {"type": "stdnormal"}},
+        {"family": {"kind": "normal", "sigma": None}, "prior": {"type": "stdnormal"}},
+        {"prior": {"type": "atoms", "atoms": ["x"]}},
+        {"outputs": 5},
+        {"name": 5},
+        {"prior": {"type": "atoms", "atoms": [
+            {"theta": "1/2", "weight": "1/2"}, {"theta": "3/2", "weight": "1/2"},
+        ]}},
+    ], ids=["atom_without_theta", "beta_without_b", "sigma_string", "sigma_null",
+            "atom_not_object", "outputs_not_list", "name_not_string", "atom_outside_domain"])
+    def test_psi_malformed_field_is_schema_error(self, tmp_path, overrides):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_scenario(**overrides)))
+        out = tmp_path / "out"
+        assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert not out.exists()
+
     def test_mode_override(self, tmp_path):
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(minimal_scenario(horizon=6)))

@@ -39,7 +39,7 @@ GOLDEN = {
     "atoms_float.json": "34b5bbb244b60a07c335e5ca76e5aae3deb6d5ca23de6b70e80be2fe4e8fa600",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
     "beta_float.json": "ed5e895330918e566b286dce48404408e6c065777c182d7a9d4d41ac2246870a",
-    "audit_all.json": "3fd28e1b8d82208ea035528f1c086592c4b103adda5fbc569bdcda91cb1e5792",
+    "audit_all.json": "f6e4c286113b2f9291eb98172518a6bf26e92250d2e08984b3e9e31cd6f3c424",
 }
 
 
