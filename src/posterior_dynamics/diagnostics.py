@@ -55,26 +55,29 @@ def _values_of(seq) -> list:
     return seq.values if isinstance(seq, ExpectedPosteriorSequence) else list(seq)
 
 
-def _local_extrema(seq, sign: int, what: str) -> list[int]:
-    """The mode convention on sign * value: sign 1 finds modes, -1 minima."""
+def _steps_of(seq, what: str, min_horizon: int) -> list[int]:
     values = _values_of(seq)
-    n = len(values)
-    if n < 3:
-        raise DomainError(f"{what} detection needs a horizon of at least 3")
-    steps = [sign * s for s in _step_signs(values)]
+    if len(values) < min_horizon:
+        raise DomainError(f"{what} needs a horizon of at least {min_horizon}")
+    return _step_signs(values)
+
+
+def _extrema(steps: list[int], sign: int) -> list[int]:
+    """The mode convention on sign * value: sign 1 finds modes, -1 minima."""
+    steps = [sign * s for s in steps]
     out = [1] if steps[0] <= 0 else []
-    return out + [i + 1 for i in range(1, n - 1) if steps[i - 1] > 0 and steps[i] <= 0]
+    return out + [i + 1 for i in range(1, len(steps)) if steps[i - 1] > 0 and steps[i] <= 0]
 
 
 def detect_modes(seq) -> list[int]:
     """Indices (1-based) of local maxima under the documented convention."""
-    return _local_extrema(seq, 1, "mode")
+    return _extrema(_steps_of(seq, "mode detection", 3), 1)
 
 
 def detect_minima(seq) -> list[int]:
     """Local minima: the mode convention applied to the mirrored sequence
     (strict fall into n, weak rise out; left boundary counts; right never)."""
-    return _local_extrema(seq, -1, "minimum")
+    return _extrema(_steps_of(seq, "minimum detection", 3), -1)
 
 
 def logconcavity_scan(seq) -> list[int]:
@@ -112,15 +115,14 @@ def logconcavity_scan(seq) -> list[int]:
 def eventual_decrease_index(seq) -> int | None:
     """Smallest n with the sequence strictly decreasing on [n, N]; None if
     the tail does not decrease."""
-    values = _values_of(seq)
-    n = len(values)
-    if n < 2:
-        raise DomainError("eventual-decrease scan needs a horizon of at least 2")
-    steps = _step_signs(values)
+    return _decrease_start(_steps_of(seq, "eventual-decrease scan", 2))
+
+
+def _decrease_start(steps: list[int]) -> int | None:
     last_rise = max((i for i, s in enumerate(steps) if s >= 0), default=None)
     if last_rise is None:
         return 1
-    if last_rise == n - 2:
+    if last_rise == len(steps) - 1:
         return None
     return last_rise + 2
 
@@ -166,11 +168,12 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
     normal closed form and, when a continuous prior is supplied, the
     growth-law ratio table at log-spaced indices.  Checks the unimodality
     implication: an empty violation list must come with at most one
-    interior mode."""
-    modes = detect_modes(seq)
-    minima = detect_minima(seq)
+    interior mode.  The step signs are computed once for all three step
+    verdicts."""
+    steps = _steps_of(seq, "mode detection", 3)
+    modes, minima = _extrema(steps, 1), _extrema(steps, -1)
     violations = logconcavity_scan(seq)
-    decrease = eventual_decrease_index(seq)
+    decrease = _decrease_start(steps)
     report = DiagnosticsReport(modes, minima, violations, decrease)
     if not violations:
         interior = [m for m in modes if m > 1]

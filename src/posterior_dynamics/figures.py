@@ -3,9 +3,9 @@
 CSV is the primary artifact (columns n, psi, log_psi, is_mode,
 lc_violation); the SVG is a plain polyline with axis ticks and extremum
 markers, emitted without any plotting dependency.  All writes are
-atomic (write to a temp name, then rename) and byte-deterministic:
-floats are rendered with 17 significant digits and rationals as
-canonical "p/q" up to a size cap.
+atomic (write to a temp name, then rename) and byte-deterministic: CSV
+floats carry 17 significant digits, JSON floats are written as json
+writes them, rationals as canonical "p/q" up to a size cap.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from importlib import resources
 from . import diagnostics as dg
 from .engine import ExpectedPosteriorSequence
 from .scenario import Scenario, run_scenario, scenario_from_json, scenario_to_json
-from .util import format_float
 
 BUNDLED = ("figure1", "figure2", "figure3", "beta71")
 
@@ -40,39 +39,53 @@ def atomic_write(path: str, data: str) -> None:
 def sequence_csv(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -> str:
     modes = set(report.modes)
     violations = set(report.logconcavity_violations)
-    lines = ["n,psi,log_psi,is_mode,lc_violation"]
-    for n, v, lv in zip(seq.ns(), seq.values, seq.log_values):
-        lines.append(
-            f"{n},{format_float(float(v))},{format_float(lv)},"
-            f"{int(n in modes)},{int(n in violations)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        "%d,%.17g,%.17g,%d,%d\n" % (n, v, lv, n in modes, n in violations)
+        for n, v, lv in zip(seq.ns(), seq.float_values(), seq.log_values)
+    ]
+    return "n,psi,log_psi,is_mode,lc_violation\n" + "".join(rows)
 
 
 def sequence_report(
     scenario: Scenario, seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport
 ) -> dict:
-    rationals = seq.rational_strings()
+    """The JSON report without its per-n rows, which ``sequence_json`` adds."""
     return {
         "schema": 1,
         "scenario": scenario_to_json(scenario),
         "method": seq.method,
         "repr": seq.representation,
         "diagnostics": report.to_json_dict(),
-        "values": [
-            {
-                "n": n,
-                "psi": float(v),
-                "log_psi": lv,
-                **({"psi_rational": rat} if rat is not None else {}),
-            }
-            for n, v, lv, rat in zip(seq.ns(), seq.values, seq.log_values, rationals)
-        ],
     }
 
 
 def render_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+_JSON_ROW = '    {\n      "log_psi": %s,\n      "n": %d,\n      "psi": %s%s\n    }'
+_JSON_RATIONAL = ',\n      "psi_rational": "%s"'
+
+
+def sequence_json(
+    scenario: Scenario, seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport
+) -> str:
+    """The bytes of ``render_json`` on the report with a sorted-last "values"
+    list of {"log_psi", "n", "psi"[, "psi_rational"]} rows, each row written
+    from one template instead of through json's pure-Python indent encoder."""
+    head = render_json(sequence_report(scenario, seq, report))
+    rows = [
+        _JSON_ROW % (_json_float(lv), n, _json_float(v), _JSON_RATIONAL % rat if rat else "")
+        for n, v, lv, rat in zip(
+            seq.ns(), seq.float_values(), seq.log_values, seq.rational_strings()
+        )
+    ]
+    return head[: -len("\n}\n")] + ',\n  "values": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +119,13 @@ def polyline_svg(xs: list[float], ys: list[float], marks: list[tuple[float, floa
         y_hi = y_lo + 1.0
     span_x = x_hi - x_lo if x_hi > x_lo else 1.0
     span_y = y_hi - y_lo
+    plot_w, base_y, plot_h = width - pad_l - pad_r, height - pad_b, height - pad_t - pad_b
 
-    def px(x: float) -> float:
-        return pad_l + (x - x_lo) / span_x * (width - pad_l - pad_r)
+    def px(values: list[float]) -> list[float]:
+        return [pad_l + (x - x_lo) / span_x * plot_w for x in values]
 
-    def py(y: float) -> float:
-        return height - pad_b - (y - y_lo) / span_y * (height - pad_t - pad_b)
+    def py(values: list[float]) -> list[float]:
+        return [base_y - (y - y_lo) / span_y * plot_h for y in values]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -121,8 +135,8 @@ def polyline_svg(xs: list[float], ys: list[float], marks: list[tuple[float, floa
         f'y2="{height - pad_b}" stroke="black"/>',
         f'<line x1="{pad_l}" y1="{pad_t}" x2="{pad_l}" y2="{height - pad_b}" stroke="black"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
-        x = px(t)
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
+    for t, x in zip(x_ticks, px(x_ticks)):
         parts.append(
             f'<line x1="{x:.2f}" y1="{height - pad_b}" x2="{x:.2f}" '
             f'y2="{height - pad_b + 5}" stroke="black"/>'
@@ -131,20 +145,19 @@ def polyline_svg(xs: list[float], ys: list[float], marks: list[tuple[float, floa
             f'<text x="{x:.2f}" y="{height - pad_b + 18}" font-size="11" '
             f'text-anchor="middle">{t:g}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
-        y = py(t)
+    for t, y in zip(y_ticks, py(y_ticks)):
         parts.append(f'<line x1="{pad_l - 5}" y1="{y:.2f}" x2="{pad_l}" y2="{y:.2f}" stroke="black"/>')
         parts.append(
             f'<text x="{pad_l - 8}" y="{y + 4:.2f}" font-size="11" text-anchor="end">{t:.3g}</text>'
         )
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    points = " ".join(["%.2f,%.2f" % xy for xy in zip(px(xs), py(ys))])
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
-    for mx, my, label in marks:
+    mark_xs = px([mx for mx, _, _ in marks])
+    mark_ys = py([my for _, my, _ in marks])
+    for (_, _, label), x, y in zip(marks, mark_xs, mark_ys):
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="#d62728"/>')
         parts.append(
-            f'<circle cx="{px(mx):.2f}" cy="{py(my):.2f}" r="3.5" fill="#d62728"/>'
-        )
-        parts.append(
-            f'<text x="{px(mx):.2f}" y="{py(my) - 8:.2f}" font-size="11" '
+            f'<text x="{x:.2f}" y="{y - 8:.2f}" font-size="11" '
             f'text-anchor="middle">{label}</text>'
         )
     parts.append(
@@ -186,7 +199,7 @@ def emit_scenario_files(scenario: Scenario, outdir: str) -> list[str]:
         atomic_write(base + ".csv", sequence_csv(seq, report))
         written.append(base + ".csv")
     if "json" in scenario.outputs:
-        atomic_write(base + ".json", render_json(sequence_report(scenario, seq, report)))
+        atomic_write(base + ".json", sequence_json(scenario, seq, report))
         written.append(base + ".json")
     if "svg" in scenario.outputs:
         atomic_write(base + ".svg", sequence_svg(seq, report))

@@ -4,7 +4,7 @@ Schema (version 1):
 
     {
       "schema": 1,
-      "name": "...",                        # optional
+      "name": "...",                        # optional; a plain file name
       "family": {"kind": "bernoulli"},      # sigma required iff kind=normal
       "prior": {"type": "atoms", "atoms": [{"theta": "1/2", "weight": "1/2"}, ...]}
                | {"type": "uniform01"} | {"type": "beta", "a": .., "b": ..}
@@ -56,6 +56,10 @@ class Scenario:
             raise ScenarioError(f"numeric_mode {self.numeric_mode!r} not in exact/float/auto")
         if self.horizon < 3:
             raise ScenarioError(f"horizon={self.horizon} must be >= 3 for diagnostics")
+        if self.name in ("", ".", "..") or os.path.isabs(self.name) or any(
+            sep and sep in self.name for sep in ("/", "\\", os.sep, os.altsep)
+        ):
+            raise ScenarioError(f"name {self.name!r} must be a plain file name")
         for out in self.outputs:
             if out not in ("csv", "json", "svg"):
                 raise ScenarioError(f"unknown output kind {out!r}")

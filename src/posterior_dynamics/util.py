@@ -190,8 +190,3 @@ class ExactValue:
 
     def __repr__(self):
         return f"ExactValue({float(self):.6g})"
-
-
-def format_float(x: float) -> str:
-    """Fixed 17-significant-digit rendering used in CSV emission."""
-    return format(x, ".17g")

@@ -146,6 +146,18 @@ class TestCliCommands:
         assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "sub\\escaped", "",
+                                      ".", "..", "ABSOLUTE"])
+    def test_psi_name_cannot_leave_out_dir(self, tmp_path, name):
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "escaped")
+        path = tmp_path / "scenarios" / "ok.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(minimal_scenario(name=name)))
+        out = tmp_path / "work" / "out"
+        assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
     def test_mode_override(self, tmp_path):
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(minimal_scenario(horizon=6)))

@@ -1,4 +1,4 @@
-"""Golden-output guard: sha256 of the CSV/JSON bytes the CLI emits.
+"""Golden-output guard: sha256 of the CSV/JSON/SVG bytes the CLI emits.
 
 Refactors must leave these bytes alone.  A change that alters an output on
 purpose (a corrected digit, a renamed label) updates the hash here and says
@@ -33,6 +33,10 @@ SCENARIOS = {
 GOLDEN = {
     "figure1.csv": "2b6f116a451c8dbcd3b6c955fb2f9313022ab15c90c723eb671b5d81d3107eae",
     "figure1.json": "6d5d467cacce908d87f8732b55b40aad07fc6fdc4a4422827ff79e17f32aef02",
+    "figure1.svg": "9535986e3ae22675a384f69ffb95c0542ccd612cd01f349e3f4c6d40171969f0",
+    "figure3.csv": "53d819a209ed7bf532c9e197427f4239c6ff663ab4205cbdc13598f91bee4c54",
+    "figure3.json": "dba6c4901f7dd77fe2aa9e5ab7aad1e937cd76c960a7eaf0726f46c5a0b0737a",
+    "figure3.svg": "71f9dfd80698be0a71ce295fb9c8c312bebacad0d628a5a86df9114c3285b92a",
     "beta71.csv": "3f7ad6e5aa03a789aaa370835e9a10120a369ae79422ab96c2acec15cedea199",
     "beta71.json": "70d1578d2241f06204a848b69b99db13d1a3d6486c57278db46c8e329d5618f0",
     "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
@@ -51,7 +55,7 @@ def _sha256(path) -> str:
 def emitted(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     scenarios = tmp_path_factory.mktemp("scenarios")
-    tokens = ["figure1", "beta71"]
+    tokens = ["figure1", "figure3", "beta71"]
     for name, body in SCENARIOS.items():
         path = scenarios / f"{name}.json"
         path.write_text(json.dumps({"schema": 1, **body, "outputs": ["csv", "json"]}))
