@@ -147,6 +147,8 @@ def suite_turan(seed: int = 0) -> dict:
 BESSEL_THETAS = (0.5, 1.0, 2.0)
 BRACKET_THETAS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0)
 BRACKET_MAX_N = 200
+# the bracket thetas where the lower bound's strict gap is float-resolvable
+STRICT_THETAS = (0.5, 1.0, 5.0, 20.0, 50.0)
 
 
 def _poly_integral(n: int, m: int, theta: float) -> float:
@@ -228,7 +230,7 @@ def suite_bessel(seed: int = 0) -> dict:
     # analytic bracket and the log-concavity bound on the grid; for tiny
     # theta at large n the strict lower gap is ~2e-16 relative and falls
     # below float64 resolution, so equality is tolerated at the ulp level
-    ok_bracket, ok_bound, ok_range = True, True, True
+    ok_bracket, ok_bound, ok_range, ok_strict = True, True, True, True
     for theta in BRACKET_THETAS:
         bess = sf.bessel_K_half(theta, BRACKET_MAX_N)
         for n in range(2, BRACKET_MAX_N + 1):
@@ -236,19 +238,13 @@ def suite_bessel(seed: int = 0) -> dict:
             lower, upper = sf.segura_bracket(n, theta)
             if rho - lower < -8.0 * math.ulp(rho) or not rho <= upper:
                 ok_bracket = False
+            if theta in STRICT_THETAS and not lower < rho:
+                ok_strict = False
             if not sf.logconcavity_ratio_from_bessel(n, theta, rho) < 1.0:
                 ok_bound = False
             if not 0.0 < rho <= theta:
                 ok_range = False
     checks.append(_check("segura_bracket_grid", ok_bracket))
-    # strictness of the lower bound where the gap is float-resolvable
-    ok_strict = True
-    for theta in (0.5, 1.0, 5.0, 20.0, 50.0):
-        bess = sf.bessel_K_half(theta, BRACKET_MAX_N)
-        for n in range(2, BRACKET_MAX_N + 1):
-            lower, _ = sf.segura_bracket(n, theta)
-            if not lower < bess.rho[n]:
-                ok_strict = False
     checks.append(_check("segura_lower_strict_resolvable", ok_strict))
     checks.append(_check("ratio_below_one_grid", ok_bound))
     checks.append(_check("back_ratio_range", ok_range))
@@ -394,7 +390,6 @@ def suite_orders(seed: int = 42) -> dict:
     checks = []
     F = Fraction
     rng = random.Random(seed)
-    family = fam.bernoulli()
 
     n_scenarios = 20
     ok_martingale = ok_submartingale = ok_lr = ok_direction = ok_symmetry = True
@@ -406,32 +401,32 @@ def suite_orders(seed: int = 42) -> dict:
         theta0 = rng.choice(thetas)
         theta1 = rng.choice(thetas)
 
-        # martingale / submartingale over every reachable state
-        for n in range(0, horizon):
+        # martingale / submartingale over every reachable state; a state
+        # the prior cannot reach has no posterior and is left out
+        posts = {}
+        for n in range(0, horizon + 1):
             for k in range(0, n + 1):
                 try:
-                    post = pr.posterior_given_suffstat(family, prior, n, k)
+                    posts[n, k] = pr.posterior_given_suffstat(prior, n, k)
                 except pr.ImpossibleObservationError:
-                    continue
-                succ_prob = sum(t * w for t, w in zip(post.thetas, post.weights))
-                up = dn = None
-                if succ_prob > 0:
-                    up = pr.posterior_given_suffstat(family, prior, n + 1, k + 1)
-                if succ_prob < 1:
-                    dn = pr.posterior_given_suffstat(family, prior, n + 1, k)
-                for theta in thetas:
-                    q_now = post.weight_of(theta)
-                    q_up = up.weight_of(theta) if up is not None else None
-                    q_dn = dn.weight_of(theta) if dn is not None else None
-                    # expectation under the prior predictive: exact martingale
-                    exp_marginal = (succ_prob * (q_up or 0)) + ((1 - succ_prob) * (q_dn or 0))
-                    if exp_marginal != q_now:
-                        ok_martingale = False
-                    # expectation under the atom itself: submartingale
-                    t = F(theta)
-                    exp_atom = t * (q_up or 0) + (1 - t) * (q_dn or 0)
-                    if exp_atom < q_now:
-                        ok_submartingale = False
+                    pass
+        for (n, k), post in posts.items():
+            if n == horizon:
+                continue
+            succ_prob = pr.mean_parameter(post)
+            # a successor is missing exactly when its step has chance zero
+            up, dn = posts.get((n + 1, k + 1)), posts.get((n + 1, k))
+            for theta in thetas:
+                q_now = post.weight_of(theta)
+                q_up = up.weight_of(theta) if up is not None else 0
+                q_dn = dn.weight_of(theta) if dn is not None else 0
+                # expectation under the prior predictive: exact martingale
+                if succ_prob * q_up + (1 - succ_prob) * q_dn != q_now:
+                    ok_martingale = False
+                # expectation under the atom itself: submartingale
+                t = F(theta)
+                if t * q_up + (1 - t) * q_dn < q_now:
+                    ok_submartingale = False
 
         # likelihood-ratio dominance of the own-parameter law
         for theta in thetas:
@@ -465,14 +460,14 @@ def suite_orders(seed: int = 42) -> dict:
         n_state = rng.randint(0, 6)
         k_state = rng.randint(0, n_state) if n_state else 0
         try:
-            post = pr.posterior_given_suffstat(family, prior, n_state, k_state)
+            post = pr.posterior_given_suffstat(prior, n_state, k_state)
         except pr.ImpossibleObservationError:
             post = None
         if post is not None:
             predicted = orders.one_step_expected_posterior(post, theta0, theta1)
             t1f = F(theta1)
-            up = pr.posterior_given_suffstat(family, prior, n_state + 1, k_state + 1)
-            dn = pr.posterior_given_suffstat(family, prior, n_state + 1, k_state)
+            up = pr.posterior_given_suffstat(prior, n_state + 1, k_state + 1)
+            dn = pr.posterior_given_suffstat(prior, n_state + 1, k_state)
             direct = t1f * up.weight_of(theta0) + (1 - t1f) * dn.weight_of(theta0)
             if predicted != direct:
                 ok_onestep = False

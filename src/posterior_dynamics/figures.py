@@ -190,9 +190,9 @@ def sequence_svg(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -
 
 def emit_scenario_files(scenario: Scenario, outdir: str) -> list[str]:
     """Run one scenario and write its requested outputs; returns paths."""
-    os.makedirs(outdir, exist_ok=True)
     seq = run_scenario(scenario)
     report = dg.analyze(seq, prior=scenario.prior)
+    os.makedirs(outdir, exist_ok=True)
     written = []
     base = os.path.join(outdir, scenario.name)
     if "csv" in scenario.outputs:

@@ -9,6 +9,7 @@ Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,32 +85,24 @@ def posterior_law(
     predictive (marginal) law.  Built by exact enumeration over the
     sufficient statistic, which carries the full distribution.
     """
-    family = fam.bernoulli()
-    prior.validate_for(family)
     if not prior.is_atom(theta0):
         raise DomainError(f"theta0={theta0} must be an atom of the prior")
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
-    thetas = [Fraction(t) for t in prior.thetas]
-    weights = list(prior.weights)
-    w0 = prior.weight_of(theta0)
-    t0 = Fraction(theta0)
+    i0 = prior.thetas.index(theta0)
     pairs = []
     for k in range(n + 1):
-        pmf = [fam.binomial_pmf_exact(t, n, k) for t in thetas]
-        marginal = sum(w * p for w, p in zip(weights, pmf))
+        masses = pr.atom_masses(prior, n, k)
+        total = sum(masses)
         if under is None:
-            gen = marginal
+            gen = math.comb(n, k) * total
         else:
             gen = fam.binomial_pmf_exact(Fraction(under), n, k)
-        if marginal == 0:
+        if total == 0:
             if gen != 0:
-                raise pr.ImpossibleObservationError(
-                    "impossible observation under prior support"
-                )
+                raise pr.ImpossibleObservationError("impossible observation under prior support")
             continue
-        q0 = w0 * pmf[thetas.index(t0)] / marginal
-        pairs.append((q0, gen))
+        pairs.append((masses[i0] / total, gen))
     return FiniteLaw.from_pairs(pairs)
 
 
@@ -149,12 +142,11 @@ def check_prior_criterion(
     mean lies weakly between theta0 and theta1 (expected <= prior weight,
     equality iff the mean hits theta0 or theta1), "ge" otherwise.
     """
-    family = fam.bernoulli()
-    prior.validate_for(family)
     if not prior.is_atom(theta0):
         raise DomainError(f"theta0={theta0} must be an atom of the prior")
+    prior_state = pr.posterior_given_suffstat(prior, 0, 0)
+    expected = one_step_expected_posterior(prior_state, theta0, theta1)
     mean = prior.mean()
-    expected = prior.weight_of(theta0) * expected_update_factor(mean, theta0, theta1)
     lo, hi = min(theta0, theta1), max(theta0, theta1)
     direction = "le" if lo <= mean <= hi else "ge"
     return expected, direction

@@ -3,8 +3,8 @@
 Two prior shapes exist: a finite list of weighted atoms (weights are exact
 rationals summing to one) and four named continuous densities -- Uniform(0,1),
 Beta(a,b), the standard normal, and Exp(rate).  Posteriors for atom priors
-are computed by Bayes' rule over the sufficient statistic u_n; when the
-family is Bernoulli and every input is rational the arithmetic is exact.
+are computed exactly, by Bayes' rule over Bernoulli atoms given the number
+of successes u_n.
 
 Atom locations may sit on the boundary of the Bernoulli parameter interval
 (0 or 1): a coin known to always land heads is a legitimate hypothesis.
@@ -154,55 +154,43 @@ def prior_log_density(prior: Prior, theta: Real) -> float:
 
 @dataclass(frozen=True)
 class PosteriorVector:
-    """Per-atom posterior weights after conditioning on (n, u)."""
+    """Per-atom posterior weights after conditioning on the observations."""
 
     thetas: tuple[Real, ...]
-    weights: tuple[Union[Fraction, float], ...]
-    n: int
-    u: Real
-    exact: bool
+    weights: tuple[Fraction, ...]
 
-    def weight_of(self, theta: Real) -> Union[Fraction, float]:
+    def weight_of(self, theta: Real) -> Fraction:
         for t, w in zip(self.thetas, self.weights):
             if t == theta:
                 return w
         raise PriorError(f"theta={theta} is not an atom of the posterior")
 
 
-def posterior_given_suffstat(
-    family: FamilySpec, prior: DiscreteAtoms, n: int, u: Real
-) -> PosteriorVector:
-    """Bayes' rule over atoms given u_n = u; n = 0 returns the prior."""
-    if n < 0:
-        raise DomainError(f"n={n} must be >= 0")
-    prior.validate_for(family)
-    if n == 0:
-        return PosteriorVector(prior.thetas, prior.weights, 0, u, exact=True)
+def atom_masses(prior: DiscreteAtoms, n: int, k: int) -> list[Fraction]:
+    """w theta^k (1-theta)^(n-k) for each Bernoulli atom: the prior weight
+    times the chance of one sequence with k successes in n trials.  The
+    binomial coefficient C(n, k) is common to every atom, so it cancels in
+    Bayes' rule and is left out.  Exact: each theta enters as a Fraction."""
+    if n < 0 or not isinstance(k, int):
+        raise DomainError(f"need an integer count k of successes in n >= 0 trials: n={n}, k={k!r}")
+    prior.validate_for(fam.bernoulli())
+    if not 0 <= k <= n:
+        raise ImpossibleObservationError(f"impossible observation: {k} successes in {n} trials")
+    return [w * Fraction(t) ** k * (1 - Fraction(t)) ** (n - k) for t, w in prior.atoms]
 
-    exact = family.kind == BERNOULLI and prior.is_rational() and isinstance(u, (int, Fraction))
-    if exact:
-        k = int(u)
-        masses = [w * fam.binomial_pmf_exact(Fraction(t), n, k) for t, w in prior.atoms]
-        total = sum(masses)
-        if total == 0:
-            raise ImpossibleObservationError(
-                f"impossible observation under prior support: u_{n}={u}"
-            )
-        weights = tuple(m / total for m in masses)
-        return PosteriorVector(prior.thetas, weights, n, u, exact=True)
 
-    logs = [
-        math.log(float(w)) + fam.suff_stat_log_density(family, t, n, u) for t, w in prior.atoms
-    ]
-    norm = logsumexp(logs)
-    if norm == float("-inf"):
-        raise ImpossibleObservationError(f"impossible observation under prior support: u_{n}={u}")
-    weights = tuple(math.exp(lw - norm) for lw in logs)
-    return PosteriorVector(prior.thetas, weights, n, u, exact=False)
+def posterior_given_suffstat(prior: DiscreteAtoms, n: int, k: int) -> PosteriorVector:
+    """Exact Bayes' rule over Bernoulli atoms given k successes in n trials;
+    n = 0 gives back the prior."""
+    masses = atom_masses(prior, n, k)
+    total = sum(masses)
+    if total == 0:
+        raise ImpossibleObservationError(f"impossible observation under prior support: u_{n}={k}")
+    return PosteriorVector(prior.thetas, tuple(m / total for m in masses))
 
 
 def mean_parameter(posterior: PosteriorVector) -> Real:
-    """Posterior-mean parameter; exact when the posterior is exact."""
+    """Posterior-mean parameter."""
     return sum(t * w for t, w in zip(posterior.thetas, posterior.weights))
 
 

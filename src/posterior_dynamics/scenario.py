@@ -67,6 +67,10 @@ class Scenario:
             self.prior.validate_for(self.family)
             if not self.prior.is_atom(self.theta0):
                 raise ScenarioError(f"theta0={self.theta0} must be an atom of the prior")
+        # a Bernoulli atom prior may hold a sure coin, theta 0 or 1
+        closure = isinstance(self.prior, DiscreteAtoms) and self.family.kind == BERNOULLI
+        self.family.require_theta(self.theta0, closure=closure)
+        self.family.require_theta(self.theta1, closure=closure)
 
 
 def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
@@ -82,6 +86,9 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
     name = obj.get("name", name)
     if not isinstance(name, str):
         raise ScenarioError(f"name must be a string, got {name!r}")
+    outputs = obj.get("outputs", ["csv", "json"])
+    if not isinstance(outputs, list):
+        raise ScenarioError(f"outputs must be a list, got {type(outputs).__name__}")
     try:
         return Scenario(
             family=FamilySpec.from_json(obj["family"]),
@@ -90,7 +97,7 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
             theta1=pr.rational_from_json(obj["theta1"]),
             horizon=horizon,
             numeric_mode=obj.get("numeric_mode", "auto"),
-            outputs=tuple(obj.get("outputs", ("csv", "json"))),
+            outputs=tuple(outputs),
             name=name,
         )
     except (KeyError, TypeError, ValueError) as exc:

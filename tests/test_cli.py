@@ -52,6 +52,15 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError, match="horizon"):
             scenario_from_json(minimal_scenario(horizon=2))
 
+    def test_outputs_must_be_a_list(self):
+        with pytest.raises(ScenarioError, match="outputs must be a list, got str"):
+            scenario_from_json(minimal_scenario(outputs="csv"))
+
+    def test_sure_coins_are_legal_parameters_for_atom_priors_only(self):
+        scenario_from_json(minimal_scenario(theta0="1/1", theta1="0/1"))
+        with pytest.raises(ScenarioError, match="theta=1"):
+            scenario_from_json(minimal_scenario(prior={"type": "uniform01"}, theta0="1/1"))
+
     def test_bad_mode(self):
         with pytest.raises(ScenarioError):
             scenario_from_json(minimal_scenario(numeric_mode="sloppy"))
@@ -137,8 +146,13 @@ class TestCliCommands:
         {"prior": {"type": "atoms", "atoms": [
             {"theta": "1/2", "weight": "1/2"}, {"theta": "3/2", "weight": "1/2"},
         ]}},
+        {"prior": {"type": "uniform01"}, "theta0": "3/2"},
+        {"family": {"kind": "exponential"}, "prior": {"type": "exp", "lambda": 1},
+         "theta0": 1.0, "theta1": -1},
+        {"outputs": "csv"},
     ], ids=["atom_without_theta", "beta_without_b", "sigma_string", "sigma_null",
-            "atom_not_object", "outputs_not_list", "name_not_string", "atom_outside_domain"])
+            "atom_not_object", "outputs_not_list", "name_not_string", "atom_outside_domain",
+            "theta0_outside_uniform", "theta1_outside_exponential", "outputs_string"])
     def test_psi_malformed_field_is_schema_error(self, tmp_path, overrides):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_scenario(**overrides)))
@@ -182,7 +196,7 @@ class TestCliCommands:
         path.write_text(json.dumps(payload))
         out = tmp_path / "out"
         assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_audit_known_suite(self, tmp_path):
         assert cli.main(["audit", "turan", "--seed", "42", "--out", str(tmp_path)]) == 0

@@ -44,6 +44,8 @@ GOLDEN = {
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
     "beta_float.json": "ed5e895330918e566b286dce48404408e6c065777c182d7a9d4d41ac2246870a",
     "audit_all.json": "f6e4c286113b2f9291eb98172518a6bf26e92250d2e08984b3e9e31cd6f3c424",
+    "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
+    "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",
 }
 
 
@@ -63,6 +65,9 @@ def emitted(tmp_path_factory):
     for token in tokens:
         assert cli.main(["psi", token, "--out", str(out)]) == cli.EXIT_OK
     assert cli.main(["audit", "all", "--seed", "42", "--out", str(out)]) == cli.EXIT_OK
+    for seed in ("1", "7"):
+        argv = ["audit", "orders", "--seed", seed, "--out", str(out / f"seed{seed}")]
+        assert cli.main(argv) == cli.EXIT_OK
     return out
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from posterior_dynamics import families as fam
 from posterior_dynamics import orders
 from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
@@ -68,30 +67,29 @@ class TestUpdateFactor:
 
 class TestOneStep:
     def test_prior_state_example(self):
-        post = pr.posterior_given_suffstat(fam.bernoulli(), TWO_COINS, 0, 0)
+        post = pr.posterior_given_suffstat(TWO_COINS, 0, 0)
         value = orders.one_step_expected_posterior(post, F(3, 10), F(7, 10))
         assert value == F(21, 50)
 
     def test_matches_direct_enumeration(self):
         rng = random.Random(7)
-        family = fam.bernoulli()
         for _ in range(20):
             prior = orders.random_rational_scenario(rng, max_atoms=4)
             theta0 = rng.choice(prior.thetas)
             theta1 = rng.choice(prior.thetas)
             n = rng.randint(0, 6)
             k = rng.randint(0, n) if n else 0
-            post = pr.posterior_given_suffstat(family, prior, n, k)
+            post = pr.posterior_given_suffstat(prior, n, k)
             predicted = orders.one_step_expected_posterior(post, theta0, theta1)
-            up = pr.posterior_given_suffstat(family, prior, n + 1, k + 1)
-            down = pr.posterior_given_suffstat(family, prior, n + 1, k)
+            up = pr.posterior_given_suffstat(prior, n + 1, k + 1)
+            down = pr.posterior_given_suffstat(prior, n + 1, k)
             t1 = F(theta1)
             direct = t1 * up.weight_of(theta0) + (1 - t1) * down.weight_of(theta0)
             assert predicted == direct
 
     def test_factor_one_freezes_the_expectation(self):
         prior = pr.atoms((F(2, 5), F(1, 3)), (F(7, 10), F(2, 3)))
-        post = pr.posterior_given_suffstat(fam.bernoulli(), prior, 2, 1)
+        post = pr.posterior_given_suffstat(prior, 2, 1)
         mean = pr.mean_parameter(post)
         # generating parameter equal to the candidate: the factor anchors at
         # one exactly when the posterior mean sits on the candidate
