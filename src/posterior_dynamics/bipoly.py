@@ -5,12 +5,15 @@ A polynomial in (m, t) is a list of rows: ``rows[i]`` lists the ascending
 t-coefficients of m^i.  Rows carry no trailing zeros and the list no
 trailing empty rows, so equal polynomials are equal lists.
 
+``positive_roots`` is the one real-root isolator of the package: Sturm
+counts over ``Fraction`` on the square-free part, then exact bisection
+until each root's interval rounds to a single float.
+
 ``certify_logconcavity_polynomials`` rebuilds the discriminant identity
 E = A^2 - B^2 C from the three source polynomials, checks every row of E
 against the expected expansion, and certifies each row of A and E positive
-for t >= 0 with ``positive_on_halfline``, an exact Sturm-chain root count
-over ``Fraction``.  The five minima the paper states are reported from a
-bracketed golden-section scan; the scan decides nothing.
+for t >= 0 with ``positive_on_halfline``.  The five minima the paper states
+are taken over t = 0 and the positive roots of the row's derivative.
 1 - Q_n(eta_n) = (A + B sqrt(C))/D with positive D and m = n - 2 >= 0, so
 the certificate implies Q_n(eta_n) < 1 for all n >= 2, t >= 0.
 """
@@ -71,6 +74,11 @@ def poly_eval(coeffs: Sequence[Coeff], t: float | Fraction):
     return total
 
 
+def poly_derivative(coeffs: Sequence[Coeff]) -> list:
+    """Derivative of an ascending univariate coefficient list."""
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
 # ---------------------------------------------------------------------------
 # the certified polynomials (in m = n - 2 and t = the rate parameter)
 # ---------------------------------------------------------------------------
@@ -102,77 +110,89 @@ EXPECTED_MINIMA = {
 }
 
 
-def _remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a divided by b (b nonzero, no trailing zeros)."""
-    a = list(a)
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a divided by b (b nonzero, no trailing zeros)."""
+    a, quotient = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        q = a[-1] / b[-1]
         shift = len(a) - len(b)
+        quotient[shift] = q = a[-1] / b[-1]
         for i, c in enumerate(b):
             a[shift + i] -= q * c
         a.pop()
         while a and a[-1] == 0:
             a.pop()
-    return a
+    return quotient, a
 
 
-def _sign_changes(values: Sequence[Fraction]) -> int:
+def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
+    """p, p', then negated remainders; the last element is gcd(p, p')."""
+    chain = [p, poly_derivative(p)]
+    while chain[-1]:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return chain
+
+
+def _sign_changes(values: Sequence[int]) -> int:
     signs = [v > 0 for v in values if v != 0]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def positive_on_halfline(row: Sequence[Coeff]) -> bool:
-    """Is row(t) > 0 for every t >= 0?  Exact.
+def _scaled(f: Sequence[int], k: int, e: int) -> int:
+    """f(k / 2^e) * 2^(e deg f): the sign of f at a dyadic point, in integers."""
+    value = f[-1]
+    for i, c in enumerate(reversed(f[:-1]), 1):
+        value = value * k + (c << e * i)
+    return value
 
-    True iff row(0) > 0 and the row has no real root in (0, inf).  By
-    Sturm's theorem the number of distinct real roots in (0, inf) is the
-    sign changes of the Sturm chain at t = 0 minus those at t -> +inf
-    (signs of the leading coefficients); repeated roots need no special
-    case, because row(0) != 0.
+
+def positive_roots(row: Sequence[Coeff]) -> list[float]:
+    """The distinct real roots of row in (0, inf), ascending, each rounded
+    to the nearest float.  Exact; a root past the largest float raises
+    OverflowError.
+
+    The chain is built on the square-free part p / gcd(p, p'), so by
+    Sturm's theorem the sign changes at lo minus those at hi count the
+    distinct roots in (lo, hi] for any lo < hi.  Bisection starts on
+    (0, B], B the power of two above the Cauchy bound, so every point is
+    a dyadic k / 2^e and is evaluated in integers.  A root on a midpoint is
+    met exactly and taken as it is; an interval holding one root stops
+    once both ends round to the same float.
     """
     p = [Fraction(c) for c in row]
     while p and p[-1] == 0:
         p.pop()
-    if not p or p[0] <= 0:
-        return False
-    chain = [p, [k * c for k, c in enumerate(p)][1:]]
-    while chain[-1]:
-        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
-    chain.pop()
-    return _sign_changes([q[0] for q in chain]) == _sign_changes([q[-1] for q in chain])
+    if len(p) < 2:
+        return []
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_divmod(p, chain[-1])[0])
+    # positive multiples with integer coefficients have the same signs
+    chain = [[int(c * m) for c in f] for f in chain for m in [math.lcm(*(c.denominator for c in f))]]
+    q = chain[0]
+
+    def changes(k: int, e: int) -> int:
+        return _sign_changes([_scaled(f, k, e) for f in chain])
+
+    bound = 1 << (2 + max(map(abs, q[:-1])) // abs(q[-1])).bit_length()
+    roots, todo = [], [(0, changes(0, 0), bound, changes(bound, 0), 0)]
+    while todo:
+        lo, v_lo, hi, v_hi, e = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1 and (_scaled(q, hi, e) == 0 or lo / (1 << e) == hi / (1 << e)):
+            roots.append(hi / (1 << e))
+            continue
+        mid = lo + hi
+        v_mid = changes(mid, e + 1)
+        todo += [(2 * lo, v_lo, mid, v_mid, e + 1), (mid, v_mid, 2 * hi, v_hi, e + 1)]
+    return sorted(roots)
 
 
-def _bracketed_golden_min(coeffs: Sequence[Coeff]):
-    """Global minimum of a coefficient row on [0, 100]: coarse scan then
-    golden-section inside the best bracket.  Deterministic."""
-    lo, hi = 0.0, 100.0
-    grid = 2000
-    best_i, best_v = 0, float("inf")
-    for i in range(grid + 1):
-        t = lo + (hi - lo) * i / grid
-        v = float(poly_eval(coeffs, t))
-        if v < best_v:
-            best_i, best_v = i, v
-    a = lo + (hi - lo) * max(best_i - 1, 0) / grid
-    b = lo + (hi - lo) * min(best_i + 1, grid) / grid
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1 = float(poly_eval(coeffs, x1))
-    f2 = float(poly_eval(coeffs, x2))
-    for _ in range(200):
-        if b - a < 1e-12:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = float(poly_eval(coeffs, x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = float(poly_eval(coeffs, x2))
-    t_min = 0.5 * (a + b)
-    return float(poly_eval(coeffs, t_min)), t_min
+def positive_on_halfline(row: Sequence[Coeff]) -> bool:
+    """Is row(t) > 0 for every t >= 0?  Exact: row(0) > 0 and no real
+    root in (0, inf)."""
+    return poly_eval(row, 0) > 0 and not positive_roots(row)
 
 
 def _row_report(name: str, degree: int, row: Sequence[Coeff]) -> dict:
@@ -180,9 +200,11 @@ def _row_report(name: str, degree: int, row: Sequence[Coeff]) -> dict:
     entry: dict = {"poly": name, "m_power": degree, "positive": positive_on_halfline(row)}
     expected = EXPECTED_MINIMA.get((name, degree))
     if expected is not None:
-        value, argmin = _bracketed_golden_min(row)
+        value, argmin = min(
+            (poly_eval(row, Fraction(t)), t) for t in [0.0, *positive_roots(poly_derivative(row))]
+        )
         entry.update(
-            min_value=value, min_argmin=argmin, expected_min=expected[0],
+            min_value=float(value), min_argmin=argmin, expected_min=expected[0],
             expected_argmin=expected[1],
             min_matches=abs(value - expected[0]) <= 1.0 and abs(argmin - expected[1]) <= 0.05,
         )

@@ -51,7 +51,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
     try:
         written = fig.emit_scenario_files(scenario, args.out)
     except (pr.UnsupportedConjugacyError, pr.ImpossibleObservationError, DomainError,
-            QuadratureError) as exc:
+            QuadratureError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import families as fam
 from . import priors as pr
+from .bipoly import poly_derivative, poly_eval, positive_roots
 from .engine import METHOD_NORMAL, ExpectedPosteriorSequence
 from .families import FamilySpec, DomainError
 from .priors import DiscreteAtoms, Prior
@@ -246,77 +248,42 @@ def _asymptote_parts(family: FamilySpec, prior: Prior, theta0, theta1, n: float)
 # ---------------------------------------------------------------------------
 
 
-def _normal_gamma(n: float, theta: float, sigma: float) -> float:
-    """Sign carrier of the second log-derivative; strictly decreasing in n."""
-    s2 = sigma * sigma
-    return ((s2 * s2 - 2.0 * n * n) * (2.0 * n + s2)) / ((n + s2) ** 2) - 4.0 * theta**2 * s2
-
-
-def _normal_log_slope(n: float, theta: float, sigma: float) -> float:
-    """d/dn of the diagonal log closed form at midpoint parameter theta."""
-    s2 = sigma * sigma
-    return 1.0 / (n + s2) - 1.0 / (2.0 * n + s2) + theta * theta * s2 / (2.0 * n + s2) ** 2
-
-
-_N_LO = 1e-6
-_N_HI = 1e9
-_BISECT_RTOL = 1e-6
-
-
-def _bisect(fn, lo: float, hi: float, decreasing: bool) -> float:
-    """Root of a monotone sign change on [lo, hi]."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_RTOL * max(1.0, abs(mid)):
-            return mid
-        v = fn(mid)
-        if (v > 0) == decreasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def normal_log_convex_prefix_end(theta: float, sigma: float) -> float:
     """The continuous n at which the sequence turns from log-convex to
-    log-concave; 0 when it is log-concave from the start."""
-    if not sigma > 0:
-        raise DomainError(f"sigma={sigma} must be > 0")
-    if _normal_gamma(_N_LO, theta, sigma) <= 0:
-        return 0.0
-    return _bisect(lambda n: _normal_gamma(n, theta, sigma), _N_LO, _N_HI, decreasing=True)
+    log-concave; 0 when it is log-concave from the start.
 
-
-def normal_critical_points(theta0: float, theta1: float, sigma: float) -> list[tuple[float, str]]:
-    """Continuous-n critical points of the off-diagonal normal sequence.
-
-    The log-slope of the full sequence is the diagonal slope plus the log
-    affinity; the second derivative changes sign at most once (from + to -),
-    so there are at most two roots: a minimum in the log-convex region and
-    a maximum in the log-concave region.
+    The second n-derivative of the log closed form at midpoint parameter
+    theta, times (n + s)^2 (2n + s)^3 with s = sigma^2, is the cubic
+    (s^2 - 2n^2)(2n + s) - 4 theta^2 s (n + s)^2.  Divided by (n + s)^2 it
+    strictly decreases for n > 0, so it has at most one positive root.
     """
     if not sigma > 0:
         raise DomainError(f"sigma={sigma} must be > 0")
-    t0, t1 = float(theta0), float(theta1)
-    if t0 == t1:
-        return []
-    mid = 0.5 * (t0 + t1)
-    log_aff = -((t0 - t1) ** 2) / (4.0 * sigma * sigma)
+    th2, s = Fraction(theta) ** 2, Fraction(sigma) ** 2
+    curvature = [s**3 - 4 * th2 * s**3, 2 * s**2 - 8 * th2 * s**2, -2 * s - 4 * th2 * s, -4]
+    return max(positive_roots(curvature), default=0.0)
 
-    def slope(n: float) -> float:
-        return _normal_log_slope(n, mid, sigma) + log_aff
 
-    peak = normal_log_convex_prefix_end(mid, sigma)
-    out: list[tuple[float, str]] = []
-    if peak <= _N_LO:
-        # slope strictly decreasing: at most one root, a maximum
-        if slope(_N_LO) > 0 > slope(_N_HI):
-            out.append((_bisect(slope, _N_LO, _N_HI, decreasing=True), "max"))
-        return out
-    if slope(peak) <= 0:
-        return []
-    if slope(_N_LO) < 0:
-        out.append((_bisect(slope, _N_LO, peak, decreasing=False), "min"))
-    if slope(_N_HI) < 0:
-        out.append((_bisect(slope, peak, _N_HI, decreasing=True), "max"))
+def normal_critical_points(theta0: float, theta1: float, sigma: float) -> list[tuple[float, str]]:
+    """Continuous-n critical points of the normal sequence, ascending.
+
+    The log-slope is the diagonal slope at the midpoint theta plus the log
+    affinity L = -(theta0 - theta1)^2 / (4 s), s = sigma^2; times
+    (n + s)(2n + s)^2 it is a cubic in n with exact rational coefficients,
+    since every float input is a binary rational.  Each positive root is a
+    "max" or a "min" by the exact sign of that cubic's derivative at the
+    rounded root; a root where it is zero touches without crossing and is
+    no extremum.  On the diagonal every coefficient is positive: no roots.
+    """
+    if not sigma > 0:
+        raise DomainError(f"sigma={sigma} must be > 0")
+    t0, t1, s = Fraction(theta0), Fraction(theta1), Fraction(sigma) ** 2
+    th2, aff = ((t0 + t1) / 2) ** 2, -((t0 - t1) ** 2) / (4 * s)
+    slope = [th2 * s**2 + aff * s**3, s + th2 * s + 5 * aff * s**2, 2 + 8 * aff * s, 4 * aff]
+    turn = poly_derivative(slope)
+    out = []
+    for n in positive_roots(slope):
+        sign = poly_eval(turn, Fraction(n))
+        if sign:
+            out.append((n, "max" if sign < 0 else "min"))
     return out

@@ -299,7 +299,7 @@ def _uniform_float_logs(theta0: float, theta1: float, horizon: int) -> list[floa
 
 
 def log_expected_posterior_normal(theta0: float, theta1: float, sigma: float, n: float) -> float:
-    """Closed-form log value at (possibly real) n >= 0; used by the solver."""
+    """Closed-form log value at (possibly real) n >= 0."""
     if not sigma > 0:
         raise DomainError(f"sigma={sigma} must be > 0")
     mid = 0.5 * (theta0 + theta1)

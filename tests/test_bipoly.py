@@ -90,23 +90,61 @@ class TestCertification:
         finally:
             bipoly.EXPECTED_E_ROWS[7] = original
 
+    def test_stated_minima_sit_on_the_roots_of_the_derivative(self):
+        # each argmin is the float nearest a 50-digit root of row', and each
+        # value is the row there, rounded once
+        rows = {"A": bipoly.POLY_A, "E": bipoly.EXPECTED_E_ROWS}
+        for r in bipoly.certify_logconcavity_polynomials()["rows"]:
+            if "min_argmin" not in r:
+                continue
+            row = rows[r["poly"]][r["m_power"]]
+            with mp.workdps(50):
+                root = mp.findroot(lambda t: mp.polyval(row[::-1], t, derivative=True)[1],
+                                   mp.mpf(r["min_argmin"]))
+                assert r["min_argmin"] == float(root)
+                assert r["min_value"] == float(mp.polyval(row[::-1], root))
+
     def test_row_negative_only_beyond_the_scan_range(self):
         # t^2 - 300 t + 22499 < 0 on about (149.9, 150.1), far past t = 100
         assert not positive_on_halfline([22499, -300, 1])
 
 
-def oracle_positive(coeffs) -> bool:
-    """p(0) > 0 and no real root in (0, inf), from 50-digit mpmath roots of
-    the square-free part (sympy), so repeated roots cannot stall the solver."""
-    if not any(coeffs) or coeffs[0] <= 0:
-        return False
+def oracle_roots(coeffs) -> list:
+    """The distinct real roots in (0, inf), ascending, as 50-digit mpmath
+    roots of the square-free part (sympy), so repeated roots cannot stall
+    the solver; factors of t are divided out first, so t = 0 never shows."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if not coeffs:
+        return []
     t = sympy.Symbol("t")
     squarefree = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
     if squarefree.degree() == 0:
-        return True
+        return []
     with mp.workdps(50):
         roots = mp.polyroots([int(c) for c in squarefree.all_coeffs()], maxsteps=200)
-        return not any(abs(mp.im(r)) < mp.mpf(10) ** -30 and mp.re(r) > 0 for r in roots)
+        return sorted(mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30 and mp.re(r) > 0)
+
+
+def oracle_positive(coeffs) -> bool:
+    """p(0) > 0 and no real root in (0, inf), from the mpmath roots."""
+    return bool(coeffs) and coeffs[0] > 0 and not oracle_roots(coeffs)
+
+
+class TestPositiveRoots:
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=7))
+    @example([2, -3, 1])  # (t - 1)(t - 2): a root on a bisection point
+    @example([-20, 24, -9, 1])  # (t - 2)^2 (t - 5): a double root
+    @example([1, -6, 15, -20, 15, -6, 1])  # (t - 1)^6
+    @example([0, -3, 1])  # t (t - 3): a root at t = 0 is not positive
+    @example([18000, -270, 1])  # (t - 120)(t - 150): roots only beyond t = 100
+    @example([1000001, -2000001, 1000000])  # (t - 1)(t - 1 - 1e-6): two close roots
+    @example([-(2**53 + 3), 2**53])  # 1 + 3 * 2^-53: halfway between two floats, to even
+    @example([0])
+    def test_matches_mpmath_roots(self, coeffs):
+        assert bipoly.positive_roots(coeffs) == [float(r) for r in oracle_roots(coeffs)]
 
 
 class TestPositiveOnHalfline:

@@ -124,6 +124,20 @@ class TestCliCommands:
         path.write_text(json.dumps(payload))
         assert cli.main(["psi", str(path), "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
 
+    def test_psi_critical_point_past_the_float_range_is_numeric_error(self, tmp_path):
+        # the slope of log psi vanishes near n = 2e320, beyond the largest float
+        payload = minimal_scenario(
+            family={"kind": "normal", "sigma": 1.0},
+            prior={"type": "stdnormal"},
+            theta0=0.0,
+            theta1=1e-160,
+        )
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert not out.exists()
+
     def test_psi_unknown_family_kind_is_schema_error(self, tmp_path):
         payload = minimal_scenario(
             family={"kind": "poisson"},

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
 from posterior_dynamics import diagnostics as dg
@@ -142,17 +143,51 @@ class TestAsymptotics:
         assert ratios[12000] == pytest.approx(1.0, abs=1e-4)
 
 
+def mp_log_slope_root(theta0: float, theta1: float, sigma: float, guess: float) -> float:
+    """Root near guess of d/dn of the normal closed form, at 50 digits and
+    the same binary inputs, rounded to a float.  The closed form is written
+    out again here so the check does not share code with the package."""
+    with mp.workdps(50):
+        t0, t1, s = mp.mpf(theta0), mp.mpf(theta1), mp.mpf(sigma) ** 2
+        mid = (t0 + t1) / 2
+
+        def log_psi(n):
+            return (
+                mp.log(n + s) - mp.log(mp.sqrt(s)) - mp.log(2 * mp.pi * (2 * n + s)) / 2
+                - mid**2 * s / (4 * n + 2 * s) + (mid**2 - t0**2) / 2 - n * (t0 - t1) ** 2 / (4 * s)
+            )
+
+        return float(mp.findroot(lambda n: mp.diff(log_psi, n), mp.mpf(guess)))
+
+
 class TestNormalSolver:
     def test_wide_prior_example(self):
+        # figure3: the slope equation is close to n^2 - 30000 n + 5e7 = 0
         roots = dg.normal_critical_points(-1 / 3, 1 / 3, 100.0)
-        assert len(roots) == 2
-        (n_min, kind_min), (n_max, kind_max) = roots
-        assert kind_min == "min" and kind_max == "max"
-        # the slope equation reduces to n^2 - 30000 n + 5e7 = 0
-        lo = 15000.0 - math.sqrt(15000.0**2 - 5e7)
-        hi = 15000.0 + math.sqrt(15000.0**2 - 5e7)
-        assert n_min == pytest.approx(lo, rel=1e-5)
-        assert n_max == pytest.approx(hi, rel=1e-5)
+        assert roots == [
+            (mp_log_slope_root(-1 / 3, 1 / 3, 100.0, 1771.0), "min"),
+            (mp_log_slope_root(-1 / 3, 1 / 3, 100.0, 28229.0), "max"),
+        ]
+        assert roots == [(1771.2434446770467, "min"), (28228.756555322958, "max")]
+
+    def test_prefix_end_is_the_exact_turning_point(self):
+        # gamma = 0 at n = sigma^2 / sqrt 2 when theta = 0
+        with mp.workdps(50):
+            expected = float(5000 * mp.sqrt(2))
+        assert dg.normal_log_convex_prefix_end(0.0, 100.0) == expected == 7071.067811865475
+
+    @pytest.mark.parametrize("theta0,theta1,sigma,kinds", [
+        (0.25, -0.5, 10.0, ["min", "max"]),
+        (0.1, -0.1, 20.0, ["min", "max"]),
+        (1 / 12, -5 / 12, 90.0, ["min", "max"]),
+        (0.1, 0.9, 30.0, ["max"]),
+    ])
+    def test_critical_points_match_mpmath(self, theta0, theta1, sigma, kinds):
+        roots = dg.normal_critical_points(theta0, theta1, sigma)
+        assert [kind for _, kind in roots] == kinds
+        assert [n for n, _ in roots] == [
+            mp_log_slope_root(theta0, theta1, sigma, n) for n, _ in roots
+        ]
 
     def test_diagonal_has_no_critical_points(self):
         assert dg.normal_critical_points(0.3, 0.3, 10.0) == []

@@ -35,7 +35,7 @@ GOLDEN = {
     "figure1.json": "6d5d467cacce908d87f8732b55b40aad07fc6fdc4a4422827ff79e17f32aef02",
     "figure1.svg": "9535986e3ae22675a384f69ffb95c0542ccd612cd01f349e3f4c6d40171969f0",
     "figure3.csv": "53d819a209ed7bf532c9e197427f4239c6ff663ab4205cbdc13598f91bee4c54",
-    "figure3.json": "dba6c4901f7dd77fe2aa9e5ab7aad1e937cd76c960a7eaf0726f46c5a0b0737a",
+    "figure3.json": "0625f55a71d9d9c7cc4bdbf0e07eb93a2a6367d2bd3b543fb6b45ea2b3b109f6",
     "figure3.svg": "71f9dfd80698be0a71ce295fb9c8c312bebacad0d628a5a86df9114c3285b92a",
     "beta71.csv": "3f7ad6e5aa03a789aaa370835e9a10120a369ae79422ab96c2acec15cedea199",
     "beta71.json": "70d1578d2241f06204a848b69b99db13d1a3d6486c57278db46c8e329d5618f0",
@@ -43,7 +43,7 @@ GOLDEN = {
     "atoms_float.json": "34b5bbb244b60a07c335e5ca76e5aae3deb6d5ca23de6b70e80be2fe4e8fa600",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
     "beta_float.json": "ed5e895330918e566b286dce48404408e6c065777c182d7a9d4d41ac2246870a",
-    "audit_all.json": "f6e4c286113b2f9291eb98172518a6bf26e92250d2e08984b3e9e31cd6f3c424",
+    "audit_all.json": "f703109541ed6e90bb1b6ea5083ad3ea5a2a84b8bcda2d76c834731dea72ffd3",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
     "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",
 }

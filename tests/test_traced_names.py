@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from posterior_dynamics import diagnostics as dg
+from posterior_dynamics import engine
 from posterior_dynamics.util import ExactValue
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -41,3 +43,13 @@ def test_traced_function_exists(module, attr):
 @pytest.mark.parametrize("dunder", SPANS.EXACT_COMPARE_DUNDERS)
 def test_exact_compare_dunder_is_defined_on_exact_value(dunder):
     assert dunder in ExactValue.__dict__
+
+
+def test_analyze_solves_a_normal_sequence_once(monkeypatch):
+    # the benchmark pins one normal_critical_points call per normal psi run
+    calls = []
+    solve = dg.normal_critical_points
+    monkeypatch.setattr(dg, "normal_critical_points", lambda *a: calls.append(a) or solve(*a))
+    report = dg.analyze(engine.expected_posterior_normal(-1 / 3, 1 / 3, 100.0, 50))
+    assert len(calls) == 1
+    assert [kind for _, kind in report.critical_points] == ["min", "max"]
