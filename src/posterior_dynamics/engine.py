@@ -39,7 +39,14 @@ from .priors import (
 )
 from .quadrature import integrate_half_line, integrate_real_line
 from .specialfn import bessel_K_half, binomial_square_sum, legendre_ratios
-from .util import ExactValue, logsumexp, tree_sum_fractions
+from .util import (
+    CANONICAL_RATIONAL_BITS,
+    DeferredExactValue,
+    ExactValue,
+    logsumexp,
+    tree_sum_fractions,
+    tree_sum_leading_bits,
+)
 
 Real = Union[int, float, Fraction]
 
@@ -62,7 +69,8 @@ class ExpectedPosteriorSequence:
 
     Exact routes pass ``values`` (ExactValue entries), float routes pass
     ``log_values``; the other list is derived, so ``values`` holds
-    ExactValues or floats and ``log_values`` always holds float logs.
+    ExactValues or floats and ``log_values`` always holds float logs
+    (read off the leading bits, so no deferred pair is built for them).
     """
 
     family: FamilySpec
@@ -78,7 +86,7 @@ class ExpectedPosteriorSequence:
         if self.values is None:
             self.values = [math.exp(lv) for lv in self.log_values]
         else:
-            self.log_values = [v.log() if v.num > 0 else float("-inf") for v in self.values]
+            self.log_values = [v.log() for v in self.values]
 
     @property
     def representation(self) -> str:
@@ -155,8 +163,11 @@ def expected_posterior_discrete(
 
     theta0 must be an atom; theta1 may be any parameter in [0, 1].  In
     exact mode (default whenever all inputs are rational) every value is an
-    exact big rational; float mode sums in log space against the running
-    maximum term.
+    exact big rational; one too large for ``canonical_str`` is a
+    ``DeferredExactValue`` whose certified leading bits give its float and
+    log, and whose pair is built on first use.  Float mode sums in log
+    space against the running maximum term.  A count u_n that theta1 can
+    produce but no atom can raises ImpossibleObservationError in both.
     """
     family = fam.bernoulli()
     prior.validate_for(family)
@@ -217,27 +228,42 @@ def _discrete_exact_values(
         pow_b01[k] = pow_b01[k - 1] * b01
         pow_d[k] = pow_d[k - 1] * denom
 
-    values = []
-    for n in range(1, horizon + 1):
+    def terms(n: int) -> tuple[list[int], list[int]]:
+        """Numerators and prior masses of the u_n = k terms of psi(n)."""
         nums, dens = [], []
         choose = 1
         for k in range(n + 1):
             mass = 0
             for j in range(n_atoms):
                 mass += wts[j] * pow_a[j][k] * pow_b[j][n - k]
-            numerator = choose * pow_a01[k] * pow_b01[n - k]
-            if mass == 0:
-                if numerator != 0:
-                    raise ImpossibleObservationError(
-                        f"impossible observation under prior support: u_{n}={k}"
-                    )
-            else:
-                nums.append(numerator)
+            if mass:
+                nums.append(choose * pow_a01[k] * pow_b01[n - k])
                 dens.append(mass)
+            elif (a1 or k == 0) and (b1 or k == n):  # theta1 can generate u_n = k
+                raise ImpossibleObservationError(
+                    f"impossible observation under prior support: u_{n}={k}"
+                )
             if k < n:
                 choose = choose * (n - k) // (k + 1)
+        return nums, dens
+
+    def exact_pair(n: int, nums: list[int], dens: list[int]) -> tuple[int, int]:
         total_num, total_den = tree_sum_fractions(nums, dens)
-        values.append(ExactValue(w0 * total_num, total_den * pow_d[n]))
+        return w0 * total_num, total_den * pow_d[n]
+
+    def rebuild(n: int) -> tuple[int, int]:
+        return exact_pair(n, *terms(n))
+
+    # a pair too large for canonical_str is not built: its certified
+    # leading bits give every emitted byte, and the pair waits for a use
+    values = []
+    for n in range(1, horizon + 1):
+        nums, dens = terms(n)
+        leading = tree_sum_leading_bits(nums, dens, w0, pow_d[n])
+        if leading and max(leading[0][0], leading[1][0]) > CANONICAL_RATIONAL_BITS:
+            values.append(DeferredExactValue(partial(rebuild, n), *leading))
+        else:
+            values.append(ExactValue(*exact_pair(n, nums, dens)))
     return values
 
 

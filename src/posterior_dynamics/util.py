@@ -3,7 +3,10 @@
 Exact sequence values can carry integer numerators/denominators with
 hundreds of thousands of bits, so this module avoids gcd normalization on
 the hot path.  ``ExactValue`` keeps raw (num, den) pairs; its float and
-log come from the 64 leading bits of each operand (``_split``).  The
+log come from the bit length and 64 leading bits of each operand
+(``_split``).  A ``DeferredExactValue`` carries only those leading bits,
+certified from ``ENCLOSURE_BITS``-bit enclosures of the pair
+(``tree_sum_leading_bits``), and builds the exact pair on first use.  The
 floats decide a comparison only where ``certified_sign`` proves them
 right; all others escalate to exact cross-multiplication, so results are
 exact in all cases.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 LOG2 = math.log(2.0)
 
@@ -22,6 +25,11 @@ LOG2 = math.log(2.0)
 # it the gcd/str cost dominates (and CPython caps int - str conversion
 # around 4300 digits), so only the float rendering is emitted
 CANONICAL_RATIONAL_BITS = 1 << 13
+
+# working precision of the enclosures that certify leading bits: each
+# truncation or inexact quotient of an m-term sum costs at most
+# 2^-(ENCLOSURE_BITS - 1) relative, so about 150 bits stay certified at m = 500
+ENCLOSURE_BITS = 160
 
 
 def logsumexp(terms: Iterable[float]) -> float:
@@ -111,8 +119,60 @@ def tree_sum_fractions(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, i
     return nums[0], dens[0]
 
 
+def certified_top_bits(lo: int, hi: int, exp: int) -> tuple[int, int] | None:
+    """(bits, top) with X.bit_length() == bits and X >> (bits - 64) == top
+    for every integer X in [lo·2^exp, hi·2^exp], 0 < lo <= hi.
+
+    None where the ends disagree: they straddle a power of two or a 64-bit
+    truncation boundary, or X has 64 bits or fewer (then ``_split`` keeps
+    all of X and no enclosure narrower than X itself can name it).
+    """
+    width = lo.bit_length()
+    bits = width + exp
+    if lo <= 0 or bits <= 64 or hi.bit_length() != width:
+        return None
+    top = (lo << 64) >> width
+    return (bits, top) if (hi << 64) >> width == top else None
+
+
+def tree_sum_leading_bits(
+    nums: Sequence[int], dens: Sequence[int], num_scale: int, den_scale: int
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """``certified_top_bits`` of num_scale·N and of den_scale·D, where
+    (N, D) = tree_sum_fractions(nums, dens), nums >= 0 and dens, scales > 0,
+    read off enclosures of ENCLOSURE_BITS bits without building (N, D).
+
+    D is the product of dens whatever the merge order, so a running product
+    truncated outward encloses it.  N/D is the sum of nums[i]/dens[i]; with
+    the fixed-point quotients floor(nums[i]·2^s / dens[i]), s chosen so the
+    largest has at least ENCLOSURE_BITS bits, the sum lies within one unit
+    per inexact quotient above their total.  None where either side is
+    undecided, or where N = 0.
+    """
+    gap = max((n.bit_length() - d.bit_length() for n, d in zip(nums, dens) if n), default=None)
+    if gap is None:
+        return None
+    s = ENCLOSURE_BITS + 1 - gap
+    sum_lo = sum_hi = 0
+    for n, d in zip(nums, dens):
+        q, r = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
+        sum_lo += q
+        sum_hi += q + (r != 0)
+    lo = hi = 1
+    exp = 0
+    for d in dens:
+        lo, hi = lo * d, hi * d
+        t = hi.bit_length() - ENCLOSURE_BITS
+        if t > 0:  # widen outward: floor lo, ceil hi; exact if only zeros drop
+            lo, hi, exp = lo >> t, -(-hi >> t), exp + t
+    num = certified_top_bits(lo * sum_lo * num_scale, hi * sum_hi * num_scale, exp - s)
+    den = certified_top_bits(lo * den_scale, hi * den_scale, exp)
+    return None if num is None or den is None else (num, den)
+
+
 class ExactValue:
-    """An exact rational kept unnormalized; comparisons are exact."""
+    """An exact rational kept unnormalized; comparisons are exact, and
+    each reads the pair only where the floats cannot decide it."""
 
     __slots__ = ("num", "den")
 
@@ -131,8 +191,11 @@ class ExactValue:
         return ratio_to_float(self.num, self.den)
 
     def log(self) -> float:
+        """Natural log, from the leading bits; -inf at zero."""
         if self.num <= 0:
-            raise ValueError("log of a non-positive ExactValue")
+            if self.num == 0:
+                return -math.inf
+            raise ValueError("log of a negative ExactValue")
         m, e = _split(self.num, self.den)
         return math.log(m) + e * LOG2
 
@@ -146,15 +209,15 @@ class ExactValue:
     __rmul__ = __mul__
 
     def _cmp(self, other) -> int:
-        if isinstance(other, ExactValue):
-            onum, oden = other.num, other.den
-        elif isinstance(other, (int, Fraction)):
-            onum, oden = other.numerator, other.denominator
-        else:
+        if not isinstance(other, (ExactValue, int, Fraction)):
             raise TypeError(f"cannot compare ExactValue with {type(other)!r}")
         sign = certified_sign(float_or_inf(self), 1, float_or_inf(other), 1)
         if sign:
             return sign
+        if isinstance(other, ExactValue):
+            onum, oden = other.num, other.den
+        else:
+            onum, oden = other.numerator, other.denominator
         d = self.num * oden - onum * self.den
         return (d > 0) - (d < 0)
 
@@ -180,13 +243,62 @@ class ExactValue:
 
     def canonical_str(self) -> str | None:
         """"p/q" in lowest terms, or None when the value is too large."""
-        if (
-            self.den.bit_length() > CANONICAL_RATIONAL_BITS
-            or abs(self.num).bit_length() > CANONICAL_RATIONAL_BITS
-        ):
+        if max(self._bit_lengths()) > CANONICAL_RATIONAL_BITS:
             return None
         f = self.as_fraction()
         return f"{f.numerator}/{f.denominator}"
 
+    def _bit_lengths(self) -> tuple[int, int]:
+        return abs(self.num).bit_length(), self.den.bit_length()
+
     def __repr__(self):
         return f"ExactValue({float(self):.6g})"
+
+
+class DeferredExactValue(ExactValue):
+    """A positive ExactValue that holds, instead of its (num, den) pair,
+    the bit length and 64 leading bits of each side, certified by
+    ``tree_sum_leading_bits``.
+
+    float, log and canonical_str read only those and give exactly what the
+    pair gives.  The first read of ``num`` or ``den`` (an escalated
+    comparison, ``as_fraction``, ``hash``, ``*``) calls ``build()`` for the
+    pair and keeps it.
+    """
+
+    __slots__ = ("_build", "_pair", "_num_lead", "_den_lead")
+
+    def __init__(
+        self,
+        build: Callable[[], tuple[int, int]],
+        num_lead: tuple[int, int],
+        den_lead: tuple[int, int],
+    ):
+        self._build = build
+        self._pair = None
+        self._num_lead = num_lead
+        self._den_lead = den_lead
+
+    def _exact(self) -> tuple[int, int]:
+        if self._pair is None:
+            self._pair = self._build()
+            self._build = None
+        return self._pair
+
+    num = property(lambda self: self._exact()[0])
+    den = property(lambda self: self._exact()[1])
+
+    def _leading(self) -> tuple[float, int]:
+        """``_split(num, den)``: each side keeps its 64 leading bits."""
+        (num_bits, num_top), (den_bits, den_top) = self._num_lead, self._den_lead
+        return num_top / den_top, num_bits - den_bits
+
+    def __float__(self) -> float:
+        return math.ldexp(*self._leading())
+
+    def log(self) -> float:
+        m, e = self._leading()
+        return math.log(m) + e * LOG2
+
+    def _bit_lengths(self) -> tuple[int, int]:
+        return self._num_lead[0], self._den_lead[0]

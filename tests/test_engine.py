@@ -2,11 +2,17 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
+from itertools import pairwise
+from unittest import mock
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from posterior_dynamics import cli
 from posterior_dynamics import diagnostics as dg
 from posterior_dynamics import engine
 from posterior_dynamics import families as fam
@@ -14,7 +20,7 @@ from posterior_dynamics import figures
 from posterior_dynamics import orders
 from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
-from posterior_dynamics.util import ExactValue
+from posterior_dynamics.util import DeferredExactValue, ExactValue, tree_sum_fractions
 
 
 def reduction_check_factor(family, prior, theta0, theta1):
@@ -68,6 +74,110 @@ class TestDiscreteRoute:
         assert seq.representation == engine.REPR_RATIONAL
         brute = engine.expected_posterior_bruteforce(COIN_OR_SURE, F(1, 2), F(3, 7), 4)
         assert seq.value(4).as_fraction() == brute
+
+
+def eager_pairs(prior, theta0, theta1, horizon):
+    """The exact (num, den) of psi(1..horizon) as the atom route builds
+    them when nothing is deferred: over the common denominators of the
+    atoms and theta1 and of the weights, one tree_sum_fractions per n of
+    C(n, k) (theta0 theta1)^k ((1-theta0)(1-theta1))^(n-k) over the prior
+    mass of u_n = k, skipping zero masses that theta1 cannot produce."""
+    denom = math.lcm(*(F(t).denominator for t in prior.thetas), F(theta1).denominator)
+    wdenom = math.lcm(*(w.denominator for w in prior.weights))
+    atoms = [(int(t * denom), int(w * wdenom)) for t, w in prior.atoms]
+    a0, a1 = int(theta0 * denom), int(theta1 * denom)
+    pairs = []
+    for n in range(1, horizon + 1):
+        nums, dens = [], []
+        for k in range(n + 1):
+            mass = sum(w * a**k * (denom - a) ** (n - k) for a, w in atoms)
+            if mass:
+                nums.append(math.comb(n, k) * (a0 * a1) ** k
+                            * ((denom - a0) * (denom - a1)) ** (n - k))
+                dens.append(mass)
+            elif a1**k * (denom - a1) ** (n - k):
+                raise pr.ImpossibleObservationError(
+                    f"impossible observation under prior support: u_{n}={k}")
+        num, den = tree_sum_fractions(nums, dens)
+        pairs.append((int(prior.weight_of(theta0) * wdenom) * num, den * denom**n))
+    return pairs
+
+
+GRID = [F(i, 20) for i in range(21)]
+
+
+@st.composite
+def atom_cases(draw):
+    """(prior, theta0, theta1, horizon): 2-4 atoms on the 1/20 grid with 0
+    and 1, theta1 anywhere in [0, 1], a horizon long enough to defer."""
+    thetas = draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=4, unique=True))
+    raw = draw(st.lists(st.integers(1, 5000), min_size=len(thetas), max_size=len(thetas)))
+    prior = pr.atoms(*((t, F(w, sum(raw))) for t, w in zip(thetas, raw)))
+    q = draw(st.integers(1, 40))
+    theta1 = F(draw(st.integers(0, q)), q)
+    return prior, draw(st.sampled_from(thetas)), theta1, draw(st.integers(60, 72))
+
+
+class TestDeferredValues:
+    @settings(max_examples=15)
+    @given(atom_cases())
+    def test_every_read_matches_the_eager_pair(self, case):
+        try:
+            pairs = eager_pairs(*case)
+        except pr.ImpossibleObservationError as err:
+            with pytest.raises(pr.ImpossibleObservationError, match=re.escape(str(err))):
+                engine.expected_posterior_discrete(*case)
+            return
+        fractions = [F(*pair) for pair in pairs]
+        with mock.patch.object(engine, "tree_sum_fractions", wraps=tree_sum_fractions) as sums:
+            seq = engine.expected_posterior_discrete(*case)
+            eager = sum(not isinstance(v, DeferredExactValue) for v in seq.values)
+            for v, pair, log in zip(seq.values, pairs, seq.log_values):
+                want = ExactValue(*pair)
+                assert (float(v), v.log(), log) == (float(want), want.log(), want.log())
+                assert v.canonical_str() == want.canonical_str()
+            assert sums.call_count == eager  # no read so far built a pair
+            for (a, b), (fa, fb) in zip(pairwise(seq.values), pairwise(fractions)):
+                assert [a < b, a <= b, a > b, a >= b, a == b] == [
+                    fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb]
+            for v, pair, f in zip(seq.values, pairs, fractions):
+                assert (v.as_fraction(), hash(v), (v.num, v.den)) == (f, hash(f), pair)
+            assert sums.call_count == case[3]
+
+    def test_figure1_defers_every_value_too_large_to_print(self):
+        seq = engine.expected_posterior_discrete(FIGURE1_PRIOR, F(1, 2), F(13, 20), 200)
+        deferred = [n for n in seq.ns() if isinstance(seq.value(n), DeferredExactValue)]
+        assert deferred == list(range(47, 201))
+        assert seq.rational_strings()[46:] == [None] * 154
+        assert seq.value(46).canonical_str() is not None
+        with mock.patch.object(engine, "tree_sum_fractions") as sums:
+            assert seq.value(100) > seq.value(200)  # decided on the floats
+        assert sums.call_count == 0
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_impossible_observation_is_refused(self, mode):
+        # atoms 0 and 1 give u_2 = 1 no prior mass, but theta1 = 1/2 can produce it
+        prior = pr.atoms((F(0), F(1, 2)), (F(1), F(1, 2)))
+        with pytest.raises(pr.ImpossibleObservationError, match=r"u_2=1$"):
+            engine.expected_posterior_discrete(prior, F(0), F(1, 2), 60, mode=mode)
+
+    def test_zero_psi_keeps_log_minus_infinity(self):
+        # theta0 = 0 explains no success, theta1 = 1 produces only successes
+        prior = pr.atoms((F(0), F(1, 3)), (F(1, 20), F(2, 3)))
+        seq = engine.expected_posterior_discrete(prior, F(0), F(1), 80)
+        assert seq.log_values == [-math.inf] * 80
+        assert [v.as_fraction() for v in seq.values] == [0] * 80
+        assert not any(isinstance(v, DeferredExactValue) for v in seq.values)
+
+
+def test_psi_figure1_sums_only_the_printed_rationals(monkeypatch, tmp_path):
+    """A CLI run of figure1 (H = 200) through analysis and emission builds
+    the exact pair only where canonical_str prints it (n <= 46)."""
+    calls = []
+    monkeypatch.setattr(engine, "tree_sum_fractions",
+                        lambda nums, dens: calls.append(len(nums)) or tree_sum_fractions(nums, dens))
+    assert cli.main(["psi", "figure1", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(calls) <= 50
 
 
 class TestBruteForceOracle:

@@ -34,6 +34,9 @@ GOLDEN = {
     "figure1.csv": "2b6f116a451c8dbcd3b6c955fb2f9313022ab15c90c723eb671b5d81d3107eae",
     "figure1.json": "6d5d467cacce908d87f8732b55b40aad07fc6fdc4a4422827ff79e17f32aef02",
     "figure1.svg": "9535986e3ae22675a384f69ffb95c0542ccd612cd01f349e3f4c6d40171969f0",
+    "figure2.csv": "ecb6eefc9a444468e5a2ae4363adc759f2b61376039b5347764622c3199bbbb8",
+    "figure2.json": "8a520abfbccd4cbc3013b5127eadc040f1d4e0e94010bee0b6e03a9be2d447be",
+    "figure2.svg": "d02f4296a4e6642a11b933192c0e077034886ee8e70630240275798ba3f44657",
     "figure3.csv": "53d819a209ed7bf532c9e197427f4239c6ff663ab4205cbdc13598f91bee4c54",
     "figure3.json": "0625f55a71d9d9c7cc4bdbf0e07eb93a2a6367d2bd3b543fb6b45ea2b3b109f6",
     "figure3.svg": "71f9dfd80698be0a71ce295fb9c8c312bebacad0d628a5a86df9114c3285b92a",
@@ -57,7 +60,7 @@ def _sha256(path) -> str:
 def emitted(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     scenarios = tmp_path_factory.mktemp("scenarios")
-    tokens = ["figure1", "figure3", "beta71"]
+    tokens = ["figure1", "figure2", "figure3", "beta71"]
     for name, body in SCENARIOS.items():
         path = scenarios / f"{name}.json"
         path.write_text(json.dumps({"schema": 1, **body, "outputs": ["csv", "json"]}))

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from posterior_dynamics import diagnostics as dg
-from posterior_dynamics import engine
-from posterior_dynamics.util import ExactValue
+from posterior_dynamics import engine, scenario
+from posterior_dynamics.figures import bundled_scenario
+from posterior_dynamics.util import DeferredExactValue, ExactValue, tree_sum_fractions
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,3 +54,22 @@ def test_analyze_solves_a_normal_sequence_once(monkeypatch):
     report = dg.analyze(engine.expected_posterior_normal(-1 / 3, 1 / 3, 100.0, 50))
     assert len(calls) == 1
     assert [kind for _, kind in report.critical_points] == ["min", "max"]
+
+
+def test_max_bits_reads_deferred_values_like_eager_ones(monkeypatch):
+    # the traced run reads engine.exact.max_bits off every value's pair,
+    # building the deferred ones, and pins H tree sums per exact atom item
+    figure1 = bundled_scenario("figure1")
+    calls = []
+    monkeypatch.setattr(engine, "tree_sum_fractions",
+                        lambda nums, dens: calls.append(len(nums)) or tree_sum_fractions(nums, dens))
+    seq = scenario.run_scenario(figure1)
+    assert any(isinstance(v, DeferredExactValue) for v in seq.values)
+    bits = SPANS._max_bits(seq.values)
+    assert len(calls) == figure1.horizon
+    SPANS._max_bits(seq.values)
+    assert len(calls) == figure1.horizon  # each pair is built once
+    monkeypatch.setattr(engine, "tree_sum_leading_bits", lambda *args: None)
+    eager = scenario.run_scenario(figure1)
+    assert not any(isinstance(v, DeferredExactValue) for v in eager.values)
+    assert bits == SPANS._max_bits(eager.values)

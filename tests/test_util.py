@@ -11,7 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from posterior_dynamics import diagnostics as dg
-from posterior_dynamics.util import ROUNDING, ExactValue, certified_sign, ratio_to_float
+from posterior_dynamics.util import (
+    ROUNDING,
+    ExactValue,
+    certified_sign,
+    certified_top_bits,
+    ratio_to_float,
+    tree_sum_leading_bits,
+)
 
 # widest bit-length gap between numerator and denominator that still
 # leaves the quotient near the float range
@@ -83,6 +90,60 @@ class TestRatioToFloat:
         assert ratio_to_float(3, -4) == -0.75
         with pytest.raises(ZeroDivisionError):
             ratio_to_float(1, 0)
+
+
+def _leading(x: int) -> tuple[int, int]:
+    """(bit length, 64 leading bits) of x, as ``_split`` truncates it."""
+    return x.bit_length(), x >> max(x.bit_length() - 64, 0)
+
+
+class TestCertifiedTopBits:
+    TOP = (1 << 63) | 0x5DEECE66D  # a 64-bit leading part
+
+    def test_exact_enclosure_is_decided(self):
+        for x, exp in ((self.TOP << 40 | 12345, 0), (self.TOP, 100), (self.TOP << 200, -150)):
+            assert certified_top_bits(x, x, exp) == _leading(x << exp if exp >= 0 else x >> -exp)
+
+    def test_narrow_enclosure_is_decided(self):
+        x = self.TOP << 96 | 2**95
+        assert certified_top_bits(x - 2**90, x + 2**90, 7) == _leading(x << 7)
+
+    def test_declines_a_straddled_truncation_boundary(self):
+        # X = TOP·2^36 exactly: one unit below, the leading bits are TOP - 1
+        x = self.TOP << 36
+        assert certified_top_bits(x - 1, x + 1, 0) is None
+        assert certified_top_bits(x - 1, x, 0) is None
+        assert certified_top_bits(x, x + 1, 0) == _leading(x)
+
+    def test_declines_a_straddled_power_of_two(self):
+        assert certified_top_bits(2**100 - 1, 2**100 + 1, 0) is None
+        assert certified_top_bits(2**100 - 1, 2**100, 0) is None
+        assert certified_top_bits(2**99, 2**100 - 1, 3) is None
+
+    def test_declines_short_and_empty_values(self):
+        assert certified_top_bits(2**63, 2**63, 0) is None  # 64 bits: _split keeps all
+        assert certified_top_bits(0, 5, 100) is None
+
+    def test_sum_on_a_boundary_is_declined(self):
+        # 1/3 + 2/3 = 1 exactly, but each fixed-point quotient is inexact,
+        # so the enclosure of N = 9·2^200 straddles its leading bits
+        nums, dens = [2**100, 2**101], [3 << 100, 3 << 100]
+        assert tree_sum_leading_bits(nums, dens, 1, 1) is None
+
+    def test_sum_on_a_power_of_two_is_declined(self):
+        # N = 2^300 exactly, over a mass with nonzero bits below its leading
+        # 160: only a product rounded outward keeps N inside the enclosure
+        assert tree_sum_leading_bits([2**300], [2**199 + 2**39 - 1], 1, 1) is None
+
+    @given(st.lists(st.tuples(st.integers(0, 2**300), st.integers(1, 2**300)),
+                    min_size=1, max_size=30), st.integers(1, 2**64), st.integers(1, 2**900))
+    def test_sum_matches_the_exact_pair(self, terms, num_scale, den_scale):
+        nums, dens = [n for n, _ in terms], [d for _, d in terms]
+        got = tree_sum_leading_bits(nums, dens, num_scale, den_scale)
+        if got is not None:
+            num = num_scale * sum(n * math.prod(dens[:i] + dens[i + 1 :]) for i, n in enumerate(nums))
+            den = den_scale * math.prod(dens)
+            assert got == (_leading(num), _leading(den))
 
 
 class TestExactValueOrdering:
