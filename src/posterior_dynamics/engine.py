@@ -120,9 +120,14 @@ def _resolve_exact(mode: str, exact_ok: bool, requirement: str) -> bool:
     return mode != "float" and exact_ok
 
 
-def _bernoulli_float_log(theta0, theta1, n: int, log_pi0: float, log_marginal) -> float:
+def _bernoulli_float_log(
+    theta0: float, theta1: float, n: int, log_pi0: float, log_marginal
+) -> float:
     """log psi(n) = log sum_k pi(theta0) p_theta0(k) p_theta1(k) / m(k) over
-    u_n = k, where ``log_marginal(n, k)`` is log m(k), the prior predictive."""
+    u_n = k, where ``log_marginal(n, k)`` is log m(k), the prior predictive.
+
+    The thetas are floats: each caller checks its exact inputs once, at its
+    entry, and passes ``float(theta)``, the value the density reads anyway."""
     family = fam.bernoulli()
     terms = []
     for k in range(n + 1):
@@ -184,14 +189,13 @@ def expected_posterior_discrete(
         values = _discrete_exact_values(prior, theta0, theta1, horizon)
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     t0w = math.log(float(prior.weight_of(theta0)))
-    weighted = [(t, math.log(float(w))) for t, w in prior.atoms]
+    weighted = [(float(t), math.log(float(w))) for t, w in prior.atoms]
 
     def log_marginal(n: int, k: int) -> float:
         return logsumexp(lw + fam.suff_stat_log_density(family, t, n, k) for t, lw in weighted)
 
-    logs = [
-        _bernoulli_float_log(theta0, theta1, n, t0w, log_marginal) for n in range(1, horizon + 1)
-    ]
+    t0, t1 = float(theta0), float(theta1)
+    logs = [_bernoulli_float_log(t0, t1, n, t0w, log_marginal) for n in range(1, horizon + 1)]
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, log_values=logs)
 
 
@@ -441,9 +445,9 @@ def expected_posterior_beta(
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     log_density0 = pr.prior_log_density(prior, theta0)
     log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
+    t0, t1 = float(theta0), float(theta1)
     logs = [
-        _bernoulli_float_log(theta0, theta1, n, log_density0, log_marginal)
-        for n in range(1, horizon + 1)
+        _bernoulli_float_log(t0, t1, n, log_density0, log_marginal) for n in range(1, horizon + 1)
     ]
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, log_values=logs)
 
@@ -471,12 +475,16 @@ def expected_posterior_quadrature(
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
     if family.kind == BERNOULLI and isinstance(prior, (DiscreteAtoms, Uniform01, Beta)):
+        # exact checks before the float kernel: 1 + 10^-20 must not round to 1.0
+        family.require_theta(theta0, closure=True)
+        family.require_theta(theta1, closure=True)
         if isinstance(prior, DiscreteAtoms):
             log_pi0 = math.log(float(prior.weight_of(theta0)))
         else:
             log_pi0 = pr.prior_log_density(prior, theta0)
         log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
-        return math.exp(_bernoulli_float_log(theta0, theta1, n, log_pi0, log_marginal)), 0.0
+        log_psi = _bernoulli_float_log(float(theta0), float(theta1), n, log_pi0, log_marginal)
+        return math.exp(log_psi), 0.0
     if family.kind == NORMAL and isinstance(prior, StdNormal):
         integrate, support_lo = integrate_real_line, -math.inf
     elif family.kind == EXPONENTIAL and isinstance(prior, ExpPrior):

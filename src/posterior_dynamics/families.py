@@ -31,8 +31,9 @@ BERNOULLI = "bernoulli"
 NORMAL = "normal"
 EXPONENTIAL = "exponential"
 
-# open interval of valid parameters, per kind
-_DOMAINS = {BERNOULLI: (0.0, 1.0), NORMAL: (-math.inf, math.inf), EXPONENTIAL: (0.0, math.inf)}
+# open interval of valid parameters, per kind; the finite bounds are ints,
+# so a Fraction theta compares exactly and without converting a float bound
+_DOMAINS = {BERNOULLI: (0, 1), NORMAL: (-math.inf, math.inf), EXPONENTIAL: (0, math.inf)}
 _KINDS = tuple(_DOMAINS)
 
 NEG_INF = float("-inf")
@@ -64,9 +65,8 @@ class FamilySpec:
         lo, hi = _DOMAINS[self.kind]
         if not (lo <= theta <= hi if closure else lo < theta < hi):
             kind = "closure of " if closure else ""
-            raise DomainError(
-                f"theta={theta} outside {kind}({lo}, {hi}) for the {self.kind} family"
-            )
+            bounds = f"({float(lo)}, {float(hi)})"
+            raise DomainError(f"theta={theta} outside {kind}{bounds} for the {self.kind} family")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -135,7 +135,11 @@ def bhattacharyya_reduction(family: FamilySpec, theta0: Real, theta1: Real) -> t
 
 
 def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> float:
-    """log density/pmf of u_n = sum of n iid observations, given theta."""
+    """log density/pmf of u_n = sum of n iid observations, given theta.
+
+    theta is checked here, for direct callers; the float Bernoulli routes
+    of ``engine`` check theta exactly once at their entry and pass
+    ``float(theta)``, which is all the arithmetic below reads."""
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
     family.require_theta(theta, closure=(family.kind == BERNOULLI))

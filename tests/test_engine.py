@@ -421,6 +421,63 @@ class TestQuadratureOracleBernoulli:
             assert (value, err) == (seq.value(n), 0.0)
 
 
+OUTSIDE_UNIT = [F(10**20 + 1, 10**20), F(-1, 10**20), -1e-20]
+
+
+class TestFloatBernoulliDomain:
+    """Each float Bernoulli route checks theta exactly at its entry, before
+    the kernel rounds it: 1 + 10^-20 would round to 1.0 and pass."""
+
+    @pytest.mark.parametrize("theta1", OUTSIDE_UNIT)
+    def test_discrete_float_mode(self, theta1):
+        with pytest.raises(DomainError):
+            engine.expected_posterior_discrete(FIGURE1_PRIOR, F(1, 2), theta1, 5, mode="float")
+
+    @pytest.mark.parametrize("theta1", OUTSIDE_UNIT)
+    def test_beta_float_mode(self, theta1):
+        with pytest.raises(DomainError):
+            engine.expected_posterior_beta(pr.Beta(7, 1), F(3, 4), theta1, 5, mode="float")
+
+    @pytest.mark.parametrize("prior,theta0", [
+        (FIGURE1_PRIOR, F(1, 2)), (pr.Uniform01(), F(1, 2)), (pr.Beta(7, 1), F(3, 4)),
+    ])
+    @pytest.mark.parametrize("theta1", OUTSIDE_UNIT)
+    def test_quadrature_oracle(self, prior, theta0, theta1):
+        with pytest.raises(DomainError):
+            engine.expected_posterior_quadrature(fam.bernoulli(), prior, theta0, theta1, 5)
+
+
+@st.composite
+def float_mode_cases(draw):
+    """(route, prior, theta0, theta1) with rational inputs: 2-4 interior
+    atoms on the 1/20 grid, or an integer Beta shape."""
+    interior = GRID[1:-1]
+    if draw(st.booleans()):
+        thetas = draw(st.lists(st.sampled_from(interior), min_size=2, max_size=4, unique=True))
+        raw = draw(st.lists(st.integers(1, 50), min_size=len(thetas), max_size=len(thetas)))
+        prior = pr.atoms(*((t, F(w, sum(raw))) for t, w in zip(thetas, raw)))
+        theta0, theta1 = draw(st.sampled_from(thetas)), draw(st.sampled_from(GRID))
+        return engine.expected_posterior_discrete, prior, theta0, theta1
+    prior = pr.Beta(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    theta0 = draw(st.sampled_from(interior))
+    return engine.expected_posterior_beta, prior, theta0, draw(st.sampled_from(interior))
+
+
+def as_float_inputs(prior, theta0, theta1):
+    if isinstance(prior, pr.DiscreteAtoms):
+        prior = pr.DiscreteAtoms(tuple((float(t), w) for t, w in prior.atoms))
+    return prior, float(theta0), float(theta1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(float_mode_cases(), st.integers(1, 30))
+def test_float_mode_reads_only_the_rounded_thetas(case, horizon):
+    route, *inputs = case
+    exact_in = route(*inputs, horizon, mode="float").log_values
+    float_in = route(*as_float_inputs(*inputs), horizon, mode="float").log_values
+    assert [v.hex() for v in exact_in] == [v.hex() for v in float_in]
+
+
 class TestSequenceBehavior:
     def test_diagonal_sequences_increase(self):
         sequences = [

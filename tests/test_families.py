@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posterior_dynamics import families as fam
 from posterior_dynamics.families import DomainError
@@ -68,6 +70,27 @@ class TestFisherInformation:
             fam.fisher_information(fam.bernoulli(), 1.5)
         with pytest.raises(DomainError):
             fam.fisher_information(fam.exponential(), -1.0)
+
+    @given(
+        st.sampled_from([0, 1]),
+        st.one_of(
+            st.integers(-(10**6), 10**6).map(lambda m: Fraction(m, 10**36)),
+            st.floats(-1e-30, 1e-30),
+        ),
+        st.booleans(),
+    )
+    def test_bernoulli_verdict_is_exact_at_the_bounds(self, bound, offset, closure):
+        # within 10^-30 of 0 and 1, where a theta rounded to float before
+        # the check would let 1 + 10^-36 pass as 1.0
+        theta = bound + offset
+        x = Fraction(theta)
+        inside = 0 <= x <= 1 if closure else 0 < x < 1
+        try:
+            fam.bernoulli().require_theta(theta, closure=closure)
+        except DomainError:
+            assert not inside
+        else:
+            assert inside
 
 
 class TestReduction:

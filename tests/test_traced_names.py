@@ -7,12 +7,16 @@ that file by path, without changing it, and fails here first.
 
 import importlib
 import importlib.util
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from posterior_dynamics import diagnostics as dg
 from posterior_dynamics import engine, scenario
+from posterior_dynamics import families as fam
+from posterior_dynamics import priors as pr
 from posterior_dynamics.figures import bundled_scenario
 from posterior_dynamics.util import DeferredExactValue, ExactValue, tree_sum_fractions
 
@@ -73,3 +77,39 @@ def test_max_bits_reads_deferred_values_like_eager_ones(monkeypatch):
     eager = scenario.run_scenario(figure1)
     assert not any(isinstance(v, DeferredExactValue) for v in eager.values)
     assert bits == SPANS._max_bits(eager.values)
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Counter of calls to the helpers perfbench's selfcheck pins per float
+    item; a hoist out of the per-term kernel fails here before it fails a
+    traced benchmark run."""
+    calls = Counter()
+    for module, attr in ((fam, "suff_stat_log_density"), (engine, "logsumexp"),
+                         (pr, "marginal_suffstat_logpmf")):
+        inner, name = getattr(module, attr), f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"
+        monkeypatch.setattr(module, attr,
+                            lambda *a, inner=inner, name=name: calls.update([name]) or inner(*a))
+    return calls
+
+
+H = 12
+TERMS = H * (H + 3) // 2  # (n, k) pairs with 1 <= n <= H, 0 <= k <= n
+
+
+def test_float_atom_route_makes_the_pinned_calls(counted_calls):
+    figure1 = bundled_scenario("figure1")
+    atoms = len(figure1.prior.atoms)
+    assert atoms == 3
+    engine.expected_posterior_discrete(figure1.prior, figure1.theta0, figure1.theta1, H,
+                                       mode="float")
+    assert counted_calls == {"families.suff_stat_log_density": (2 + atoms) * TERMS,
+                             "engine.logsumexp": TERMS + H}
+
+
+def test_float_beta_route_makes_the_pinned_calls(counted_calls):
+    engine.expected_posterior_beta(pr.Beta(7, 1), Fraction(3, 4), Fraction(9, 10), H,
+                                   mode="float")
+    assert counted_calls == {"priors.marginal_suffstat_logpmf": TERMS,
+                             "families.suff_stat_log_density": 2 * TERMS,
+                             "engine.logsumexp": H}
