@@ -434,13 +434,19 @@ def expected_posterior_beta(
         density0 = t0 ** (a_int - 1) * (1 - t0) ** (b_int - 1) * inv_beta
         values = []
         for n in range(1, horizon + 1):
-            total = Fraction(0)
+            # term k is p0 p1 / marg = nums[k] / dens[k], unreduced; the
+            # terms are summed over the lcm of dens and reduced once, with
+            # density0, so each value is still in lowest terms
+            nums, dens = [], []
             for k in range(n + 1):
                 marg = pr.beta_marginal_pmf_exact(a_int, b_int, n, k)
                 p0 = fam.binomial_pmf_exact(t0, n, k)
                 p1 = fam.binomial_pmf_exact(t1, n, k)
-                total += p0 * p1 / marg
-            value = total * density0
+                nums.append(p0.numerator * p1.numerator * marg.denominator)
+                dens.append(p0.denominator * p1.denominator * marg.numerator)
+            common = math.lcm(*dens)
+            total = sum(num * (common // den) for num, den in zip(nums, dens))
+            value = Fraction(total * density0.numerator, common * density0.denominator)
             values.append(ExactValue(value.numerator, value.denominator))
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     log_density0 = pr.prior_log_density(prior, theta0)

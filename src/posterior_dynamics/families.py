@@ -167,9 +167,14 @@ def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> f
 
 
 def binomial_pmf_exact(theta: Fraction, n: int, k: int) -> Fraction:
-    """Binomial(n, theta) mass at k as an exact rational; theta in [0, 1]."""
-    if not 0 <= theta <= 1:
+    """Binomial(n, theta) mass at k as an exact rational; theta a rational
+    in [0, 1].  With theta = p/q the mass is C(n,k) p^k (q-p)^(n-k) / q^n,
+    built on the integers and reduced once."""
+    if not isinstance(theta, (int, Fraction)):
+        raise DomainError(f"theta={theta!r} must be an int or Fraction for an exact pmf")
+    p, q = theta.numerator, theta.denominator
+    if not 0 <= p <= q:
         raise DomainError(f"theta={theta} outside [0, 1]")
     if k < 0 or k > n:
         return Fraction(0)
-    return math.comb(n, k) * theta**k * (1 - theta) ** (n - k)
+    return Fraction(math.comb(n, k) * p**k * (q - p) ** (n - k), q**n)

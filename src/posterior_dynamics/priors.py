@@ -247,8 +247,8 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
 
 def beta_marginal_pmf_exact(a: int, b: int, n: int, k: int) -> Fraction:
     """Bernoulli + Beta(a,b) prior predictive of u_n, exact for integer a,b."""
-    if a < 1 or b < 1:
-        raise PriorError("exact Beta marginal needs integer a, b >= 1")
+    if not (isinstance(a, int) and isinstance(b, int) and a >= 1 and b >= 1):
+        raise PriorError(f"exact Beta marginal needs integer a, b >= 1, got a={a!r}, b={b!r}")
     if k < 0 or k > n:
         return Fraction(0)
     # C(n,k) * B(k+a, n-k+b) / B(a,b) with integer-factorial Beta values

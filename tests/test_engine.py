@@ -381,7 +381,40 @@ class TestMpmathOracle:
                     assert seq.value(n) == pytest.approx(want, rel=1e-12)
 
 
+def fraction_beta_sum(a, b, theta0, theta1, horizon):
+    """psi(1..horizon) of the exact Beta(a, b) route as a plain Fraction
+    sum: term k of psi(n) is p0(k) p1(k) / marginal(k), normalised as it is
+    added, and the sum is scaled by the prior density at theta0."""
+    density0 = (theta0 ** (a - 1) * (1 - theta0) ** (b - 1)
+                * F(math.factorial(a + b - 1), math.factorial(a - 1) * math.factorial(b - 1)))
+    values = []
+    for n in range(1, horizon + 1):
+        total = F(0)
+        for k in range(n + 1):
+            marg = F(math.comb(n, k) * math.factorial(k + a - 1) * math.factorial(n - k + b - 1)
+                     * math.factorial(a + b - 1),
+                     math.factorial(n + a + b - 1) * math.factorial(a - 1) * math.factorial(b - 1))
+            p0 = math.comb(n, k) * theta0**k * (1 - theta0) ** (n - k)
+            p1 = math.comb(n, k) * theta1**k * (1 - theta1) ** (n - k)
+            total += p0 * p1 / marg
+        values.append(total * density0)
+    return values
+
+
+OPEN_GRID = GRID[1:-1]
+
+
 class TestBetaRoute:
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(OPEN_GRID),
+           st.sampled_from(OPEN_GRID), st.integers(1, 25))
+    def test_exact_matches_the_fraction_sum(self, a, b, theta0, theta1, horizon):
+        seq = engine.expected_posterior_beta(pr.Beta(a, b), theta0, theta1, horizon, mode="exact")
+        want = fraction_beta_sum(a, b, theta0, theta1, horizon)
+        assert [v.as_fraction() for v in seq.values] == want
+        assert [(v.num, v.den) for v in seq.values] == [
+            (w.numerator, w.denominator) for w in want]
+
     def test_exact_matches_float(self):
         prior = pr.Beta(7, 1)
         exact = engine.expected_posterior_beta(prior, F(3, 4), F(9, 10), 8, mode="exact")

@@ -198,6 +198,16 @@ class TestSuffStatDensity:
         assert pmf == Fraction(1, 2)
         assert fam.binomial_pmf_exact(Fraction(1), 3, 3) == 1
         assert fam.binomial_pmf_exact(Fraction(1), 3, 2) == 0
+        assert fam.binomial_pmf_exact(Fraction(3, 4), 4, 2) == Fraction(27, 128)  # 6 * 9 / 256
+
+    def test_exact_binomial_pmf_refuses_a_float_theta(self):
+        with pytest.raises(DomainError, match=r"theta=0\.5 must be an int or Fraction"):
+            fam.binomial_pmf_exact(0.5, 2, 1)
+
+    @pytest.mark.parametrize("theta", [Fraction(4, 3), Fraction(-1, 3)])
+    def test_exact_binomial_pmf_refuses_theta_outside_the_unit_interval(self, theta):
+        with pytest.raises(DomainError, match=rf"theta={theta} outside \[0, 1\]"):
+            fam.binomial_pmf_exact(theta, 2, 1)
 
 
 class TestSerialization:

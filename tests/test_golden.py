@@ -28,6 +28,10 @@ SCENARIOS = {
         "family": {"kind": "bernoulli"}, "prior": {"type": "beta", "a": 7, "b": 1},
         "theta0": "3/4", "theta1": "9/10", "horizon": 60, "numeric_mode": "float",
     },
+    "beta_exact": {
+        "family": {"kind": "bernoulli"}, "prior": {"type": "beta", "a": 7, "b": 1},
+        "theta0": "3/4", "theta1": "9/10", "horizon": 120, "numeric_mode": "exact",
+    },
 }
 
 GOLDEN = {
@@ -46,6 +50,8 @@ GOLDEN = {
     "atoms_float.json": "34b5bbb244b60a07c335e5ca76e5aae3deb6d5ca23de6b70e80be2fe4e8fa600",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
     "beta_float.json": "ed5e895330918e566b286dce48404408e6c065777c182d7a9d4d41ac2246870a",
+    "beta_exact.csv": "4636767e5fd6f2d5ae231e935f7e8380247286123a9cf9461dcbee0527f9cb4c",
+    "beta_exact.json": "393bfb63c87be3371a778fffc90daba508012992c672e92232ccc7390d711987",
     "audit_all.json": "f703109541ed6e90bb1b6ea5083ad3ea5a2a84b8bcda2d76c834731dea72ffd3",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
     "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",

@@ -132,6 +132,11 @@ class TestMarginals:
         total = sum(pr.beta_marginal_pmf_exact(3, 2, 6, k) for k in range(7))
         assert total == 1
 
+    @pytest.mark.parametrize("a,b", [(F(7, 2), 1), (7.0, 1), (7, 0.5), (0, 1)])
+    def test_exact_beta_marginal_needs_integer_shapes(self, a, b):
+        with pytest.raises(pr.PriorError, match="needs integer a, b >= 1"):
+            pr.beta_marginal_pmf_exact(a, b, 3, 1)
+
     def test_normal_marginal(self):
         # variance of the summed statistic is n^2 + n sigma^2
         value = pr.marginal_suffstat_logpmf(fam.normal(2.0), pr.StdNormal(), 3, 0.0)

@@ -82,11 +82,12 @@ def test_max_bits_reads_deferred_values_like_eager_ones(monkeypatch):
 @pytest.fixture
 def counted_calls(monkeypatch):
     """Counter of calls to the helpers perfbench's selfcheck pins per float
-    item; a hoist out of the per-term kernel fails here before it fails a
-    traced benchmark run."""
+    or exact Beta item; a hoist out of the per-term kernel fails here
+    before it fails a traced benchmark run."""
     calls = Counter()
     for module, attr in ((fam, "suff_stat_log_density"), (engine, "logsumexp"),
-                         (pr, "marginal_suffstat_logpmf")):
+                         (pr, "marginal_suffstat_logpmf"), (pr, "beta_marginal_pmf_exact"),
+                         (fam, "binomial_pmf_exact")):
         inner, name = getattr(module, attr), f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"
         monkeypatch.setattr(module, attr,
                             lambda *a, inner=inner, name=name: calls.update([name]) or inner(*a))
@@ -113,3 +114,10 @@ def test_float_beta_route_makes_the_pinned_calls(counted_calls):
     assert counted_calls == {"priors.marginal_suffstat_logpmf": TERMS,
                              "families.suff_stat_log_density": 2 * TERMS,
                              "engine.logsumexp": H}
+
+
+def test_exact_beta_route_makes_the_pinned_calls(counted_calls):
+    engine.expected_posterior_beta(pr.Beta(7, 1), Fraction(3, 4), Fraction(9, 10), H,
+                                   mode="exact")
+    assert counted_calls == {"priors.beta_marginal_pmf_exact": TERMS,
+                             "families.binomial_pmf_exact": 2 * TERMS}
