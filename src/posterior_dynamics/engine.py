@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import pairwise
 from typing import Union
 
 from . import families as fam
@@ -199,75 +200,101 @@ def expected_posterior_discrete(
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, log_values=logs)
 
 
+@dataclass(frozen=True)
+class _AtomIntegers:
+    """The exact atom route over integers: each atom and theta1 over their
+    common denominator ``denom`` (theta = a/denom, 1 - theta = b/denom),
+    each weight over the weights' common denominator."""
+
+    denom: int
+    atoms: tuple[tuple[int, int, int], ...]  # (w_j, a_j, b_j)
+    w0: int  # the weight of theta0
+    a01: int  # a0 a1: theta0 theta1 times denom^2
+    b01: int  # b0 b1
+    a1: int
+    b1: int
+
+    @classmethod
+    def of(cls, prior: DiscreteAtoms, theta0, theta1) -> _AtomIntegers:
+        thetas = [Fraction(t) for t in prior.thetas]
+        t1 = Fraction(theta1)
+        denom = math.lcm(*(t.denominator for t in thetas), t1.denominator)
+        wdenom = math.lcm(*(w.denominator for w in prior.weights))
+        atoms = tuple(
+            (int(w * wdenom), int(t * denom), denom - int(t * denom))
+            for t, w in zip(thetas, prior.weights)
+        )
+        w0, a0, b0 = atoms[thetas.index(Fraction(theta0))]
+        a1 = int(t1 * denom)
+        return cls(denom, atoms, w0, a0 * a1, b0 * (denom - a1), a1, denom - a1)
+
+    def carried_terms(self, horizon: int):
+        """Yield ``(nums, dens)`` of psi(n) for n = 1..horizon: the terms
+        C(n,k) a01^k b01^(n-k) over the prior masses sum_j w_j a_j^k b_j^(n-k)
+        of u_n = k, zero masses skipped.
+
+        Each row advances from n - 1 by small-integer multiplies only: the
+        mass row of atom j takes b_j on every entry and a_j on a new last
+        one, the numerator row takes Pascal's rule b01 x_k + a01 x_(k-1).
+        A count that theta1 can produce but no atom can raises
+        ImpossibleObservationError at the first such (n, k)."""
+        rows = [[w] for w, _, _ in self.atoms]
+        x = [1]
+        a01, b01 = self.a01, self.b01
+        for n in range(1, horizon + 1):
+            rows = [
+                [v * b for v in row] + [row[-1] * a] for row, (_, a, b) in zip(rows, self.atoms)
+            ]
+            x = [b01 * x[0]] + [b01 * hi + a01 * lo for lo, hi in pairwise(x)] + [a01 * x[-1]]
+            masses = list(map(sum, zip(*rows)))
+            if 0 not in masses:
+                yield x, masses
+                continue
+            nums, dens = [], []
+            for k, mass in enumerate(masses):
+                if mass:
+                    nums.append(x[k])
+                    dens.append(mass)
+                elif (self.a1 or k == 0) and (self.b1 or k == n):  # theta1 can generate u_n = k
+                    raise ImpossibleObservationError(
+                        f"impossible observation under prior support: u_{n}={k}"
+                    )
+            yield nums, dens
+
+    def direct_terms(self, n: int) -> tuple[list[int], list[int]]:
+        """The ``carried_terms`` of one n, from powers."""
+        nums, dens = [], []
+        for k in range(n + 1):
+            mass = sum(w * a**k * b ** (n - k) for w, a, b in self.atoms)
+            if mass:
+                nums.append(math.comb(n, k) * self.a01**k * self.b01 ** (n - k))
+                dens.append(mass)
+        return nums, dens
+
+    def pair(self, n: int, nums: list[int], dens: list[int]) -> tuple[int, int]:
+        """The exact (num, den) of psi(n) from its terms."""
+        total_num, total_den = tree_sum_fractions(nums, dens)
+        return self.w0 * total_num, total_den * self.denom**n
+
+    def rebuild(self, n: int) -> tuple[int, int]:
+        return self.pair(n, *self.direct_terms(n))
+
+
 def _discrete_exact_values(
     prior: DiscreteAtoms, theta0, theta1, horizon: int
 ) -> list[ExactValue]:
-    thetas = [Fraction(t) for t in prior.thetas]
-    t1 = Fraction(theta1)
-    denom = math.lcm(*(t.denominator for t in thetas), t1.denominator)
-    scaled = [int(t * denom) for t in thetas]
-    comp = [denom - a for a in scaled]
-    wdenom = math.lcm(*(w.denominator for w in prior.weights))
-    wts = [int(w * wdenom) for w in prior.weights]
-    i0 = thetas.index(Fraction(theta0))
-    a0, b0 = scaled[i0], comp[i0]
-    a1, b1 = int(t1 * denom), denom - int(t1 * denom)
-    w0 = wts[i0]
-    n_atoms = len(thetas)
-
-    # power tables: atom^k and (1-atom)^k for k <= horizon, plus the
-    # products entering the numerator and the denominator scale
-    pow_a = [[1] * (horizon + 1) for _ in range(n_atoms)]
-    pow_b = [[1] * (horizon + 1) for _ in range(n_atoms)]
-    for j in range(n_atoms):
-        for k in range(1, horizon + 1):
-            pow_a[j][k] = pow_a[j][k - 1] * scaled[j]
-            pow_b[j][k] = pow_b[j][k - 1] * comp[j]
-    a01, b01 = a0 * a1, b0 * b1
-    pow_a01 = [1] * (horizon + 1)
-    pow_b01 = [1] * (horizon + 1)
-    pow_d = [1] * (horizon + 1)
-    for k in range(1, horizon + 1):
-        pow_a01[k] = pow_a01[k - 1] * a01
-        pow_b01[k] = pow_b01[k - 1] * b01
-        pow_d[k] = pow_d[k - 1] * denom
-
-    def terms(n: int) -> tuple[list[int], list[int]]:
-        """Numerators and prior masses of the u_n = k terms of psi(n)."""
-        nums, dens = [], []
-        choose = 1
-        for k in range(n + 1):
-            mass = 0
-            for j in range(n_atoms):
-                mass += wts[j] * pow_a[j][k] * pow_b[j][n - k]
-            if mass:
-                nums.append(choose * pow_a01[k] * pow_b01[n - k])
-                dens.append(mass)
-            elif (a1 or k == 0) and (b1 or k == n):  # theta1 can generate u_n = k
-                raise ImpossibleObservationError(
-                    f"impossible observation under prior support: u_{n}={k}"
-                )
-            if k < n:
-                choose = choose * (n - k) // (k + 1)
-        return nums, dens
-
-    def exact_pair(n: int, nums: list[int], dens: list[int]) -> tuple[int, int]:
-        total_num, total_den = tree_sum_fractions(nums, dens)
-        return w0 * total_num, total_den * pow_d[n]
-
-    def rebuild(n: int) -> tuple[int, int]:
-        return exact_pair(n, *terms(n))
-
+    ints = _AtomIntegers.of(prior, theta0, theta1)
     # a pair too large for canonical_str is not built: its certified
     # leading bits give every emitted byte, and the pair waits for a use
     values = []
-    for n in range(1, horizon + 1):
-        nums, dens = terms(n)
-        leading = tree_sum_leading_bits(nums, dens, w0, pow_d[n])
+    den_scale = 1
+    for n, (nums, dens) in enumerate(ints.carried_terms(horizon), start=1):
+        den_scale *= ints.denom
+        leading = tree_sum_leading_bits(nums, dens, ints.w0, den_scale)
         if leading and max(leading[0][0], leading[1][0]) > CANONICAL_RATIONAL_BITS:
-            values.append(DeferredExactValue(partial(rebuild, n), *leading))
+            values.append(DeferredExactValue(partial(ints.rebuild, n), *leading))
         else:
-            values.append(ExactValue(*exact_pair(n, nums, dens)))
+            values.append(ExactValue(*ints.pair(n, nums, dens)))
     return values
 
 
@@ -534,27 +561,30 @@ def expected_posterior_bruteforce(
         raise DomainError("brute force requires rational atoms, weights, thetas")
     if not prior.is_atom(theta0):
         raise DomainError(f"theta0={theta0} must be an atom of the prior")
+    # every sequence probability over denom^n and every weight over wdenom,
+    # so each sequence adds gen·w0·p0 / marginal to denom^n psi(n)
     thetas = [Fraction(t) for t in prior.thetas]
-    weights = list(prior.weights)
-    t0 = Fraction(theta0)
     t1 = Fraction(theta1)
-    w0 = prior.weight_of(theta0)
+    denom = math.lcm(*(t.denominator for t in thetas), t1.denominator)
+    wdenom = math.lcm(*(w.denominator for w in prior.weights))
+    coins = [(int(t * denom), int((1 - t) * denom)) for t in thetas + [t1]]
+    weights = [int(w * wdenom) for w in prior.weights]
+    i0 = thetas.index(Fraction(theta0))
     total = Fraction(0)
     for bits in range(1 << n):
         seq_probs = []
-        for t in thetas + [t1]:
-            prob = Fraction(1)
+        for heads, tails in coins:
+            prob = 1
             for i in range(n):
-                prob *= t if (bits >> i) & 1 else 1 - t
+                prob *= heads if (bits >> i) & 1 else tails
             seq_probs.append(prob)
         gen_prob = seq_probs[-1]
-        marginal = sum(w * p for w, p in zip(weights, seq_probs[:-1]))
+        marginal = sum(w * p for w, p in zip(weights, seq_probs))
         if marginal == 0:
             if gen_prob != 0:
                 raise ImpossibleObservationError(
                     "impossible observation under prior support"
                 )
             continue
-        i0 = thetas.index(t0)
-        total += gen_prob * w0 * seq_probs[i0] / marginal
-    return total
+        total += Fraction(gen_prob * weights[i0] * seq_probs[i0], marginal)
+    return total / denom**n

@@ -251,15 +251,10 @@ def beta_marginal_pmf_exact(a: int, b: int, n: int, k: int) -> Fraction:
         raise PriorError(f"exact Beta marginal needs integer a, b >= 1, got a={a!r}, b={b!r}")
     if k < 0 or k > n:
         return Fraction(0)
-    # C(n,k) * B(k+a, n-k+b) / B(a,b) with integer-factorial Beta values
-    num = (
-        math.comb(n, k)
-        * math.factorial(k + a - 1)
-        * math.factorial(n - k + b - 1)
-        * math.factorial(a + b - 1)
+    # C(n,k) B(k+a, n-k+b) / B(a,b), its factorials regrouped into binomials
+    return Fraction(
+        math.comb(k + a - 1, k) * math.comb(n - k + b - 1, n - k), math.comb(n + a + b - 1, n)
     )
-    den = math.factorial(n + a + b - 1) * math.factorial(a - 1) * math.factorial(b - 1)
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -142,12 +142,15 @@ def tree_sum_leading_bits(
     (N, D) = tree_sum_fractions(nums, dens), nums >= 0 and dens, scales > 0,
     read off enclosures of ENCLOSURE_BITS bits without building (N, D).
 
-    D is the product of dens whatever the merge order, so a running product
-    truncated outward encloses it.  N/D is the sum of nums[i]/dens[i]; with
-    the fixed-point quotients floor(nums[i]·2^s / dens[i]), s chosen so the
-    largest has at least ENCLOSURE_BITS bits, the sum lies within one unit
-    per inexact quotient above their total.  None where either side is
-    undecided, or where N = 0.
+    D is the product of dens whatever the merge order.  With P =
+    ENCLOSURE_BITS, a running product lo·2^exp floored to P bits at each of
+    its ``steps`` truncations keeps lo >= 2^(P-1) there, so each loses less
+    than 2^-(P-1) relative, and lo·2^exp <= D <= lo·2^exp (1 + 2^-(P-1))^steps
+    <= hi·2^exp with hi = lo + ceil(lo·steps / 2^(P-2)), as steps < 2^(P-1).
+    N/D is the sum of nums[i]/dens[i]; with the fixed-point quotients
+    floor(nums[i]·2^s / dens[i]), s chosen so the largest has at least
+    ENCLOSURE_BITS bits, the sum lies within one unit per inexact quotient
+    above their total.  None where either side is undecided, or where N = 0.
     """
     gap = max((n.bit_length() - d.bit_length() for n, d in zip(nums, dens) if n), default=None)
     if gap is None:
@@ -158,13 +161,13 @@ def tree_sum_leading_bits(
         q, r = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
         sum_lo += q
         sum_hi += q + (r != 0)
-    lo = hi = 1
-    exp = 0
+    lo, exp, steps = 1, 0, 0
     for d in dens:
-        lo, hi = lo * d, hi * d
-        t = hi.bit_length() - ENCLOSURE_BITS
-        if t > 0:  # widen outward: floor lo, ceil hi; exact if only zeros drop
-            lo, hi, exp = lo >> t, -(-hi >> t), exp + t
+        lo *= d
+        t = lo.bit_length() - ENCLOSURE_BITS
+        if t > 0:
+            lo, exp, steps = lo >> t, exp + t, steps + 1
+    hi = lo + -(-lo * steps >> (ENCLOSURE_BITS - 2))
     num = certified_top_bits(lo * sum_lo * num_scale, hi * sum_hi * num_scale, exp - s)
     den = certified_top_bits(lo * den_scale, hi * den_scale, exp)
     return None if num is None or den is None else (num, den)

@@ -170,6 +170,60 @@ class TestDeferredValues:
         assert not any(isinstance(v, DeferredExactValue) for v in seq.values)
 
 
+SURE_OR_RATIONAL = st.one_of(st.sampled_from([F(0), F(1)]), st.fractions(0, 1, max_denominator=30))
+
+
+@st.composite
+def sure_coin_cases(draw, max_horizon=40):
+    """(prior, theta0, theta1, horizon): 1-4 rational atoms and a theta1,
+    each often a sure coin (0 or 1)."""
+    thetas = draw(st.lists(SURE_OR_RATIONAL, min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.integers(1, 5000), min_size=len(thetas), max_size=len(thetas)))
+    prior = pr.atoms(*((t, F(w, sum(raw))) for t, w in zip(thetas, raw)))
+    return (prior, draw(st.sampled_from(thetas)), draw(SURE_OR_RATIONAL),
+            draw(st.integers(1, max_horizon)))
+
+
+class TestCarriedRows:
+    """The sweep advances each n's terms from n - 1; a deferred pair is
+    rebuilt from powers at its own n."""
+
+    @settings(max_examples=40)
+    @given(sure_coin_cases())
+    def test_sweep_matches_the_direct_terms(self, case):
+        prior, theta0, theta1, horizon = case
+        ints = engine._AtomIntegers.of(prior, theta0, theta1)
+        try:
+            pairs = eager_pairs(*case)
+        except pr.ImpossibleObservationError as err:
+            # refused at the same (n, k), with the same message
+            for refused in (lambda: list(ints.carried_terms(horizon)),
+                            lambda: engine.expected_posterior_discrete(*case)):
+                with pytest.raises(pr.ImpossibleObservationError, match=re.escape(str(err)) + "$"):
+                    refused()
+            return
+        for n, terms in enumerate(ints.carried_terms(horizon), start=1):
+            assert terms == ints.direct_terms(n)
+        with mock.patch.object(engine, "tree_sum_leading_bits", return_value=None):
+            seq = engine.expected_posterior_discrete(*case)  # every pair from the sweep
+        assert [(v.num, v.den) for v in seq.values] == pairs
+        assert [ints.rebuild(n) for n in seq.ns()] == pairs
+
+    @settings(max_examples=20)
+    @given(sure_coin_cases(max_horizon=7))
+    def test_bruteforce_matches_the_sweep(self, case):
+        prior, theta0, theta1, horizon = case
+        try:
+            pairs = eager_pairs(*case)
+        except pr.ImpossibleObservationError:
+            with pytest.raises(pr.ImpossibleObservationError):
+                for n in range(1, horizon + 1):
+                    engine.expected_posterior_bruteforce(*case[:3], n)
+            return
+        for n, pair in enumerate(pairs, start=1):
+            assert engine.expected_posterior_bruteforce(*case[:3], n) == F(*pair)
+
+
 def test_psi_figure1_sums_only_the_printed_rationals(monkeypatch, tmp_path):
     """A CLI run of figure1 (H = 200) through analysis and emission builds
     the exact pair only where canonical_str prints it (n <= 46)."""

@@ -132,6 +132,17 @@ class TestMarginals:
         total = sum(pr.beta_marginal_pmf_exact(3, 2, 6, k) for k in range(7))
         assert total == 1
 
+    @pytest.mark.parametrize("a", range(1, 7))
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_exact_beta_marginal_matches_the_factorial_form(self, a, b):
+        fact = math.factorial
+        for n in range(41):
+            for k in range(n + 1):
+                # C(n,k) B(k+a, n-k+b) / B(a,b) with integer-factorial Beta values
+                num = math.comb(n, k) * fact(k + a - 1) * fact(n - k + b - 1) * fact(a + b - 1)
+                want = F(num, fact(n + a + b - 1) * fact(a - 1) * fact(b - 1))
+                assert pr.beta_marginal_pmf_exact(a, b, n, k) == want
+
     @pytest.mark.parametrize("a,b", [(F(7, 2), 1), (7.0, 1), (7, 0.5), (0, 1)])
     def test_exact_beta_marginal_needs_integer_shapes(self, a, b):
         with pytest.raises(pr.PriorError, match="needs integer a, b >= 1"):

@@ -17,6 +17,7 @@ from posterior_dynamics.util import (
     certified_sign,
     certified_top_bits,
     ratio_to_float,
+    tree_sum_fractions,
     tree_sum_leading_bits,
 )
 
@@ -144,6 +145,49 @@ class TestCertifiedTopBits:
             num = num_scale * sum(n * math.prod(dens[:i] + dens[i + 1 :]) for i, n in enumerate(nums))
             den = den_scale * math.prod(dens)
             assert got == (_leading(num), _leading(den))
+
+
+def _exact_leading(nums, dens, num_scale, den_scale):
+    num, den = tree_sum_fractions(nums, dens)
+    return _leading(num_scale * num), _leading(den_scale * den)
+
+
+class TestOneSidedEnclosure:
+    """The running product of the denominators is floored at every step
+    and its upper end derived from the count of truncations."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_every_step_truncates(self, seed):
+        rng = random.Random(seed)
+        m = 500 + rng.randrange(20)
+        dens = [rng.getrandbits(2000 + rng.randrange(64)) | 1 << 1999 for _ in range(m)]
+        nums = [rng.getrandbits(rng.randrange(1, 2100)) for _ in range(m)]
+        num_scale, den_scale = rng.getrandbits(40) | 1, rng.getrandbits(900) | 1
+        got = tree_sum_leading_bits(nums, dens, num_scale, den_scale)
+        # the enclosure is ~2^-149 wide relative: a random pair is decided
+        assert got == _exact_leading(nums, dens, num_scale, den_scale)
+
+    TOPS = (1 << 63, (1 << 63) | 0x5DEECE66D, (1 << 64) - 1)
+
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("m", [1, 200])
+    def test_product_just_below_a_truncation_boundary_is_declined(self, top, m):
+        # D = (top·2^2000 - 1)(2^2000 - 1)^(m-1) lies one unit (m = 1) or a
+        # relative ~2^-2000 below top·2^J, J = 2000·m, so it has the leading
+        # bits of top·2^J - 1, and every step truncates
+        dens = [(top << 2000) - 1] + [(1 << 2000) - 1] * (m - 1)
+        nums = [1] + [0] * (m - 1)
+        assert tree_sum_leading_bits(nums, dens, 1, 1) is None
+        assert _exact_leading(nums, dens, 1, 1)[1] == _leading((top << 2000 * m) - 1)
+
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_product_at_a_truncation_boundary_is_exact_or_declined(self, top, nudge):
+        # D within a relative ~2^-2000 of top·2^j, above, at or below it
+        dens = [(top << 2000) + nudge] + [(1 << 2000) + nudge] * 199
+        for nums in ([1] + [0] * 199, list(range(200))):
+            got = tree_sum_leading_bits(nums, dens, 1, 3)
+            assert got is None or got == _exact_leading(nums, dens, 1, 3)
 
 
 class TestExactValueOrdering:
