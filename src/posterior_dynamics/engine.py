@@ -331,22 +331,25 @@ def expected_posterior_uniform(
 def _uniform_float_logs(theta0: float, theta1: float, horizon: int) -> list[float]:
     y = theta0 * theta1
     z = (1.0 - theta0) * (1.0 - theta1)
+    logs = []
     if math.isclose(y, z, rel_tol=1e-15):
         # S_n(y, y) = y^n (n+1) C(2n, n)
-        logs = []
+        log_y = math.log(y)
         log_c = 0.0
+        log_n = 0.0  # log n: the step before's log(n + 1)
         for n in range(1, horizon + 1):
-            log_c += math.log(2 * (2 * n - 1)) - math.log(n)  # C(2n,n)/C(2n-2,n-1)
-            logs.append(n * math.log(y) + math.log(n + 1) + log_c)
+            log_n1 = math.log(n + 1)
+            log_c += math.log(2 * (2 * n - 1)) - log_n  # C(2n,n)/C(2n-2,n-1)
+            logs.append(n * log_y + log_n1 + log_c)
+            log_n = log_n1
         return logs
     hi, lo = max(y, z), min(y, z)
     x = (hi + lo) / (hi - lo)
-    ratios = legendre_ratios(horizon, x)
-    logs = []
+    log_gap = math.log(hi - lo)
     log_p = 0.0
-    for n in range(1, horizon + 1):
-        log_p += math.log(ratios[n - 1])
-        logs.append(n * math.log(hi - lo) + math.log(n + 1) + log_p)
+    for n, ratio in enumerate(legendre_ratios(horizon, x), start=1):
+        log_p += math.log(ratio)
+        logs.append(n * log_gap + math.log(n + 1) + log_p)
     return logs
 
 

@@ -83,26 +83,35 @@ def posterior_law(
 
     ``under`` selects the generating parameter; None means the prior
     predictive (marginal) law.  Built by exact enumeration over the
-    sufficient statistic, which carries the full distribution.
+    sufficient statistic, which carries the full distribution: with the
+    prior's integer masses M_j of u_n = k and their total T, the
+    theta0-posterior is M_0/T and the prior-predictive probability is
+    C(n, k) T / scale(n).  A generating parameter goes through
+    ``binomial_pmf_exact``, apart from the masses.
     """
     if not prior.is_atom(theta0):
         raise DomainError(f"theta0={theta0} must be an atom of the prior")
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
+    form = prior.integer_form
+    scale = form.scale(n)
     i0 = prior.thetas.index(theta0)
+    gen_theta = None if under is None else Fraction(under)
     pairs = []
     for k in range(n + 1):
-        masses = pr.atom_masses(prior, n, k)
+        masses = form.masses(n, k)
         total = sum(masses)
-        if under is None:
-            gen = math.comb(n, k) * total
+        if gen_theta is None:
+            gen = Fraction(math.comb(n, k) * total, scale)
         else:
-            gen = fam.binomial_pmf_exact(Fraction(under), n, k)
+            gen = fam.binomial_pmf_exact(gen_theta, n, k)
         if total == 0:
             if gen != 0:
-                raise pr.ImpossibleObservationError("impossible observation under prior support")
+                raise pr.ImpossibleObservationError(
+                    f"impossible observation under prior support: u_{n}={k}"
+                )
             continue
-        pairs.append((masses[i0] / total, gen))
+        pairs.append((Fraction(masses[i0], total), gen))
     return FiniteLaw.from_pairs(pairs)
 
 

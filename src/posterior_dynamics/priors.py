@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from . import families as fam
@@ -87,6 +88,40 @@ class DiscreteAtoms:
 
     def mean(self) -> Real:
         return sum(t * w for t, w in self.atoms)
+
+    @cached_property
+    def integer_form(self) -> AtomIntegerForm:
+        """The prior as Bernoulli atoms over integers.  Raises DomainError
+        unless every atom lies in [0, 1]; once built, the form is kept on the
+        instance, outside the dataclass fields, so equality, hash and repr
+        do not see it, and the atoms are not checked again."""
+        self.validate_for(fam.bernoulli())
+        thetas = [Fraction(t) for t in self.thetas]
+        denom = math.lcm(*(t.denominator for t in thetas))
+        wdenom = math.lcm(*(w.denominator for w in self.weights))
+        return AtomIntegerForm(denom, wdenom, tuple(
+            (int(w * wdenom), int(t * denom), denom - int(t * denom))
+            for t, w in zip(thetas, self.weights)
+        ))
+
+
+@dataclass(frozen=True)
+class AtomIntegerForm:
+    """A Bernoulli atom prior over integers: theta_j = a_j/denom,
+    1 - theta_j = b_j/denom and weight_j = w_j/wdenom."""
+
+    denom: int
+    wdenom: int
+    atoms: tuple[tuple[int, int, int], ...]  # (w_j, a_j, b_j)
+
+    def masses(self, n: int, k: int) -> list[int]:
+        """w_j a_j^k b_j^(n-k) for each atom: its prior weight times the
+        chance of one sequence with k successes in n trials, times
+        ``scale(n)``."""
+        return [w * a**k * b ** (n - k) for w, a, b in self.atoms]
+
+    def scale(self, n: int) -> int:
+        return self.wdenom * self.denom**n
 
 
 @dataclass(frozen=True)
@@ -166,27 +201,37 @@ class PosteriorVector:
         raise PriorError(f"theta={theta} is not an atom of the posterior")
 
 
+def _checked_form(prior: DiscreteAtoms, n: int, k: int) -> AtomIntegerForm:
+    """The prior's integer form, once (n, k) is a state of n >= 0 Bernoulli
+    trials."""
+    if n < 0 or not isinstance(k, int):
+        raise DomainError(f"need an integer count k of successes in n >= 0 trials: n={n}, k={k!r}")
+    form = prior.integer_form
+    if not 0 <= k <= n:
+        raise ImpossibleObservationError(f"impossible observation: {k} successes in {n} trials")
+    return form
+
+
 def atom_masses(prior: DiscreteAtoms, n: int, k: int) -> list[Fraction]:
     """w theta^k (1-theta)^(n-k) for each Bernoulli atom: the prior weight
     times the chance of one sequence with k successes in n trials.  The
     binomial coefficient C(n, k) is common to every atom, so it cancels in
-    Bayes' rule and is left out.  Exact: each theta enters as a Fraction."""
-    if n < 0 or not isinstance(k, int):
-        raise DomainError(f"need an integer count k of successes in n >= 0 trials: n={n}, k={k!r}")
-    prior.validate_for(fam.bernoulli())
-    if not 0 <= k <= n:
-        raise ImpossibleObservationError(f"impossible observation: {k} successes in {n} trials")
-    return [w * Fraction(t) ** k * (1 - Fraction(t)) ** (n - k) for t, w in prior.atoms]
+    Bayes' rule and is left out.  Exact: the integer masses of the prior's
+    ``integer_form`` over their common scale."""
+    form = _checked_form(prior, n, k)
+    scale = form.scale(n)
+    return [Fraction(m, scale) for m in form.masses(n, k)]
 
 
 def posterior_given_suffstat(prior: DiscreteAtoms, n: int, k: int) -> PosteriorVector:
     """Exact Bayes' rule over Bernoulli atoms given k successes in n trials;
-    n = 0 gives back the prior."""
-    masses = atom_masses(prior, n, k)
+    n = 0 gives back the prior.  Each weight is an integer mass over the
+    integer total, so the common scale of the masses never enters."""
+    masses = _checked_form(prior, n, k).masses(n, k)
     total = sum(masses)
     if total == 0:
         raise ImpossibleObservationError(f"impossible observation under prior support: u_{n}={k}")
-    return PosteriorVector(prior.thetas, tuple(m / total for m in masses))
+    return PosteriorVector(prior.thetas, tuple(Fraction(m, total) for m in masses))
 
 
 def mean_parameter(posterior: PosteriorVector) -> Real:

@@ -53,9 +53,11 @@ def legendre_ratios(n: int, x: float) -> list[float]:
         raise SpecialFnDomainError(f"x={x} < 1; supported domain is |x| >= 1")
     if n < 1:
         return []
-    ratios = [x]
+    r = x
+    ratios = [r]
     for k in range(1, n):
-        ratios.append(((2 * k + 1) * x - k / ratios[-1]) / (k + 1))
+        r = ((2 * k + 1) * x - k / r) / (k + 1)
+        ratios.append(r)
     return ratios
 
 

@@ -3,8 +3,10 @@
 A ``BENCH_*.json`` at the root of the repository records a measured
 comparison.  Its ``claim`` and its ``workloads`` must name workloads and an
 end-to-end metric that ``BENCHMARK.json`` declares, or the record cannot be
-checked against the benchmark it cites.  This guard only reads
-``BENCHMARK.json``.
+checked against the benchmark it cites.  The claim must also restate its own
+record: its medians are those of the claimed workload's metric, its ratio
+is theirs, its pair counts are the workload's, and every workload's outputs
+were correct.  This guard only reads ``BENCHMARK.json`` and the records.
 """
 
 import json
@@ -31,3 +33,18 @@ def test_record_names_declared_workloads_and_metrics(path):
     assert claim["metric"] in END_TO_END
     assert record["workloads"]
     assert set(record["workloads"]) <= WORKLOADS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_claim_restates_its_workload(path):
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    workload = record["workloads"][claim["workload"]]
+    metric = workload["metrics"][claim["metric"]]
+    assert claim["parent_median"] == metric["parent"]["median"]
+    assert claim["change_median"] == metric["change"]["median"]
+    assert claim["change_over_parent"] == round(
+        claim["change_median"] / claim["parent_median"], 4)
+    assert claim["pairs"] == workload["pairs"]
+    assert 0 <= claim["change_wins"] <= claim["pairs"]
+    assert all(w["correct_all"] is True for w in record["workloads"].values())

@@ -53,6 +53,7 @@ GOLDEN = {
     "beta_exact.csv": "4636767e5fd6f2d5ae231e935f7e8380247286123a9cf9461dcbee0527f9cb4c",
     "beta_exact.json": "393bfb63c87be3371a778fffc90daba508012992c672e92232ccc7390d711987",
     "audit_all.json": "f703109541ed6e90bb1b6ea5083ad3ea5a2a84b8bcda2d76c834731dea72ffd3",
+    "seed7/audit_all.json": "83da24fa3d2589c3ba6d664b27c6aaba13ff0efbf977916126cd8216fbba82ec",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
     "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",
 }
@@ -77,6 +78,7 @@ def emitted(tmp_path_factory):
     for seed in ("1", "7"):
         argv = ["audit", "orders", "--seed", seed, "--out", str(out / f"seed{seed}")]
         assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(["audit", "all", "--seed", "7", "--out", str(out / "seed7")]) == cli.EXIT_OK
     return out
 
 

@@ -47,6 +47,24 @@ class TestLrDominance:
         assert not orders.lr_dominates(low, high)
 
 
+class TestPosteriorLaw:
+    def test_impossible_state_is_named(self):
+        """Two sure coins cannot produce one success in two trials, though a
+        fair coin can; the error names that state, as Bayes' rule does."""
+        sure = pr.atoms((F(0), F(1, 2)), (F(1), F(1, 2)))
+        with pytest.raises(pr.ImpossibleObservationError, match=r"^impossible observation "
+                           r"under prior support: u_2=1$"):
+            orders.posterior_law(sure, F(1), 2, under=F(1, 2))
+        with pytest.raises(pr.ImpossibleObservationError, match=r"u_2=1$"):
+            pr.posterior_given_suffstat(sure, 2, 1)
+
+    def test_marginal_law_skips_states_the_prior_cannot_reach(self):
+        sure = pr.atoms((F(0), F(1, 2)), (F(1), F(1, 2)))
+        law = orders.posterior_law(sure, F(1), 2, under=None)
+        assert law.support == (F(0), F(1))
+        assert law.probs == (F(1, 2), F(1, 2))
+
+
 class TestUpdateFactor:
     def test_anchored_at_one(self):
         for t0, t1 in ((F(1, 5), F(3, 5)), (F(2, 7), F(2, 7)), (F(9, 10), F(1, 10))):
