@@ -29,6 +29,7 @@ from . import families as fam
 from . import priors as pr
 from .families import BERNOULLI, EXPONENTIAL, NORMAL, DomainError, FamilySpec
 from .priors import (
+    AtomIntegerForm,
     Beta,
     DiscreteAtoms,
     ExpPrior,
@@ -202,12 +203,11 @@ def expected_posterior_discrete(
 
 @dataclass(frozen=True)
 class _AtomIntegers:
-    """The exact atom route over integers: each atom and theta1 over their
-    common denominator ``denom`` (theta = a/denom, 1 - theta = b/denom),
-    each weight over the weights' common denominator."""
+    """The exact atom route over integers: the prior's integer form over
+    the common denominator of its atoms and theta1, with theta1 on it too
+    (theta1 = a1/denom, 1 - theta1 = b1/denom)."""
 
-    denom: int
-    atoms: tuple[tuple[int, int, int], ...]  # (w_j, a_j, b_j)
+    form: AtomIntegerForm
     w0: int  # the weight of theta0
     a01: int  # a0 a1: theta0 theta1 times denom^2
     b01: int  # b0 b1
@@ -216,17 +216,13 @@ class _AtomIntegers:
 
     @classmethod
     def of(cls, prior: DiscreteAtoms, theta0, theta1) -> _AtomIntegers:
-        thetas = [Fraction(t) for t in prior.thetas]
         t1 = Fraction(theta1)
-        denom = math.lcm(*(t.denominator for t in thetas), t1.denominator)
-        wdenom = math.lcm(*(w.denominator for w in prior.weights))
-        atoms = tuple(
-            (int(w * wdenom), int(t * denom), denom - int(t * denom))
-            for t, w in zip(thetas, prior.weights)
-        )
-        w0, a0, b0 = atoms[thetas.index(Fraction(theta0))]
-        a1 = int(t1 * denom)
-        return cls(denom, atoms, w0, a0 * a1, b0 * (denom - a1), a1, denom - a1)
+        form = prior.integer_form
+        form = form.over(math.lcm(form.denom, t1.denominator))
+        w0, a0, b0 = form.atoms[prior.thetas.index(theta0)]
+        a1 = t1.numerator * (form.denom // t1.denominator)
+        b1 = form.denom - a1
+        return cls(form, w0, a0 * a1, b0 * b1, a1, b1)
 
     def carried_terms(self, horizon: int):
         """Yield ``(nums, dens)`` of psi(n) for n = 1..horizon: the terms
@@ -238,12 +234,13 @@ class _AtomIntegers:
         one, the numerator row takes Pascal's rule b01 x_k + a01 x_(k-1).
         A count that theta1 can produce but no atom can raises
         ImpossibleObservationError at the first such (n, k)."""
-        rows = [[w] for w, _, _ in self.atoms]
+        atoms = self.form.atoms
+        rows = [[w] for w, _, _ in atoms]
         x = [1]
         a01, b01 = self.a01, self.b01
         for n in range(1, horizon + 1):
             rows = [
-                [v * b for v in row] + [row[-1] * a] for row, (_, a, b) in zip(rows, self.atoms)
+                [v * b for v in row] + [row[-1] * a] for row, (_, a, b) in zip(rows, atoms)
             ]
             x = [b01 * x[0]] + [b01 * hi + a01 * lo for lo, hi in pairwise(x)] + [a01 * x[-1]]
             masses = list(map(sum, zip(*rows)))
@@ -265,7 +262,7 @@ class _AtomIntegers:
         """The ``carried_terms`` of one n, from powers."""
         nums, dens = [], []
         for k in range(n + 1):
-            mass = sum(w * a**k * b ** (n - k) for w, a, b in self.atoms)
+            mass = sum(self.form.masses(n, k))
             if mass:
                 nums.append(math.comb(n, k) * self.a01**k * self.b01 ** (n - k))
                 dens.append(mass)
@@ -274,7 +271,7 @@ class _AtomIntegers:
     def pair(self, n: int, nums: list[int], dens: list[int]) -> tuple[int, int]:
         """The exact (num, den) of psi(n) from its terms."""
         total_num, total_den = tree_sum_fractions(nums, dens)
-        return self.w0 * total_num, total_den * self.denom**n
+        return self.w0 * total_num, total_den * self.form.denom**n
 
     def rebuild(self, n: int) -> tuple[int, int]:
         return self.pair(n, *self.direct_terms(n))
@@ -289,7 +286,7 @@ def _discrete_exact_values(
     values = []
     den_scale = 1
     for n, (nums, dens) in enumerate(ints.carried_terms(horizon), start=1):
-        den_scale *= ints.denom
+        den_scale *= ints.form.denom
         leading = tree_sum_leading_bits(nums, dens, ints.w0, den_scale)
         if leading and max(leading[0][0], leading[1][0]) > CANONICAL_RATIONAL_BITS:
             values.append(DeferredExactValue(partial(ints.rebuild, n), *leading))

@@ -47,7 +47,7 @@ class FiniteLaw:
         """Group duplicate values, drop zero-probability points, sort."""
         grouped: dict = {}
         for value, prob in pairs:
-            grouped[value] = grouped.get(value, Fraction(0)) + prob
+            grouped[value] = grouped[value] + prob if value in grouped else prob
         items = sorted((v, p) for v, p in grouped.items() if p != 0)
         return cls(tuple(v for v, _ in items), tuple(p for _, p in items))
 

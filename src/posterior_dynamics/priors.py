@@ -123,6 +123,13 @@ class AtomIntegerForm:
     def scale(self, n: int) -> int:
         return self.wdenom * self.denom**n
 
+    def over(self, denom: int) -> AtomIntegerForm:
+        """The same prior over ``denom``, a multiple of ``self.denom``."""
+        s = denom // self.denom
+        return AtomIntegerForm(
+            denom, self.wdenom, tuple((w, a * s, b * s) for w, a, b in self.atoms)
+        )
+
 
 @dataclass(frozen=True)
 class Uniform01:
@@ -201,33 +208,17 @@ class PosteriorVector:
         raise PriorError(f"theta={theta} is not an atom of the posterior")
 
 
-def _checked_form(prior: DiscreteAtoms, n: int, k: int) -> AtomIntegerForm:
-    """The prior's integer form, once (n, k) is a state of n >= 0 Bernoulli
-    trials."""
+def posterior_given_suffstat(prior: DiscreteAtoms, n: int, k: int) -> PosteriorVector:
+    """Exact Bayes' rule over Bernoulli atoms given k successes in n trials;
+    n = 0 gives back the prior.  Each weight is an integer mass of the
+    prior's ``integer_form`` over the integer total, so the common scale of
+    the masses and the binomial coefficient C(n, k) never enter."""
     if n < 0 or not isinstance(k, int):
         raise DomainError(f"need an integer count k of successes in n >= 0 trials: n={n}, k={k!r}")
     form = prior.integer_form
     if not 0 <= k <= n:
         raise ImpossibleObservationError(f"impossible observation: {k} successes in {n} trials")
-    return form
-
-
-def atom_masses(prior: DiscreteAtoms, n: int, k: int) -> list[Fraction]:
-    """w theta^k (1-theta)^(n-k) for each Bernoulli atom: the prior weight
-    times the chance of one sequence with k successes in n trials.  The
-    binomial coefficient C(n, k) is common to every atom, so it cancels in
-    Bayes' rule and is left out.  Exact: the integer masses of the prior's
-    ``integer_form`` over their common scale."""
-    form = _checked_form(prior, n, k)
-    scale = form.scale(n)
-    return [Fraction(m, scale) for m in form.masses(n, k)]
-
-
-def posterior_given_suffstat(prior: DiscreteAtoms, n: int, k: int) -> PosteriorVector:
-    """Exact Bayes' rule over Bernoulli atoms given k successes in n trials;
-    n = 0 gives back the prior.  Each weight is an integer mass over the
-    integer total, so the common scale of the masses never enters."""
-    masses = _checked_form(prior, n, k).masses(n, k)
+    masses = form.masses(n, k)
     total = sum(masses)
     if total == 0:
         raise ImpossibleObservationError(f"impossible observation under prior support: u_{n}={k}")

@@ -3,8 +3,7 @@
 ``oracle_posterior`` and ``oracle_posterior_law`` are the earlier
 implementations, kept verbatim in arithmetic: each Bernoulli mass carries
 its binomial coefficient, n = 0 returns the prior untouched, and the law
-divides the theta0 mass by the prior-predictive probability.
-``oracle_atom_masses`` builds each mass from Fractions, atom by atom.  The
+divides the theta0 mass by the prior-predictive probability.  The
 kernel works on the prior's integer form and drops the coefficient and the
 special case, so each pair must agree as Fractions, with the same error
 types, on every state: sure coins (theta 0 or 1), dyadic float atoms,
@@ -22,15 +21,6 @@ from posterior_dynamics import orders
 from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.orders import FiniteLaw
-
-
-def oracle_atom_masses(prior, n, k):
-    if n < 0 or not isinstance(k, int):
-        raise DomainError("bad state")
-    prior.validate_for(fam.bernoulli())
-    if not 0 <= k <= n:
-        raise pr.ImpossibleObservationError("impossible observation")
-    return [w * F(t) ** k * (1 - F(t)) ** (n - k) for t, w in prior.atoms]
 
 
 def oracle_posterior(prior, n, k):
@@ -113,17 +103,6 @@ def test_priors_cover_float_atoms_and_unequal_weight_denominators():
     assert any(len({w.denominator for w in p.weights}) > 1 for p in PRIORS)
 
 
-def test_atom_masses_match_oracle():
-    for i, prior in enumerate(PRIORS):
-        for n in range(-1, 11):
-            for k in (-1, *range(n + 2), 1.0):
-                got = outcome(pr.atom_masses, prior, n, k)
-                want = outcome(oracle_atom_masses, prior, n, k)
-                assert got == want, (i, n, k)
-                if not isinstance(want, str):
-                    assert all(isinstance(m, F) for m in got)
-
-
 def test_posterior_matches_oracle():
     for i, prior in enumerate(PRIORS):
         for n in range(0, 11):
@@ -162,10 +141,6 @@ COIN = pr.atoms((F(1, 2), F(1)))
 
 
 @pytest.mark.parametrize("fn,oracle,args,want", [
-    (pr.atom_masses, oracle_atom_masses, (BAD_ATOM, 2, 1), "domain"),
-    (pr.atom_masses, oracle_atom_masses, (COIN, -1, 0), "domain"),
-    (pr.atom_masses, oracle_atom_masses, (COIN, 2, F(1, 2)), "domain"),
-    (pr.atom_masses, oracle_atom_masses, (COIN, 2, 3), "impossible"),
     (pr.posterior_given_suffstat, oracle_posterior, (BAD_ATOM, 2, 1), "domain"),
     (orders.posterior_law, oracle_posterior_law, (BAD_ATOM, F(1, 2), 2, None), "domain"),
     (orders.posterior_law, oracle_posterior_law, (COIN, F(1, 2), 2, F(-1, 4)), "domain"),
@@ -173,6 +148,17 @@ COIN = pr.atoms((F(1, 2), F(1)))
 ])
 def test_errors_keep_their_types(fn, oracle, args, want):
     assert outcome(fn, *args) == outcome(oracle, *args) == want
+
+
+@pytest.mark.parametrize("args,want", [
+    ((COIN, -1, 0), "domain"),
+    ((COIN, 2, F(1, 2)), "domain"),
+    ((COIN, 2, 3), "impossible"),
+])
+def test_posterior_refuses_states_outside_n_trials(args, want):
+    """No oracle here: ``oracle_posterior`` reads n < 0 as an impossible
+    observation."""
+    assert outcome(pr.posterior_given_suffstat, *args) == want
 
 
 def test_unparsable_generating_parameter_is_a_value_error():

@@ -9,7 +9,7 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posterior_dynamics import cli
@@ -184,6 +184,40 @@ def sure_coin_cases(draw, max_horizon=40):
             draw(st.integers(1, max_horizon)))
 
 
+def oracle_atom_integers(prior, theta0, theta1):
+    """The route's integers built from Fractions: each atom and theta1 over
+    their common denominator, each weight over the weights'."""
+    thetas = [F(t) for t in prior.thetas]
+    t1 = F(theta1)
+    denom = math.lcm(*(t.denominator for t in thetas), t1.denominator)
+    wdenom = math.lcm(*(w.denominator for w in prior.weights))
+    atoms = tuple(
+        (int(w * wdenom), int(t * denom), denom - int(t * denom))
+        for t, w in zip(thetas, prior.weights)
+    )
+    w0, a0, b0 = atoms[thetas.index(F(theta0))]
+    a1 = int(t1 * denom)
+    return denom, wdenom, atoms, w0, a0 * a1, b0 * (denom - a1), a1, denom - a1
+
+
+@st.composite
+def theta1_cases(draw, relation):
+    """(prior, theta0, theta1): 1-4 atoms, often sure coins, and a theta1
+    whose reduced denominator is a multiple, a divisor or neither of the
+    atoms' common denominator d; a divisor may be 1, so theta1 in {0, 1}."""
+    prior, theta0, _, _ = draw(sure_coin_cases())
+    d = math.lcm(*(F(t).denominator for t in prior.thetas))
+    if relation == "multiple":
+        q = d * draw(st.integers(1, 6))
+    elif relation == "divisor":
+        q = math.gcd(d, draw(st.integers(1, 60)))
+    else:
+        assume(d > 1)  # every denominator is a multiple of 1
+        q = draw(st.integers(2, 60).filter(lambda q: q % d and d % q))
+    p = draw(st.integers(0, q).filter(lambda p: math.gcd(p, q) == 1))
+    return prior, theta0, F(p, q)
+
+
 class TestCarriedRows:
     """The sweep advances each n's terms from n - 1; a deferred pair is
     rebuilt from powers at its own n."""
@@ -208,6 +242,16 @@ class TestCarriedRows:
             seq = engine.expected_posterior_discrete(*case)  # every pair from the sweep
         assert [(v.num, v.den) for v in seq.values] == pairs
         assert [ints.rebuild(n) for n in seq.ns()] == pairs
+
+    @pytest.mark.parametrize("relation", ["multiple", "divisor", "neither"])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_integers_match_the_fraction_oracle(self, relation, data):
+        prior, theta0, theta1 = data.draw(theta1_cases(relation))
+        ints = engine._AtomIntegers.of(prior, theta0, theta1)
+        got = (ints.form.denom, ints.form.wdenom, ints.form.atoms,
+               ints.w0, ints.a01, ints.b01, ints.a1, ints.b1)
+        assert got == oracle_atom_integers(prior, theta0, theta1)
 
     @settings(max_examples=20)
     @given(sure_coin_cases(max_horizon=7))

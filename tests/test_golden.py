@@ -28,6 +28,15 @@ SCENARIOS = {
         "family": {"kind": "bernoulli"}, "prior": {"type": "beta", "a": 7, "b": 1},
         "theta0": "3/4", "theta1": "9/10", "horizon": 60, "numeric_mode": "float",
     },
+    # theta1 = 1/3 puts the atoms, over 4, on the larger denominator 12
+    "atoms_rescaled": {
+        "family": {"kind": "bernoulli"}, "prior": {"type": "atoms", "atoms": [
+            {"theta": "1/4", "weight": "459/997"},
+            {"theta": "1/2", "weight": "63/997"},
+            {"theta": "3/4", "weight": "475/997"},
+        ]},
+        "theta0": "1/4", "theta1": "1/3", "horizon": 200, "numeric_mode": "exact",
+    },
     "beta_exact": {
         "family": {"kind": "bernoulli"}, "prior": {"type": "beta", "a": 7, "b": 1},
         "theta0": "3/4", "theta1": "9/10", "horizon": 120, "numeric_mode": "exact",
@@ -48,6 +57,8 @@ GOLDEN = {
     "beta71.json": "70d1578d2241f06204a848b69b99db13d1a3d6486c57278db46c8e329d5618f0",
     "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
     "atoms_float.json": "34b5bbb244b60a07c335e5ca76e5aae3deb6d5ca23de6b70e80be2fe4e8fa600",
+    "atoms_rescaled.csv": "3f1656b0ca71207615cc323826d040cbfce0d0508482e658d411d84d8e617462",
+    "atoms_rescaled.json": "0b35189b936ff0f6b666a3a9e04dc7db7d1dbe6b84778c301f345477e4a8fd69",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
     "beta_float.json": "ed5e895330918e566b286dce48404408e6c065777c182d7a9d4d41ac2246870a",
     "beta_exact.csv": "4636767e5fd6f2d5ae231e935f7e8380247286123a9cf9461dcbee0527f9cb4c",

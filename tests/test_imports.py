@@ -1,8 +1,13 @@
 """Every import is used: no module in src/ or tests/ imports a name that it
 never reads.  Package ``__init__.py`` files are skipped, because their
-imports are the public re-exports."""
+imports are the public re-exports.  Importing the package stays light: it
+loads neither the audit, CLI, figure and order layers nor the heavy
+third-party libraries."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,22 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+NOT_ON_IMPORT = (
+    "posterior_dynamics.audit", "posterior_dynamics.cli", "posterior_dynamics.figures",
+    "posterior_dynamics.orders", "mpmath", "sympy", "numpy", "scipy", "hypothesis",
+)
+
+
+def test_package_import_loads_no_heavy_module():
+    """A fresh interpreter that runs ``import posterior_dynamics`` loads
+    none of ``NOT_ON_IMPORT``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, posterior_dynamics\n"
+        f"print(sorted(m for m in {NOT_ON_IMPORT!r} if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == "[]"
