@@ -27,7 +27,7 @@ from typing import Union
 
 from . import families as fam
 from . import priors as pr
-from .families import BERNOULLI, EXPONENTIAL, NORMAL, DomainError, FamilySpec
+from .families import BERNOULLI, EXPONENTIAL, NEG_INF, NORMAL, DomainError, FamilySpec
 from .priors import (
     AtomIntegerForm,
     Beta,
@@ -131,13 +131,14 @@ def _bernoulli_float_log(
     The thetas are floats: each caller checks its exact inputs once, at its
     entry, and passes ``float(theta)``, the value the density reads anyway."""
     family = fam.bernoulli()
+    density = fam.suff_stat_log_density
     terms = []
     for k in range(n + 1):
-        lp0 = fam.suff_stat_log_density(family, theta0, n, k)
-        lp1 = fam.suff_stat_log_density(family, theta1, n, k)
+        lp0 = density(family, theta0, n, k)
+        lp1 = density(family, theta1, n, k)
         lmarg = log_marginal(n, k)
-        if lmarg == float("-inf"):
-            if lp1 > float("-inf"):
+        if lmarg == NEG_INF:
+            if lp1 > NEG_INF:
                 raise ImpossibleObservationError(
                     f"impossible observation under prior support: u_{n}={k}"
                 )
@@ -191,10 +192,11 @@ def expected_posterior_discrete(
         values = _discrete_exact_values(prior, theta0, theta1, horizon)
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     t0w = math.log(float(prior.weight_of(theta0)))
-    weighted = [(float(t), math.log(float(w))) for t, w in prior.atoms]
+    weighted = [(float(t), lw) for t, lw in prior.log_weights]
 
     def log_marginal(n: int, k: int) -> float:
-        return logsumexp(lw + fam.suff_stat_log_density(family, t, n, k) for t, lw in weighted)
+        density = fam.suff_stat_log_density
+        return logsumexp([lw + density(family, t, n, k) for t, lw in weighted])
 
     t0, t1 = float(theta0), float(theta1)
     logs = [_bernoulli_float_log(t0, t1, n, t0w, log_marginal) for n in range(1, horizon + 1)]

@@ -38,6 +38,14 @@ _KINDS = tuple(_DOMAINS)
 
 NEG_INF = float("-inf")
 
+_log = math.log
+_lgamma = math.lgamma
+# _LOG_FACT[i] = lgamma(i + 1) = log i!.  The table is empty at import and
+# ``log_binomial`` grows it to the largest n it is asked for, up to
+# LOG_FACT_MAX (about 2 MB of floats); a larger n takes lgamma directly.
+LOG_FACT_MAX = 1 << 16
+_LOG_FACT: list[float] = []
+
 
 class DomainError(ValueError):
     """A parameter or observation lies outside its legal domain."""
@@ -134,36 +142,69 @@ def bhattacharyya_reduction(family: FamilySpec, theta0: Real, theta1: Real) -> t
     return mid, t0 * t1 / (mid * mid)  # exponential
 
 
+def log_binomial(n: int, k: int) -> float:
+    """log C(n, k) for ints 0 <= k <= n: the float
+    lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1), with the three terms
+    read from ``_LOG_FACT`` for n up to ``LOG_FACT_MAX``."""
+    lf = _LOG_FACT
+    try:
+        return lf[n] - lf[k] - lf[n - k]
+    except (IndexError, TypeError):
+        pass
+    if type(n) is int and n <= LOG_FACT_MAX:
+        lf.extend(map(_lgamma, range(len(lf) + 1, n + 2)))
+        return lf[n] - lf[k] - lf[n - k]
+    return _lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)
+
+
 def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> float:
     """log density/pmf of u_n = sum of n iid observations, given theta.
 
     theta is checked here, for direct callers; the float Bernoulli routes
     of ``engine`` check theta exactly once at their entry and pass
-    ``float(theta)``, which is all the arithmetic below reads."""
+    ``float(theta)``, which is all the arithmetic below reads.  The check
+    compares theta with the domain bounds in place and calls
+    ``require_theta`` only to raise its error."""
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
-    family.require_theta(theta, closure=(family.kind == BERNOULLI))
-    t = float(theta)
-    uf = float(u)
-    if family.kind == BERNOULLI:
-        if uf < 0 or uf > n or uf != int(uf):
-            return NEG_INF
-        k = int(uf)
-        log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    kind = family.kind
+    lo, hi = _DOMAINS[kind]
+    if kind == BERNOULLI:
+        if not lo <= theta <= hi:
+            family.require_theta(theta, closure=True)
+        t = float(theta)
+        if type(u) is int:
+            if u < 0 or u > n:
+                return NEG_INF
+            k = u
+        else:
+            uf = float(u)
+            if uf < 0 or uf > n or uf != int(uf):
+                return NEG_INF
+            k = int(uf)
         if t == 0.0:
             return 0.0 if k == 0 else NEG_INF
         if t == 1.0:
             return 0.0 if k == n else NEG_INF
-        return log_choose + k * math.log(t) + (n - k) * math.log(1.0 - t)
-    if family.kind == NORMAL:
+        lf = _LOG_FACT
+        try:  # log_binomial(n, k), inlined for a table hit
+            log_choose = lf[n] - lf[k] - lf[n - k]
+        except (IndexError, TypeError):
+            log_choose = log_binomial(n, k)
+        return log_choose + k * _log(t) + (n - k) * _log(1.0 - t)
+    if not lo < theta < hi:
+        family.require_theta(theta)
+    t = float(theta)
+    uf = float(u)
+    if kind == NORMAL:
         var = n * family.sigma**2
-        return -0.5 * math.log(2.0 * math.pi * var) - (uf - n * t) ** 2 / (2.0 * var)
+        return -0.5 * _log(2.0 * math.pi * var) - (uf - n * t) ** 2 / (2.0 * var)
     # exponential: Gamma(n, rate=theta)
     if uf < 0 or (uf == 0 and n > 1):
         return NEG_INF
     if uf == 0:  # n == 1, density at the boundary
-        return math.log(t)
-    return n * math.log(t) + (n - 1) * math.log(uf) - t * uf - math.lgamma(n)
+        return _log(t)
+    return n * _log(t) + (n - 1) * _log(uf) - t * uf - _lgamma(n)
 
 
 def binomial_pmf_exact(theta: Fraction, n: int, k: int) -> Fraction:

@@ -51,28 +51,42 @@ class FiniteLaw:
         items = sorted((v, p) for v, p in grouped.items() if p != 0)
         return cls(tuple(v for v, _ in items), tuple(p for _, p in items))
 
-    def prob_of(self, value) -> Fraction:
-        for v, p in zip(self.support, self.probs):
-            if v == value:
-                return p
-        return Fraction(0)
-
 
 def lr_dominates(law_hi: FiniteLaw, law_lo: FiniteLaw) -> bool:
     """True iff law_hi dominates law_lo in the likelihood-ratio order.
 
     On the union support (missing points carry probability zero) the
     condition is P_hi(t') P_lo(t) >= P_hi(t) P_lo(t') for every pair
-    t' > t; equivalent to the set form on finite supports.
+    t' > t; equivalent to the set form on finite supports.  With
+    P_hi(v) = a/b and P_lo(v) = c/d, b and d positive, put h(v) = a d and
+    l(v) = c b: the products compare as h(t') l(t) against h(t) l(t'),
+    since both sides carry the same positive factor b b' d d'.  A point
+    with h = l = 0 meets the condition with every other point; at the
+    rest it says that h/l, taken in [0, inf], never decreases, so each
+    point is compared with the one before it.  Both supports increase, so
+    one merge walks the union in order, without hashing a ``Fraction``.
     """
-    union = sorted(set(law_hi.support) | set(law_lo.support))
-    hi = [law_hi.prob_of(v) for v in union]
-    lo = [law_lo.prob_of(v) for v in union]
-    m = len(union)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if hi[j] * lo[i] < hi[i] * lo[j]:
-                return False
+    hs, ls = law_hi.support, law_lo.support
+    zero = Fraction(0)
+    i = j = 0
+    h_prev = l_prev = 0
+    while i < len(hs) or j < len(ls):
+        if j == len(ls) or (i < len(hs) and hs[i] < ls[j]):
+            p, q = law_hi.probs[i], zero
+            i += 1
+        elif i == len(hs) or ls[j] < hs[i]:
+            p, q = zero, law_lo.probs[j]
+            j += 1
+        else:
+            p, q = law_hi.probs[i], law_lo.probs[j]
+            i += 1
+            j += 1
+        h, l = p.numerator * q.denominator, q.numerator * p.denominator
+        if h == 0 and l == 0:
+            continue
+        if h * l_prev < h_prev * l:
+            return False
+        h_prev, l_prev = h, l
     return True
 
 

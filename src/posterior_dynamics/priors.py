@@ -20,10 +20,12 @@ from functools import cached_property
 from typing import Union
 
 from . import families as fam
-from .families import BERNOULLI, EXPONENTIAL, NORMAL, DomainError, FamilySpec
+from .families import BERNOULLI, EXPONENTIAL, NEG_INF, NORMAL, DomainError, FamilySpec
 from .util import logsumexp
 
 Real = Union[int, float, Fraction]
+
+_lgamma = math.lgamma
 
 
 class PriorError(ValueError):
@@ -86,6 +88,11 @@ class DiscreteAtoms:
         for t in self.thetas:
             family.require_theta(t, closure=closure)
 
+    @cached_property
+    def log_weights(self) -> tuple[tuple[Real, float], ...]:
+        """((theta, log weight), ...), the weights as float logs."""
+        return tuple((t, math.log(float(w))) for t, w in self.atoms)
+
     def mean(self) -> Real:
         return sum(t * w for t, w in self.atoms)
 
@@ -144,6 +151,13 @@ class Beta:
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise PriorError("Beta prior requires a > 0 and b > 0")
+
+    @cached_property
+    def float_shape(self) -> tuple[float, float, float]:
+        """(a, b, log B(a, b)) as floats, kept on the instance like
+        ``DiscreteAtoms.integer_form``."""
+        a, b = float(self.a), float(self.b)
+        return a, b, _lgamma(a) + _lgamma(b) - _lgamma(a + b)
 
 
 @dataclass(frozen=True)
@@ -246,24 +260,21 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
         raise DomainError(f"n={n} must be >= 1")
     if isinstance(prior, DiscreteAtoms):
         prior.validate_for(family)
-        return logsumexp(
-            math.log(float(w)) + fam.suff_stat_log_density(family, t, n, u)
-            for t, w in prior.atoms
-        )
+        density = fam.suff_stat_log_density
+        return logsumexp([lw + density(family, t, n, u) for t, lw in prior.log_weights])
     if family.kind == BERNOULLI and isinstance(prior, Uniform01):
         uf = float(u)
         if uf < 0 or uf > n or uf != int(uf):
-            return float("-inf")
+            return NEG_INF
         return -math.log(n + 1)
     if family.kind == BERNOULLI and isinstance(prior, Beta):
         uf = float(u)
         if uf < 0 or uf > n or uf != int(uf):
-            return float("-inf")
+            return NEG_INF
         k = int(uf)
-        a, b = float(prior.a), float(prior.b)
-        log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        log_beta = lambda x, y: math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-        return log_choose + log_beta(k + a, n - k + b) - log_beta(a, b)
+        a, b, log_beta_ab = prior.float_shape
+        x, y = k + a, n - k + b
+        return fam.log_binomial(n, k) + (_lgamma(x) + _lgamma(y) - _lgamma(x + y)) - log_beta_ab
     if family.kind == NORMAL and isinstance(prior, StdNormal):
         var = n * n + n * family.sigma**2
         uf = float(u)
@@ -274,7 +285,7 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
         uf = float(u)
         lam = float(prior.rate)
         if uf <= 0:
-            return float("-inf")
+            return NEG_INF
         return math.log(lam) + math.log(n) + (n - 1) * math.log(uf) - (n + 1) * math.log(uf + lam)
     raise UnsupportedConjugacyError(
         f"unsupported conjugacy: {family.kind} with {type(prior).__name__}"

@@ -20,6 +20,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 LOG2 = math.log(2.0)
+_INF = math.inf
+_NEG_INF = -math.inf
+_exp = math.exp
+_log = math.log
 
 # bit size up to which canonical "p/q" serialization is attempted; beyond
 # it the gcd/str cost dominates (and CPython caps int - str conversion
@@ -34,13 +38,13 @@ ENCLOSURE_BITS = 160
 
 def logsumexp(terms: Iterable[float]) -> float:
     """log(sum(exp(t))) over finite/-inf terms, stable around the maximum."""
-    ts = [t for t in terms if t != float("-inf")]
+    ts = [t for t in terms if t != _NEG_INF]
     if not ts:
-        return float("-inf")
+        return _NEG_INF
     m = max(ts)
-    if m == float("inf"):
+    if m == _INF:
         return m
-    return m + math.log(sum(math.exp(t - m) for t in ts))
+    return m + _log(sum([_exp(t - m) for t in ts]))
 
 
 def _split(num: int, den: int) -> tuple[float, int]:

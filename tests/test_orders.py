@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posterior_dynamics import orders
 from posterior_dynamics import priors as pr
@@ -45,6 +47,63 @@ class TestLrDominance:
         high = FiniteLaw((F(2), F(3)), (F(1, 2), F(1, 2)))
         assert orders.lr_dominates(high, low)
         assert not orders.lr_dominates(low, high)
+
+
+def earlier_lr_dominates(law_hi, law_lo):
+    """The Fraction form lr_dominates had before it cross-multiplied
+    integers: each point's probability found by a scan of the support."""
+
+    def prob_of(law, value):
+        for v, p in zip(law.support, law.probs):
+            if v == value:
+                return p
+        return F(0)
+
+    union = sorted(set(law_hi.support) | set(law_lo.support))
+    hi = [prob_of(law_hi, v) for v in union]
+    lo = [prob_of(law_lo, v) for v in union]
+    for i in range(len(union)):
+        for j in range(i + 1, len(union)):
+            if hi[j] * lo[i] < hi[i] * lo[j]:
+                return False
+    return True
+
+
+def law_of(weights):
+    """Support point -> weight, normalised into a FiniteLaw; a zero weight
+    stays in the support as a zero probability."""
+    total = sum(weights.values()) or 1
+    points = sorted(weights.items())
+    return FiniteLaw(tuple(v for v, _ in points), tuple(F(w) / total for _, w in points))
+
+
+GRID = st.fractions(0, 1, max_denominator=12) | st.integers(0, 1)
+WEIGHT = st.one_of(st.integers(0, 9), st.fractions(F(1, 10**6), 10**6))
+WEIGHTS = st.dictionaries(GRID, WEIGHT, min_size=1, max_size=7).filter(
+    lambda w: sum(w.values()) > 0)
+
+
+@given(WEIGHTS, WEIGHTS, st.lists(st.integers(1, 5), min_size=7, max_size=7))
+def test_lr_dominates_matches_the_fraction_form(a, b, steps):
+    """Random pairs rarely dominate, so each law is also paired with its own
+    tilt by increasing factors, which always dominates it."""
+    law_a, law_b = law_of(a), law_of(b)
+    factors = [sum(steps[:i + 1]) for i in range(len(a))]
+    tilted = law_of({v: w * f for (v, w), f in zip(sorted(a.items()), factors)})
+    for hi, lo in ((law_a, law_b), (law_b, law_a), (law_a, law_a), (tilted, law_a),
+                   (law_a, tilted)):
+        assert orders.lr_dominates(hi, lo) == earlier_lr_dominates(hi, lo)
+    assert orders.lr_dominates(tilted, law_a)
+
+
+def test_lr_dominates_ignores_a_point_with_no_mass():
+    """A point where both laws put zero neither breaks nor makes the order,
+    though it sits between two points that are compared."""
+    hi = FiniteLaw((F(0), F(1, 2), F(1)), (F(1, 4), F(0), F(3, 4)))
+    lo = FiniteLaw((F(0), F(1, 2), F(1)), (F(3, 4), F(0), F(1, 4)))
+    assert orders.lr_dominates(hi, lo) and not orders.lr_dominates(lo, hi)
+    assert orders.lr_dominates(hi, lo) == earlier_lr_dominates(hi, lo)
+    assert orders.lr_dominates(lo, hi) == earlier_lr_dominates(lo, hi)
 
 
 class TestPosteriorLaw:

@@ -121,3 +121,18 @@ def test_exact_beta_route_makes_the_pinned_calls(counted_calls):
                                    mode="exact")
     assert counted_calls == {"priors.beta_marginal_pmf_exact": TERMS,
                              "families.binomial_pmf_exact": 2 * TERMS}
+
+
+@pytest.mark.parametrize("family,prior,theta0,theta1", [
+    (fam.normal(2.0), pr.StdNormal(), 0.1, 0.4),
+    (fam.exponential(), pr.ExpPrior(1.0), 1.0, 2.0),
+], ids=["normal", "exponential"])
+def test_quadrature_integrand_makes_the_pinned_calls(counted_calls, family, prior, theta0,
+                                                     theta1):
+    # selfcheck pins two density calls and one marginal call per integrand
+    # evaluation of a normal or exponential quadrature item
+    engine.expected_posterior_quadrature(family, prior, theta0, theta1, 10)
+    assert counted_calls["priors.marginal_suffstat_logpmf"] >= 1
+    assert counted_calls == {
+        "families.suff_stat_log_density": 2 * counted_calls["priors.marginal_suffstat_logpmf"],
+        "priors.marginal_suffstat_logpmf": counted_calls["priors.marginal_suffstat_logpmf"]}
