@@ -6,18 +6,18 @@ weakly falls out of it; the left boundary n = 1 counts when value(1) >=
 value(2); the right boundary never counts; plateau runs collapse to their
 first index (the strict-rise requirement does this on its own).
 
-Modes, minima and the eventual-decrease index are read off one list: the
-sign of value(n+1) - value(n) for each adjacent pair.  Floats tie within a
-relative 1e-13, so that a genuine plateau rendered in floating point does
-not sprout phantom modes.  Rationals are converted to float once per value
-and each pair is decided by ``certified_sign``, or exactly where it cannot
-decide; the exact log-concavity scan follows the same rule on products.
+Every verdict is read off the log values: modes, minima and the
+eventual-decrease index off the sign of each log step, log-concavity off
+the sign of each second difference.  Float logs tie within FLOAT_TIE_RTOL,
+so a plateau rendered in floating point does not sprout phantom modes, and
+two logs of 0.0 tie.  Exact logs carry the bound ``ExactValue.log_error``:
+a step or curvature that clears its summed bounds and roundings is decided
+there, and only the others compare the exact values.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,41 +27,47 @@ from .bipoly import poly_derivative, poly_eval, positive_roots
 from .engine import METHOD_NORMAL, ExpectedPosteriorSequence
 from .families import FamilySpec, DomainError
 from .priors import DiscreteAtoms, Prior
-from .util import certified_sign, float_or_inf
+from .util import ROUNDING, ExactValue
 
 FLOAT_TIE_RTOL = 1e-13
 # log-space guard for the float log-concavity scan; second differences of
 # closed-form log values carry ~5e-15 rounding noise, signals sit above 1e-13
 LC_FLOAT_GUARD = 1e-14
+_log_error = ExactValue.log_error
 
 
-def _step_signs(values) -> list[int]:
-    """sign(values[i+1] - values[i]) for each adjacent pair: floats tie
-    within FLOAT_TIE_RTOL; rationals are decided by certified_sign on one
-    float per value, and exactly where it returns 0."""
+def _lists(seq) -> tuple[list, list[float]]:
+    """(values, logs) of a sequence or of a raw list of floats or rationals;
+    the rationals become ExactValues, whose logs carry ``log_error``."""
+    if isinstance(seq, ExpectedPosteriorSequence):
+        return seq.values, seq.log_values
+    values = [
+        v if isinstance(v, (float, ExactValue)) else ExactValue(v.numerator, v.denominator)
+        for v in seq
+    ]
+    return values, [math.log(v) if isinstance(v, float) else v.log() for v in values]
+
+
+def _step_signs(seq) -> list[int]:
+    """sign(value(n+1) - value(n)) for each adjacent pair, off the log step:
+    floats tie within FLOAT_TIE_RTOL (so does a nan step, 0.0 to 0.0); exact
+    values are compared exactly where the step is within its bounds."""
+    values, logs = _lists(seq)
     if isinstance(values[0], float):
-        return [
-            0 if math.isclose(a, b, rel_tol=FLOAT_TIE_RTOL, abs_tol=0.0) else (1 if b > a else -1)
-            for a, b in zip(values, values[1:])
-        ]
-    floats = [float_or_inf(v) for v in values]
-    signs = [certified_sign(y, 1, x, 1) for x, y in zip(floats, floats[1:])]
-    for i, sign in enumerate(signs):
-        if sign == 0:
-            a, b = values[i], values[i + 1]
-            signs[i] = (b > a) - (b < a)
-    return signs
-
-
-def _values_of(seq) -> list:
-    return seq.values if isinstance(seq, ExpectedPosteriorSequence) else list(seq)
+        return [0 if not abs(b - a) > FLOAT_TIE_RTOL else (1 if b > a else -1)
+                for a, b in zip(logs, logs[1:])]
+    return [
+        (1 if b > a else -1)
+        if abs(b - a) > _log_error(a) + _log_error(b) + ROUNDING * (abs(a) + abs(b))
+        else (y > x) - (y < x)
+        for a, b, x, y in zip(logs, logs[1:], values, values[1:])
+    ]
 
 
 def _steps_of(seq, what: str, min_horizon: int) -> list[int]:
-    values = _values_of(seq)
-    if len(values) < min_horizon:
+    if (seq.horizon if isinstance(seq, ExpectedPosteriorSequence) else len(seq)) < min_horizon:
         raise DomainError(f"{what} needs a horizon of at least {min_horizon}")
-    return _step_signs(values)
+    return _step_signs(seq)
 
 
 def _extrema(steps: list[int], sign: int) -> list[int]:
@@ -84,33 +90,22 @@ def detect_minima(seq) -> list[int]:
 
 def logconcavity_scan(seq) -> list[int]:
     """All interior n with value(n)^2 < value(n-1) value(n+1), exact."""
-    values = _values_of(seq)
-    n = len(values)
-    if n < 3:
+    values, logs = _lists(seq)
+    if len(values) < 3:
         raise DomainError("log-concavity scan needs a horizon of at least 3")
-    if isinstance(values[0], float):
-        logs = (
-            seq.log_values
-            if isinstance(seq, ExpectedPosteriorSequence)
-            else [math.log(v) for v in values]
-        )
-        out = []
-        for i in range(1, n - 1):
-            lhs = 2.0 * logs[i]
-            rhs = logs[i - 1] + logs[i + 1]
-            scale = max(1.0, abs(lhs), abs(rhs))
-            if rhs - lhs > LC_FLOAT_GUARD * scale:
-                out.append(i + 1)
-        return out
-    # exact branch: the floats decide where certified_sign can (each side is
-    # two conversions and one product), the rest escalate to exact products
-    floats = [float_or_inf(v) for v in values]
+    triples = enumerate(zip(logs, logs[1:], logs[2:]), start=2)
+    if isinstance(values[0], float):  # a gap <= 0 skips the costlier scale
+        return [n for n, (a, b, c) in triples if (gap := (a + c) - 2.0 * b) > 0.0
+                and gap > LC_FLOAT_GUARD * max(1.0, abs(2.0 * b), abs(a + c))]
     out = []
-    for i in range(1, n - 1):
-        a, b, c = floats[i - 1 : i + 2]
-        sign = certified_sign(b * b, 3, a * c, 3) if min(a, b, c) >= sys.float_info.min else 0
-        if sign < 0 or (sign == 0 and values[i] * values[i] < values[i - 1] * values[i + 1]):
-            out.append(i + 1)
+    for n, (a, b, c) in triples:
+        gap = (a + c) - 2.0 * b
+        # the bounds of the four logs, then a + c and the gap round once each
+        err = _log_error(a) + 2.0 * _log_error(b) + _log_error(c)
+        err += 2.0 * ROUNDING * (abs(a) + 2.0 * abs(b) + abs(c))
+        x, y, z = values[n - 2 : n + 1]
+        if gap > err or (not gap < -err and y * y < x * z):
+            out.append(n)
     return out
 
 
@@ -257,8 +252,8 @@ def normal_log_convex_prefix_end(theta: float, sigma: float) -> float:
     (s^2 - 2n^2)(2n + s) - 4 theta^2 s (n + s)^2.  Divided by (n + s)^2 it
     strictly decreases for n > 0, so it has at most one positive root.
     """
-    if not sigma > 0:
-        raise DomainError(f"sigma={sigma} must be > 0")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"sigma={sigma} must be finite and > 0")
     th2, s = Fraction(theta) ** 2, Fraction(sigma) ** 2
     curvature = [s**3 - 4 * th2 * s**3, 2 * s**2 - 8 * th2 * s**2, -2 * s - 4 * th2 * s, -4]
     return max(positive_roots(curvature), default=0.0)
@@ -275,8 +270,8 @@ def normal_critical_points(theta0: float, theta1: float, sigma: float) -> list[t
     rounded root; a root where it is zero touches without crossing and is
     no extremum.  On the diagonal every coefficient is positive: no roots.
     """
-    if not sigma > 0:
-        raise DomainError(f"sigma={sigma} must be > 0")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"sigma={sigma} must be finite and > 0")
     t0, t1, s = Fraction(theta0), Fraction(theta1), Fraction(sigma) ** 2
     th2, aff = ((t0 + t1) / 2) ** 2, -((t0 - t1) ** 2) / (4 * s)
     slope = [th2 * s**2 + aff * s**3, s + th2 * s + 5 * aff * s**2, 2 + 8 * aff * s, 4 * aff]

@@ -359,8 +359,8 @@ def _uniform_float_logs(theta0: float, theta1: float, horizon: int) -> list[floa
 
 def log_expected_posterior_normal(theta0: float, theta1: float, sigma: float, n: float) -> float:
     """Closed-form log value at (possibly real) n >= 0."""
-    if not sigma > 0:
-        raise DomainError(f"sigma={sigma} must be > 0")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"sigma={sigma} must be finite and > 0")
     mid = 0.5 * (theta0 + theta1)
     sig2 = sigma * sigma
     diag = (
@@ -379,6 +379,8 @@ def expected_posterior_normal(
     if horizon < 1:
         raise DomainError(f"horizon={horizon} must be >= 1")
     family = fam.normal(sigma)
+    family.require_theta(theta0)
+    family.require_theta(theta1)
     t0, t1 = float(theta0), float(theta1)
     logs = [log_expected_posterior_normal(t0, t1, sigma, n) for n in range(1, horizon + 1)]
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_NORMAL, log_values=logs)
@@ -406,8 +408,8 @@ def expected_posterior_exponential(
     family = fam.exponential()
     family.require_theta(theta0)
     family.require_theta(theta1)
-    if not rate > 0:
-        raise DomainError(f"rate={rate} must be > 0")
+    if not 0 < rate < math.inf:
+        raise DomainError(f"rate={rate} must be finite and > 0")
     t0, t1 = float(theta0) * rate, float(theta1) * rate
     mid = 0.5 * (t0 + t1)
     bess = bessel_K_half(mid, horizon)

@@ -62,8 +62,8 @@ class FamilySpec:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown family kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == NORMAL:
-            if self.sigma is None or not self.sigma > 0:
-                raise DomainError("normal family requires sigma > 0")
+            if self.sigma is None or not 0 < self.sigma < math.inf:
+                raise DomainError("normal family requires a finite sigma > 0")
         elif self.sigma is not None:
             raise DomainError(f"sigma is only meaningful for the normal family, not {self.kind}")
 

@@ -149,8 +149,8 @@ class Beta:
     b: Real
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise PriorError("Beta prior requires a > 0 and b > 0")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise PriorError("Beta prior requires finite a > 0 and b > 0")
 
     @cached_property
     def float_shape(self) -> tuple[float, float, float]:
@@ -170,8 +170,8 @@ class ExpPrior:
     rate: Real = 1
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise PriorError("exponential prior requires rate > 0")
+        if not 0 < self.rate < math.inf:
+            raise PriorError("exponential prior requires a finite rate > 0")
 
 
 Prior = Union[DiscreteAtoms, Uniform01, Beta, StdNormal, ExpPrior]
@@ -190,8 +190,7 @@ def prior_log_density(prior: Prior, theta: Real) -> float:
     if isinstance(prior, Beta):
         if not 0.0 < t < 1.0:
             return float("-inf")
-        a, b = float(prior.a), float(prior.b)
-        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        a, b, log_beta = prior.float_shape
         return (a - 1.0) * math.log(t) + (b - 1.0) * math.log(1.0 - t) - log_beta
     if isinstance(prior, StdNormal):
         return -0.5 * math.log(2.0 * math.pi) - 0.5 * t * t

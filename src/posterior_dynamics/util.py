@@ -76,29 +76,17 @@ def ratio_to_float(num: int, den: int) -> float:
 ROUNDING = 2.0**-53 + 2.0**-62
 
 
-def certified_sign(x: float, x_roundings: int, y: float, y_roundings: int) -> int:
-    """Sign of X - Y from positive floats x and y that X and Y reach through
-    at most ``x_roundings`` and ``y_roundings`` steps of relative error
-    ROUNDING, all on normal floats.  With k steps in total, |x - X| + |y - Y|
-    <= k ROUNDING max(x, y) up to O((k ROUNDING)^2); the sign is returned
-    only when both floats are normal and their relative gap exceeds twice
-    that, which also absorbs the rounding of the gap.  0 means "escalate to
-    exact"; an infinite or nan operand makes the gap nan, which gives 0.
-    """
+def certified_sign(x: float, y: float) -> int:
+    """Sign of X - Y from positive normal floats x and y, each within one
+    ROUNDING relative of X and Y: returned only when the relative gap
+    exceeds twice their summed error, which absorbs the rounding of the gap
+    too.  0 means "escalate to exact"; so does a subnormal, infinite or nan
+    operand."""
     if min(x, y) < sys.float_info.min:
         return 0
-    if abs(x - y) / max(x, y) > 2.0 * (x_roundings + y_roundings) * ROUNDING:
+    if abs(x - y) / max(x, y) > 4.0 * ROUNDING:
         return 1 if x > y else -1
     return 0
-
-
-def float_or_inf(v) -> float:
-    """float(v) for a float, int, Fraction or ExactValue; inf beyond the
-    float range, where certified_sign escalates."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf
 
 
 def tree_sum_fractions(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
@@ -198,13 +186,25 @@ class ExactValue:
         return ratio_to_float(self.num, self.den)
 
     def log(self) -> float:
-        """Natural log, from the leading bits; -inf at zero."""
+        """Natural log, from the leading bits, within ``log_error``; -inf at zero."""
         if self.num <= 0:
             if self.num == 0:
                 return -math.inf
             raise ValueError("log of a negative ExactValue")
         m, e = _split(self.num, self.den)
         return math.log(m) + e * LOG2
+
+    @staticmethod
+    def log_error(log: float) -> float:
+        """A bound on |x.log() - ln X| for each positive ExactValue x whose
+        ``log()`` is ``log``.  ``_split`` gives m 2^e = X (1 + d), |d| <=
+        ROUNDING; math.log adds at most one ulp, 2^-52 |ln m|; e * LOG2
+        carries the error of LOG2 and one rounding, below 2^-52 |e ln 2| in
+        all; the sum rounds by 2^-53 |log|.  As m lies in (2^-64, 2^64) and
+        ln m has the sign of e unless |ln m| < ln 2, |ln m| + |e ln 2| <=
+        |log| + 2 ln 2: the error is below (1.9 + 1.5 |log|) 2^-52, and the
+        constant is doubled for margin."""
+        return (4.0 + 1.5 * abs(log)) * 2.0**-52
 
     def __mul__(self, other):
         if isinstance(other, ExactValue):
@@ -218,7 +218,10 @@ class ExactValue:
     def _cmp(self, other) -> int:
         if not isinstance(other, (ExactValue, int, Fraction)):
             raise TypeError(f"cannot compare ExactValue with {type(other)!r}")
-        sign = certified_sign(float_or_inf(self), 1, float_or_inf(other), 1)
+        try:
+            sign = certified_sign(float(self), float(other))
+        except OverflowError:  # beyond the float range: escalate
+            sign = 0
         if sign:
             return sign
         if isinstance(other, ExactValue):

@@ -1,6 +1,7 @@
 """Scenario schema, dispatch, emission, CLI behavior, determinism."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -164,9 +165,15 @@ class TestCliCommands:
         {"family": {"kind": "exponential"}, "prior": {"type": "exp", "lambda": 1},
          "theta0": 1.0, "theta1": -1},
         {"outputs": "csv"},
+        # json.dumps writes an infinite float as the token Infinity
+        {"prior": {"type": "beta", "a": math.inf, "b": 1}, "numeric_mode": "float"},
+        {"family": {"kind": "exponential"}, "prior": {"type": "exp", "lambda": math.inf},
+         "theta0": 1.0, "theta1": 4.0},
+        {"family": {"kind": "normal", "sigma": math.inf}, "prior": {"type": "stdnormal"}},
     ], ids=["atom_without_theta", "beta_without_b", "sigma_string", "sigma_null",
             "atom_not_object", "outputs_not_list", "name_not_string", "atom_outside_domain",
-            "theta0_outside_uniform", "theta1_outside_exponential", "outputs_string"])
+            "theta0_outside_uniform", "theta1_outside_exponential", "outputs_string",
+            "beta_shape_infinity", "exp_rate_infinity", "sigma_infinity"])
     def test_psi_malformed_field_is_schema_error(self, tmp_path, overrides):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_scenario(**overrides)))

@@ -143,6 +143,43 @@ class TestAsymptotics:
         assert ratios[12000] == pytest.approx(1.0, abs=1e-4)
 
 
+# float routes at parameters far enough apart that psi underflows to 0.0
+# from about n = 100 on, while its log values keep falling
+UNDERFLOWING_ROUTES = {
+    "uniform": lambda h: engine.expected_posterior_uniform(
+        F(1, 10**4), F(9999, 10**4), h, mode="float"),
+    "atoms": lambda h: engine.expected_posterior_discrete(
+        pr.atoms((F(1, 10**6), F(1, 2)), (F(10**6 - 1, 10**6), F(1, 2))),
+        F(1, 10**6), F(10**6 - 1, 10**6), h, mode="float"),
+    "beta": lambda h: engine.expected_posterior_beta(
+        pr.Beta(2, 2), F(1, 10**4), F(9999, 10**4), h, mode="float"),
+    "normal": lambda h: engine.expected_posterior_normal(-3.0, 3.0, 1.0, h),
+    "exponential": lambda h: engine.expected_posterior_exponential(0.01, 100.0, h),
+}
+
+
+class TestUnderflowedTails:
+    """Verdicts are read off the log values, so psi = 0.0 past its
+    underflow neither ties nor hides the eventual decrease."""
+
+    @pytest.mark.parametrize("route,minima,decrease", [
+        (lambda: engine.expected_posterior_exponential(1.0, 4.0, 2000), [], 1),
+        (lambda: engine.expected_posterior_uniform(F(1, 2), F(3, 4), 11_000, mode="float"),
+         [1], 5),
+    ], ids=["exp_1_4", "uniform_half_three_quarters"])
+    def test_long_horizon_verdicts(self, route, minima, decrease):
+        seq = route()
+        assert seq.values[-1] == 0.0
+        report = dg.analyze(seq)
+        assert (report.minima, report.eventual_decrease) == (minima, decrease)
+
+    @pytest.mark.parametrize("route", UNDERFLOWING_ROUTES.values(), ids=UNDERFLOWING_ROUTES)
+    def test_every_float_route_decreases_eventually(self, route):
+        seq = route(150)
+        assert seq.values[-2:] == [0.0, 0.0]
+        assert dg.eventual_decrease_index(seq) is not None
+
+
 def mp_log_slope_root(theta0: float, theta1: float, sigma: float, guess: float) -> float:
     """Root near guess of d/dn of the normal closed form, at 50 digits and
     the same binary inputs, rounded to a float.  The closed form is written

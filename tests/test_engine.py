@@ -384,6 +384,38 @@ class TestNormalRoute:
             )
 
 
+NON_FINITE = [math.inf, math.nan]
+
+
+class TestNonFiniteParameters:
+    """Each entry point refuses an infinite or nan parameter, which would
+    otherwise give an all-nan sequence."""
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    @pytest.mark.parametrize("build", [
+        lambda x: pr.Beta(x, 1), lambda x: pr.Beta(2, x), lambda x: pr.ExpPrior(x),
+    ], ids=["beta_a", "beta_b", "exp_rate"])
+    def test_prior_parameters(self, build, x):
+        with pytest.raises(pr.PriorError):
+            build(x)
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    @pytest.mark.parametrize("call", [
+        lambda x: fam.normal(x),
+        lambda x: fam.FamilySpec(fam.NORMAL, x),
+        lambda x: engine.expected_posterior_exponential(1.0, 4.0, 5, rate=x),
+        lambda x: engine.log_expected_posterior_normal(0.0, 0.5, x, 3),
+        lambda x: dg.normal_log_convex_prefix_end(0.25, x),
+        lambda x: dg.normal_critical_points(0.0, 0.5, x),
+        lambda x: engine.expected_posterior_normal(x, 0.5, 1.0, 5),
+        lambda x: engine.expected_posterior_normal(0.0, -x, 1.0, 5),
+    ], ids=["normal_sigma", "family_sigma", "exp_rate", "log_normal_sigma",
+            "prefix_end_sigma", "critical_points_sigma", "normal_theta0", "normal_theta1"])
+    def test_domain_errors(self, call, x):
+        with pytest.raises(DomainError):
+            call(x)
+
+
 class TestExponentialRoute:
     def test_unit_value(self):
         seq = engine.expected_posterior_exponential(1.0, 1.0, 1)

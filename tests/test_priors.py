@@ -1,6 +1,8 @@
 """Priors, exact posteriors, and prior-predictive laws."""
 
+import itertools
 import math
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -174,6 +176,18 @@ class TestPriorDensity:
         assert pr.prior_log_density(pr.ExpPrior(2), 1.0) == pytest.approx(
             math.log(2) - 2.0, rel=1e-15
         )
+
+    def test_beta_density_reads_the_cached_shape(self):
+        # bit for bit the expression that recomputed a, b and log B(a, b)
+        shapes = [F(1, 3), 1, F(7, 2), 7, 0.25, 30.5]
+        for a, b in itertools.product(shapes, repeat=2):
+            fa, fb = float(a), float(b)
+            log_beta = math.lgamma(fa) + math.lgamma(fb) - math.lgamma(fa + fb)
+            for t in (1e-9, 0.1, F(1, 3), 0.5, 0.75, 1 - 1e-9):
+                t = float(t)
+                want = (fa - 1.0) * math.log(t) + (fb - 1.0) * math.log(1.0 - t) - log_beta
+                got = pr.prior_log_density(pr.Beta(a, b), t)
+                assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestJson:

@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +52,15 @@ class TestRegressions:
         assert a.as_fraction() > b
         assert a > b
 
+    def test_log_order_flipped_by_rounding_escalates(self):
+        # y > x by one part in 2^300, yet y.log() < x.log() by one ulp
+        num, den = 405517788424633805213829157878, 10642947104617309222109089999
+        scale = 905279 << 200
+        x, y = ExactValue(num, den), ExactValue(num * scale + 1, den * scale)
+        assert y > x and y.log() < x.log()
+        assert dg.detect_modes([x, y, x]) == [2]
+        assert dg.logconcavity_scan([x, y, x]) == []
+
     def test_unbalanced_operands_keep_their_bits(self):
         want = 1.0654613332037199e-112
         assert abs(ratio_to_float(3**600, 7**400 * 2**200) - want) <= 2**-52 * want
@@ -58,19 +68,32 @@ class TestRegressions:
 
 class TestCertifiedSign:
     def test_decides_clear_gaps(self):
-        assert certified_sign(2.0, 1, 1.0, 1) == 1
-        assert certified_sign(1.0, 3, 1.0 + 2**-40, 3) == -1
+        assert certified_sign(2.0, 1.0) == 1
+        assert certified_sign(1.0, 1.0 + 2**-40) == -1
+        assert certified_sign(1.0, 1.0 + 8 * ROUNDING) == -1
 
     def test_escalates_within_the_bound(self):
-        assert certified_sign(1.0, 1, 1.0 + 2**-52, 1) == 0
-        assert certified_sign(1.0, 3, 1.0 + 8 * ROUNDING, 3) == 0
+        assert certified_sign(1.0, 1.0 + 2**-52) == 0
+        assert certified_sign(1.0, 1.0 + 4 * ROUNDING) == 0
 
     def test_escalates_off_the_normal_range(self):
         tiny = sys.float_info.min / 4
-        assert certified_sign(tiny, 1, 1.0, 1) == 0
-        assert certified_sign(0.0, 1, 1.0, 1) == 0
-        assert certified_sign(math.inf, 1, 1.0, 1) == 0
-        assert certified_sign(math.nan, 1, 1.0, 1) == 0
+        assert certified_sign(tiny, 1.0) == 0
+        assert certified_sign(0.0, 1.0) == 0
+        assert certified_sign(math.inf, 1.0) == 0
+        assert certified_sign(math.nan, 1.0) == 0
+
+
+class TestExactLog:
+    @given(ratios(max_bits=2 * 10**5), st.integers(-4, 4))
+    def test_within_log_error_of_mpmath(self, pair, nudge):
+        num, den = pair
+        # the ratio itself, and one within a few units of 1
+        for n, d in ((num, den), (max(num + nudge, 1), num)):
+            got = ExactValue(n, d).log()
+            with mp.workdps(60):
+                err = abs(mp.mpf(got) - (mp.log(n) - mp.log(d)))
+            assert err <= ExactValue.log_error(got)
 
 
 class TestRatioToFloat:
