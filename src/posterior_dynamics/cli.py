@@ -83,7 +83,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         try:
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"audit_{args.suite}.json")
-            fig.atomic_write(path, fig.render_json(report))
+            fig.atomic_write(path, [fig.render_json(report)])
             print(path)
         except OSError as exc:
             print(f"io error: {exc}", file=sys.stderr)

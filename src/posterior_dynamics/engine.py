@@ -53,6 +53,9 @@ from .util import (
 Real = Union[int, float, Fraction]
 
 METHOD_EXACT = "exact_rational"
+# the float branch of the atom and Beta routes: the same finite sum over
+# u_n, taken in log space
+METHOD_FLOAT_SUM = "float_finite_sum"
 METHOD_NORMAL = "closed_form_normal"
 METHOD_EXP_BESSEL = "closed_form_exp_bessel"
 METHOD_UNIFORM = "uniform_prior_legendre"
@@ -105,7 +108,12 @@ class ExpectedPosteriorSequence:
         return self.values[n - 1]
 
     def float_values(self) -> list[float]:
-        return [float(v) for v in self.values] if self.values else []
+        """The values as floats: ``values`` itself, not a copy, on a float
+        route, so callers must not mutate it."""
+        values = self.values
+        if values and isinstance(values[0], ExactValue):
+            return [float(v) for v in values]
+        return values
 
     def rational_strings(self) -> list[str | None]:
         """Canonical "p/q" per value, or None where reduction is too big."""
@@ -200,7 +208,7 @@ def expected_posterior_discrete(
 
     t0, t1 = float(theta0), float(theta1)
     logs = [_bernoulli_float_log(t0, t1, n, t0w, log_marginal) for n in range(1, horizon + 1)]
-    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, log_values=logs)
+    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_FLOAT_SUM, log_values=logs)
 
 
 @dataclass(frozen=True)
@@ -486,7 +494,7 @@ def expected_posterior_beta(
     logs = [
         _bernoulli_float_log(t0, t1, n, log_density0, log_marginal) for n in range(1, horizon + 1)
     ]
-    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, log_values=logs)
+    return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_FLOAT_SUM, log_values=logs)
 
 
 # ---------------------------------------------------------------------------

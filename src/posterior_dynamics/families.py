@@ -41,8 +41,9 @@ NEG_INF = float("-inf")
 _log = math.log
 _lgamma = math.lgamma
 # _LOG_FACT[i] = lgamma(i + 1) = log i!.  The table is empty at import and
-# ``log_binomial`` grows it to the largest n it is asked for, up to
-# LOG_FACT_MAX (about 2 MB of floats); a larger n takes lgamma directly.
+# ``log_factorials`` grows it to the largest n ``log_binomial`` or the
+# integer-shape Beta marginal asks for, up to LOG_FACT_MAX (about 2 MB of
+# floats); a larger n takes lgamma directly.
 LOG_FACT_MAX = 1 << 16
 _LOG_FACT: list[float] = []
 
@@ -152,9 +153,17 @@ def log_binomial(n: int, k: int) -> float:
     except (IndexError, TypeError):
         pass
     if type(n) is int and n <= LOG_FACT_MAX:
-        lf.extend(map(_lgamma, range(len(lf) + 1, n + 2)))
+        lf = log_factorials(n)
         return lf[n] - lf[k] - lf[n - k]
     return _lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)
+
+
+def log_factorials(m: int) -> list[float]:
+    """``_LOG_FACT``, grown to hold log m! for an int m <= LOG_FACT_MAX."""
+    lf = _LOG_FACT
+    if len(lf) <= m:
+        lf.extend(map(_lgamma, range(len(lf) + 1, m + 2)))
+    return lf
 
 
 def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> float:

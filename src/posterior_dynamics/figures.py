@@ -6,6 +6,10 @@ markers, emitted without any plotting dependency.  All writes are
 atomic (write to a temp name, then rename) and byte-deterministic: CSV
 floats carry 17 significant digits, JSON floats are written as json
 writes them, rationals as canonical "p/q" up to a size cap.
+
+Each emitter returns its file as a list of strings, the per-n rows joined
+into blocks of at most ``BLOCK_ROWS`` rows, so a long sequence is never
+held as one list of per-row strings next to its joined text.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from .engine import ExpectedPosteriorSequence
 from .scenario import Scenario, run_scenario, scenario_from_json, scenario_to_json
 
 BUNDLED = ("figure1", "figure2", "figure3", "beta71")
+# rows per joined block of an emitted file: small next to a 50,000-row
+# file, large enough that the list of blocks stays short
+BLOCK_ROWS = 2048
 
 
 def bundled_scenario(name: str) -> Scenario:
@@ -29,21 +36,39 @@ def bundled_scenario(name: str) -> Scenario:
     return scenario_from_json(json.loads(text), name=name)
 
 
-def atomic_write(path: str, data: str) -> None:
+def atomic_write(path: str, parts: list[str]) -> None:
+    """Write the concatenation of ``parts`` (a list, never a bare str) to
+    ``path`` through a temp name and a rename."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+        fh.writelines(parts)
     os.replace(tmp, path)
 
 
-def sequence_csv(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -> str:
+def _joined_blocks(count: int, sep: str, rows) -> list[str]:
+    """``sep.join(rows(0, count))`` as a list of blocks of at most
+    ``BLOCK_ROWS`` rows, where ``rows(lo, hi)`` formats rows lo..hi-1
+    (hi may pass count) as a list of strings."""
+    parts = []
+    for lo in range(0, count, BLOCK_ROWS):
+        if lo:
+            parts.append(sep)
+        parts.append(sep.join(rows(lo, lo + BLOCK_ROWS)))
+    return parts
+
+
+def sequence_csv(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -> list[str]:
     modes = set(report.modes)
     violations = set(report.logconcavity_violations)
-    rows = [
-        "%d,%.17g,%.17g,%d,%d\n" % (n, v, lv, n in modes, n in violations)
-        for n, v, lv in zip(seq.ns(), seq.float_values(), seq.log_values)
-    ]
-    return "n,psi,log_psi,is_mode,lc_violation\n" + "".join(rows)
+    values, logs = seq.float_values(), seq.log_values
+
+    def rows(lo: int, hi: int) -> list[str]:
+        return [
+            "%d,%.17g,%.17g,%d,%d\n" % (n, v, lv, n in modes, n in violations)
+            for n, v, lv in zip(range(lo + 1, hi + 1), values[lo:hi], logs[lo:hi])
+        ]
+
+    return ["n,psi,log_psi,is_mode,lc_violation\n", *_joined_blocks(len(values), "", rows)]
 
 
 def sequence_report(
@@ -74,18 +99,26 @@ _JSON_RATIONAL = ',\n      "psi_rational": "%s"'
 
 def sequence_json(
     scenario: Scenario, seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport
-) -> str:
+) -> list[str]:
     """The bytes of ``render_json`` on the report with a sorted-last "values"
     list of {"log_psi", "n", "psi"[, "psi_rational"]} rows, each row written
     from one template instead of through json's pure-Python indent encoder."""
     head = render_json(sequence_report(scenario, seq, report))
-    rows = [
-        _JSON_ROW % (_json_float(lv), n, _json_float(v), _JSON_RATIONAL % rat if rat else "")
-        for n, v, lv, rat in zip(
-            seq.ns(), seq.float_values(), seq.log_values, seq.rational_strings()
-        )
+    values, logs, rationals = seq.float_values(), seq.log_values, seq.rational_strings()
+
+    def rows(lo: int, hi: int) -> list[str]:
+        return [
+            _JSON_ROW % (_json_float(lv), n, _json_float(v), _JSON_RATIONAL % rat if rat else "")
+            for n, v, lv, rat in zip(
+                range(lo + 1, hi + 1), values[lo:hi], logs[lo:hi], rationals[lo:hi]
+            )
+        ]
+
+    return [
+        head[: -len("\n}\n")] + ',\n  "values": [\n',
+        *_joined_blocks(len(values), ",\n", rows),
+        "\n  ]\n}\n",
     ]
-    return head[: -len("\n}\n")] + ',\n  "values": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +142,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out or [lo]
 
 
-def polyline_svg(xs: list[float], ys: list[float], marks: list[tuple[float, float, str]]) -> str:
-    """Minimal plot of psi(n) against n: one polyline, tick marks, labelled points."""
+def polyline_svg(
+    xs: list[float], ys: list[float], marks: list[tuple[float, float, str]]
+) -> list[str]:
+    """Minimal plot of psi(n) against n: one polyline, tick marks, labelled
+    points; the polyline's points are formatted in blocks of rows."""
     width, height = 720, 480
     pad_l, pad_r, pad_t, pad_b = 72, 24, 24, 48
     x_lo, x_hi = min(xs), max(xs)
@@ -150,8 +186,13 @@ def polyline_svg(xs: list[float], ys: list[float], marks: list[tuple[float, floa
         parts.append(
             f'<text x="{pad_l - 8}" y="{y + 4:.2f}" font-size="11" text-anchor="end">{t:.3g}</text>'
         )
-    points = " ".join(["%.2f,%.2f" % xy for xy in zip(px(xs), py(ys))])
-    parts.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
+    head = "\n".join(parts) + '\n<polyline points="'
+
+    def points(lo: int, hi: int) -> list[str]:
+        return ["%.2f,%.2f" % xy for xy in zip(px(xs[lo:hi]), py(ys[lo:hi]))]
+
+    blocks = _joined_blocks(len(xs), " ", points)
+    parts = ['" fill="none" stroke="#1f77b4" stroke-width="1.5"/>']
     mark_xs = px([mx for mx, _, _ in marks])
     mark_ys = py([my for _, my, _ in marks])
     for (_, _, label), x, y in zip(marks, mark_xs, mark_ys):
@@ -170,10 +211,10 @@ def polyline_svg(xs: list[float], ys: list[float], marks: list[tuple[float, floa
         "psi(n)</text>"
     )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return [head, *blocks, "\n".join(parts) + "\n"]
 
 
-def sequence_svg(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -> str:
+def sequence_svg(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -> list[str]:
     xs = [float(n) for n in seq.ns()]
     ys = seq.float_values()
     marks = []

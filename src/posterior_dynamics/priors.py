@@ -159,6 +159,12 @@ class Beta:
         a, b = float(self.a), float(self.b)
         return a, b, _lgamma(a) + _lgamma(b) - _lgamma(a + b)
 
+    @cached_property
+    def integer_shape(self) -> tuple[int, int] | None:
+        """(a, b) as ints when both shapes are integer-valued, else None."""
+        a, b, _ = self.float_shape
+        return (int(a), int(b)) if a.is_integer() and b.is_integer() else None
+
 
 @dataclass(frozen=True)
 class StdNormal:
@@ -272,8 +278,16 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
             return NEG_INF
         k = int(uf)
         a, b, log_beta_ab = prior.float_shape
-        x, y = k + a, n - k + b
-        return fam.log_binomial(n, k) + (_lgamma(x) + _lgamma(y) - _lgamma(x + y)) - log_beta_ab
+        shape = prior.integer_shape
+        if shape is not None and type(n) is int and n + sum(shape) - 1 <= fam.LOG_FACT_MAX:
+            # lgamma(j) = log (j - 1)! for an int j >= 1: the same floats
+            i, j = k + shape[0] - 1, n - k + shape[1] - 1
+            lf = fam.log_factorials(i + j + 1)
+            log_beta_xy = lf[i] + lf[j] - lf[i + j + 1]
+        else:
+            x, y = k + a, n - k + b
+            log_beta_xy = _lgamma(x) + _lgamma(y) - _lgamma(x + y)
+        return fam.log_binomial(n, k) + log_beta_xy - log_beta_ab
     if family.kind == NORMAL and isinstance(prior, StdNormal):
         var = n * n + n * family.sigma**2
         uf = float(u)

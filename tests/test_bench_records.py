@@ -5,8 +5,10 @@ comparison.  Its ``claim`` and its ``workloads`` must name workloads and an
 end-to-end metric that ``BENCHMARK.json`` declares, or the record cannot be
 checked against the benchmark it cites.  The claim must also restate its own
 record: its medians are those of the claimed workload's metric, its ratio
-is theirs, its pair counts are the workload's, and every workload's outputs
-were correct.  This guard only reads ``BENCHMARK.json`` and the records.
+is theirs and points the way the metric's ``better`` says (above 1 for a
+"higher" metric, below 1 for a "lower" one), its pair counts are the
+workload's, and every workload's outputs were correct.  This guard only
+reads ``BENCHMARK.json`` and the records.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
-END_TO_END = {m["name"] for m in BENCHMARK["end_to_end"]}
+END_TO_END = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
@@ -45,6 +47,10 @@ def test_claim_restates_its_workload(path):
     assert claim["change_median"] == metric["change"]["median"]
     assert claim["change_over_parent"] == round(
         claim["change_median"] / claim["parent_median"], 4)
+    if END_TO_END[claim["metric"]] == "higher":
+        assert claim["change_over_parent"] > 1
+    else:
+        assert claim["change_over_parent"] < 1
     assert claim["pairs"] == workload["pairs"]
     assert 0 <= claim["change_wins"] <= claim["pairs"]
     assert all(w["correct_all"] is True for w in record["workloads"].values())

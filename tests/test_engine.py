@@ -563,9 +563,12 @@ class TestBetaRoute:
             engine.expected_posterior_beta(pr.Beta(7, 1), F(3, 4), F(9, 10), 5, mode="sloppy")
 
     def test_float_route_is_labelled_a_finite_sum(self):
-        seq = engine.expected_posterior_beta(pr.Beta(7, 1), F(3, 4), F(9, 10), 5, mode="float")
-        assert seq.method == engine.METHOD_EXACT
-        assert seq.representation == engine.REPR_FLOAT
+        for seq in (
+            engine.expected_posterior_beta(pr.Beta(7, 1), F(3, 4), F(9, 10), 5, mode="float"),
+            engine.expected_posterior_discrete(FIGURE1_PRIOR, F(1, 2), F(13, 20), 5, mode="float"),
+        ):
+            assert seq.method == engine.METHOD_FLOAT_SUM
+            assert seq.representation == engine.REPR_FLOAT
 
 
 class TestQuadratureOracleBernoulli:
@@ -667,7 +670,7 @@ class TestSequenceBehavior:
     def test_csv_rows_shape(self):
         seq = engine.expected_posterior_uniform(F(1, 2), F(1, 2), 3)
         assert seq.representation == "rational"
-        text = figures.sequence_csv(seq, dg.analyze(seq))
+        text = "".join(figures.sequence_csv(seq, dg.analyze(seq)))
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert [r[0] for r in rows] == ["1", "2", "3"]
         assert rows[1][1] == "1.125"

@@ -3,11 +3,13 @@
 The oracles below are the previous emitters, kept as the reference: the
 whole report through ``json.dumps(indent=2, sort_keys=True)``, the CSV
 through ``format(x, ".17g")`` f-strings, and the SVG through per-point
-``px``/``py`` closures.  The new emitters must write the same bytes.
+``px``/``py`` closures.  The new emitters return their files as lists of
+row blocks; joined, they must write the same bytes.
 """
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -159,22 +161,7 @@ REPORTS = {
 CASES = [(s, r) for s in SEQUENCES for r in REPORTS]
 
 
-@pytest.mark.parametrize("seq_name,report_name", CASES)
-def test_json_matches_indented_json_dumps(seq_name, report_name):
-    seq, report = SEQUENCES[seq_name], REPORTS[report_name]
-    assert figures.sequence_json(SCENARIO, seq, report) == oracle_json(SCENARIO, seq, report)
-
-
-@pytest.mark.parametrize("seq_name,report_name", CASES)
-def test_csv_matches_format_rows(seq_name, report_name):
-    seq, report = SEQUENCES[seq_name], REPORTS[report_name]
-    assert figures.sequence_csv(seq, report) == oracle_csv(seq, report)
-
-
-@pytest.mark.parametrize("seq_name,report_name", CASES)
-def test_svg_matches_closure_polyline(seq_name, report_name):
-    seq, report = SEQUENCES[seq_name], REPORTS[report_name]
-    svg = figures.sequence_svg(seq, report)
+def oracle_svg(seq, report) -> str:
     xs = [float(n) for n in seq.ns()]
     ys = seq.float_values()
     marks = [(float(m), ys[m - 1], f"n={m}") for m in report.modes]
@@ -182,7 +169,90 @@ def test_svg_matches_closure_polyline(seq_name, report_name):
     for n_star, kind in report.critical_points:
         idx = min(max(int(round(n_star)), 1), len(ys))
         marks.append((float(idx), ys[idx - 1], f"{kind}~{n_star:.0f}"))
-    assert svg == oracle_polyline(xs, ys, marks)
+    return oracle_polyline(xs, ys, marks)
+
+
+def assert_emitters_match_oracles(seq, report):
+    assert "".join(figures.sequence_json(SCENARIO, seq, report)) == oracle_json(
+        SCENARIO, seq, report)
+    assert "".join(figures.sequence_csv(seq, report)) == oracle_csv(seq, report)
+    assert "".join(figures.sequence_svg(seq, report)) == oracle_svg(seq, report)
+
+
+@pytest.mark.parametrize("seq_name,report_name", CASES)
+def test_json_matches_indented_json_dumps(seq_name, report_name):
+    seq, report = SEQUENCES[seq_name], REPORTS[report_name]
+    assert "".join(figures.sequence_json(SCENARIO, seq, report)) == oracle_json(
+        SCENARIO, seq, report)
+
+
+@pytest.mark.parametrize("seq_name,report_name", CASES)
+def test_csv_matches_format_rows(seq_name, report_name):
+    seq, report = SEQUENCES[seq_name], REPORTS[report_name]
+    assert "".join(figures.sequence_csv(seq, report)) == oracle_csv(seq, report)
+
+
+@pytest.mark.parametrize("seq_name,report_name", CASES)
+def test_svg_matches_closure_polyline(seq_name, report_name):
+    seq, report = SEQUENCES[seq_name], REPORTS[report_name]
+    assert "".join(figures.sequence_svg(seq, report)) == oracle_svg(seq, report)
+
+
+B = figures.BLOCK_ROWS
+EDGE_HORIZONS = [1, B - 1, B, B + 1, 2 * B + 1]
+# the last row of a block, the first of the next, and the last row overall
+EDGES = (B, B + 1, 2 * B + 1)
+
+
+def _exact_rows(horizon) -> ExpectedPosteriorSequence:
+    """psi_rational strings on every row but two edge rows: a zero (psi 0.0,
+    log -inf) and a value past the canonical size cap."""
+    special = {B: ExactValue(0, 7), B + 1: ExactValue(3 * LIMIT + 1, 5 * LIMIT)}
+    return _exact(*[special.get(n, ExactValue(n, n + 1)) for n in range(1, horizon + 1)])
+
+
+def _float_rows(horizon) -> ExpectedPosteriorSequence:
+    """Non-finite and underflowing values on the edge rows."""
+    special = {B - 1: -800.0, B: float("-inf"), 2 * B + 1: float("-inf")}
+    return _float(*[special.get(n, -n / 1000.0) for n in range(1, horizon + 1)])
+
+
+def _edge_report(horizon) -> dg.DiagnosticsReport:
+    def on(ns):
+        return [n for n in ns if n <= horizon]
+    return dg.DiagnosticsReport(
+        modes=on([1, B, B + 1]), minima=on([B - 1, 2 * B + 1]),
+        logconcavity_violations=on([B - 1, *EDGES]), eventual_decrease=None,
+        critical_points=[(float(horizon), "max")],
+    )
+
+
+@pytest.mark.parametrize("rows", [_exact_rows, _float_rows])
+@pytest.mark.parametrize("horizon", EDGE_HORIZONS)
+def test_block_edges_match_oracles(rows, horizon):
+    seq, report = rows(horizon), _edge_report(horizon)
+    parts = figures.sequence_json(SCENARIO, seq, report)
+    assert all(isinstance(p, str) for p in parts)
+    assert len(parts) <= 2 + 2 * math.ceil(horizon / B)
+    assert_emitters_match_oracles(seq, report)
+
+
+def test_json_peak_memory_is_near_its_text():
+    """The blocks, not a list of 50,000 row strings plus their join, set
+    the peak: 1.15x the 4.5 MB text here, against 3.6x when the rows were
+    held whole, so a bound of 1.5x fails the whole-file form."""
+    seq = _float(*[-n / 1e4 for n in range(1, 50_001)])
+    report = REPORTS["none"]
+    figures.sequence_json(SCENARIO, seq, report)  # warm any lazy state
+    tracemalloc.start()
+    try:
+        parts = figures.sequence_json(SCENARIO, seq, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = sum(map(len, parts))
+    assert text > 4_000_000
+    assert peak < 1.5 * text
 
 
 def test_cases_cover_the_edge_values():
@@ -205,8 +275,9 @@ def test_any_float_rows_match_oracles(psis, logs):
     seq = _float(*[0.0] * len(psis))
     seq.values, seq.log_values = psis, (logs * len(psis))[: len(psis)]
     report = REPORTS["marked"]
-    assert figures.sequence_json(SCENARIO, seq, report) == oracle_json(SCENARIO, seq, report)
-    assert figures.sequence_csv(seq, report) == oracle_csv(seq, report)
+    assert "".join(figures.sequence_json(SCENARIO, seq, report)) == oracle_json(
+        SCENARIO, seq, report)
+    assert "".join(figures.sequence_csv(seq, report)) == oracle_csv(seq, report)
 
 
 @given(st.lists(st.floats(0.0, 1.0).map(lambda v: round(v, 6)), min_size=3, max_size=60),
@@ -215,4 +286,4 @@ def test_any_polyline_matches_oracle(ys, data):
     xs = [float(n) for n in range(1, len(ys) + 1)]
     idx = data.draw(st.lists(st.integers(0, len(ys) - 1), max_size=4))
     marks = [(xs[i], ys[i], f"n={i + 1}") for i in idx]
-    assert figures.polyline_svg(xs, ys, marks) == oracle_polyline(xs, ys, marks)
+    assert "".join(figures.polyline_svg(xs, ys, marks)) == oracle_polyline(xs, ys, marks)

@@ -4,6 +4,7 @@
 takes ints u without a float round trip and reads log C(n, k) from a table of
 log factorials; ``util.logsumexp`` sums a list against module constants; the
 Beta prior predictive reads its float shape and log B(a, b) from the prior,
+and its other log-gammas from the same table when the shapes are integers,
 and the atom one its float log-weights.  The copies below are the kernels as
 they were before; every float must come out with the same bits, and every
 error with the same type and message.
@@ -214,6 +215,26 @@ def test_beta_marginal_bits(a, b, data):
     for _ in range(2):  # the second call reads the cached float shape
         assert outcome(pr.marginal_suffstat_logpmf, BERNOULLI, prior, n, u) == outcome(
             earlier_beta_logpmf, prior, n, u)
+
+
+@pytest.mark.parametrize("a,b", [(30, 40), (30.0, 40.0), (Fraction(30), 40)])
+def test_integer_beta_shapes_read_the_log_factorial_table(monkeypatch, a, b):
+    """lgamma(k + a), lgamma(n - k + b) and lgamma(n + a + b) come off the
+    table while n + a + b - 1 is within its cap, with the same bits."""
+    monkeypatch.setattr(fam, "_LOG_FACT", [])
+    monkeypatch.setattr(fam, "LOG_FACT_MAX", 100)
+    prior = pr.Beta(a, b)
+    for n in (31, 32, 5, 200):  # n + a + b - 1 = 100 is the cap, 101 passes it
+        for k in (0, 1, n // 2, n - 1, n):
+            assert outcome(pr.marginal_suffstat_logpmf, BERNOULLI, prior, n, k) == outcome(
+                earlier_beta_logpmf, prior, n, k)
+        if n == 31:
+            assert len(fam._LOG_FACT) == 101
+    assert len(fam._LOG_FACT) == 101
+    monkeypatch.setattr(fam, "_LOG_FACT", [])
+    assert outcome(pr.marginal_suffstat_logpmf, BERNOULLI, pr.Beta(2.5, 3), 10, 4) == outcome(
+        earlier_beta_logpmf, pr.Beta(2.5, 3), 10, 4)
+    assert len(fam._LOG_FACT) == 11
 
 
 ATOM_PRIORS = [

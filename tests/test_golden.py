@@ -56,11 +56,11 @@ GOLDEN = {
     "beta71.csv": "3f7ad6e5aa03a789aaa370835e9a10120a369ae79422ab96c2acec15cedea199",
     "beta71.json": "70d1578d2241f06204a848b69b99db13d1a3d6486c57278db46c8e329d5618f0",
     "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
-    "atoms_float.json": "34b5bbb244b60a07c335e5ca76e5aae3deb6d5ca23de6b70e80be2fe4e8fa600",
+    "atoms_float.json": "43731509a729261c8616593ad3a016a2d85ac9f21a51a479e37367927b7d88c7",
     "atoms_rescaled.csv": "3f1656b0ca71207615cc323826d040cbfce0d0508482e658d411d84d8e617462",
     "atoms_rescaled.json": "0b35189b936ff0f6b666a3a9e04dc7db7d1dbe6b84778c301f345477e4a8fd69",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
-    "beta_float.json": "ed5e895330918e566b286dce48404408e6c065777c182d7a9d4d41ac2246870a",
+    "beta_float.json": "d45c7a1dfead682b6b2c2cd371f1372a87340384f7d0c345dea8369315dd99fc",
     "beta_exact.csv": "4636767e5fd6f2d5ae231e935f7e8380247286123a9cf9461dcbee0527f9cb4c",
     "beta_exact.json": "393bfb63c87be3371a778fffc90daba508012992c672e92232ccc7390d711987",
     "audit_all.json": "f703109541ed6e90bb1b6ea5083ad3ea5a2a84b8bcda2d76c834731dea72ffd3",
