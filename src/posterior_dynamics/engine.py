@@ -19,7 +19,7 @@ wiggles this library hunts for must not be floating-point artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import pairwise
@@ -43,11 +43,13 @@ from .quadrature import integrate_half_line, integrate_real_line
 from .specialfn import bessel_K_half, binomial_square_sum, legendre_ratios
 from .util import (
     CANONICAL_RATIONAL_BITS,
+    ENCLOSURE_BITS,
     DeferredExactValue,
     ExactValue,
+    certified_quotient,
+    fixed_point_sum,
     logsumexp,
     tree_sum_fractions,
-    tree_sum_leading_bits,
 )
 
 Real = Union[int, float, Fraction]
@@ -75,7 +77,7 @@ class ExpectedPosteriorSequence:
     Exact routes pass ``values`` (ExactValue entries), float routes pass
     ``log_values``; the other list is derived, so ``values`` holds
     ExactValues or floats and ``log_values`` always holds float logs
-    (read off the leading bits, so no deferred pair is built for them).
+    (no deferred pair is built for them).
     """
 
     family: FamilySpec
@@ -84,6 +86,7 @@ class ExpectedPosteriorSequence:
     method: str
     values: list | None = None
     log_values: list[float] | None = None
+    _floats: list[float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.values is None) == (self.log_values is None):
@@ -108,12 +111,13 @@ class ExpectedPosteriorSequence:
         return self.values[n - 1]
 
     def float_values(self) -> list[float]:
-        """The values as floats: ``values`` itself, not a copy, on a float
-        route, so callers must not mutate it."""
-        values = self.values
-        if values and isinstance(values[0], ExactValue):
-            return [float(v) for v in values]
-        return values
+        """The values as floats, converted once and kept (``values`` itself
+        on a float route); not a copy, so callers must not mutate it."""
+        if not isinstance(self.values[0], ExactValue):
+            return self.values
+        if self._floats is None:
+            self._floats = [float(v) for v in self.values]
+        return self._floats
 
     def rational_strings(self) -> list[str | None]:
         """Canonical "p/q" per value, or None where reduction is too big."""
@@ -180,7 +184,7 @@ def expected_posterior_discrete(
     theta0 must be an atom; theta1 may be any parameter in [0, 1].  In
     exact mode (default whenever all inputs are rational) every value is an
     exact big rational; one too large for ``canonical_str`` is a
-    ``DeferredExactValue`` whose certified leading bits give its float and
+    ``DeferredExactValue`` whose certified quotient gives its float and
     log, and whose pair is built on first use.  Float mode sums in log
     space against the running maximum term.  A count u_n that theta1 can
     produce but no atom can raises ImpossibleObservationError in both.
@@ -215,7 +219,9 @@ def expected_posterior_discrete(
 class _AtomIntegers:
     """The exact atom route over integers: the prior's integer form over
     the common denominator of its atoms and theta1, with theta1 on it too
-    (theta1 = a1/denom, 1 - theta1 = b1/denom)."""
+    (theta1 = a1/denom, 1 - theta1 = b1/denom).  Floats and logs depend on
+    psi alone, but which values print "p/q" and which are deferred follows
+    the width of the pair, which this one denominator keeps as it is."""
 
     form: AtomIntegerForm
     w0: int  # the weight of theta0
@@ -291,17 +297,26 @@ def _discrete_exact_values(
     prior: DiscreteAtoms, theta0, theta1, horizon: int
 ) -> list[ExactValue]:
     ints = _AtomIntegers.of(prior, theta0, theta1)
-    # a pair too large for canonical_str is not built: its certified
-    # leading bits give every emitted byte, and the pair waits for a use
+    # a pair too wide for canonical_str is not built: its correctly rounded
+    # quotient, certified on a fixed-point enclosure of its sum of terms,
+    # gives its float and log, and the pair waits for a use
     values = []
-    den_scale = 1
+    den_scale, shift, cap = 1, 0, CANONICAL_RATIONAL_BITS
     for n, (nums, dens) in enumerate(ints.carried_terms(horizon), start=1):
         den_scale *= ints.form.denom
-        leading = tree_sum_leading_bits(nums, dens, ints.w0, den_scale)
-        if leading and max(leading[0][0], leading[1][0]) > CANONICAL_RATIONAL_BITS:
-            values.append(DeferredExactValue(partial(ints.rebuild, n), *leading))
-        else:
-            values.append(ExactValue(*ints.pair(n, nums, dens)))
+        # the pair's den is prod(dens) den_scale, and psi <= 1 keeps its num
+        # no wider; k factors give a product of at least sum(bits - 1) + 1
+        # bits and at most k - 1 more, and only between is it formed
+        low = sum(map(int.bit_length, dens)) - len(dens) + den_scale.bit_length()
+        quotient = None
+        if low > cap or low + len(dens) > cap and (math.prod(dens) * den_scale).bit_length() > cap:
+            total, shift = fixed_point_sum(nums, dens, shift)
+            lo = ints.w0 * total
+            quotient = certified_quotient(lo, lo + ints.w0 * len(nums), den_scale, shift)
+            # the next sum, about as wide, then keeps about as many bits
+            shift += ENCLOSURE_BITS + 1 - total.bit_length()
+        values.append(DeferredExactValue(partial(ints.rebuild, n), quotient) if quotient
+                      else ExactValue(*ints.pair(n, nums, dens)))
     return values
 
 

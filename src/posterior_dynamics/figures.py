@@ -18,9 +18,11 @@ import json
 import math
 import os
 from importlib import resources
+from itertools import repeat
+from typing import Sequence
 
 from . import diagnostics as dg
-from .engine import ExpectedPosteriorSequence
+from .engine import REPR_RATIONAL, ExpectedPosteriorSequence
 from .scenario import Scenario, run_scenario, scenario_from_json, scenario_to_json
 
 BUNDLED = ("figure1", "figure2", "figure3", "beta71")
@@ -104,14 +106,14 @@ def sequence_json(
     list of {"log_psi", "n", "psi"[, "psi_rational"]} rows, each row written
     from one template instead of through json's pure-Python indent encoder."""
     head = render_json(sequence_report(scenario, seq, report))
-    values, logs, rationals = seq.float_values(), seq.log_values, seq.rational_strings()
+    values, logs = seq.float_values(), seq.log_values
+    rationals = seq.rational_strings() if seq.representation == REPR_RATIONAL else None
 
     def rows(lo: int, hi: int) -> list[str]:
+        rats = rationals[lo:hi] if rationals else repeat(None)
         return [
             _JSON_ROW % (_json_float(lv), n, _json_float(v), _JSON_RATIONAL % rat if rat else "")
-            for n, v, lv, rat in zip(
-                range(lo + 1, hi + 1), values[lo:hi], logs[lo:hi], rationals[lo:hi]
-            )
+            for n, v, lv, rat in zip(range(lo + 1, hi + 1), values[lo:hi], logs[lo:hi], rats)
         ]
 
     return [
@@ -143,10 +145,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def polyline_svg(
-    xs: list[float], ys: list[float], marks: list[tuple[float, float, str]]
+    xs: Sequence[float], ys: list[float], marks: list[tuple[float, float, str]]
 ) -> list[str]:
     """Minimal plot of psi(n) against n: one polyline, tick marks, labelled
-    points; the polyline's points are formatted in blocks of rows."""
+    points; the polyline's points are formatted in blocks of rows.  xs may
+    be a range of ints, which plot as the equal floats would."""
     width, height = 720, 480
     pad_l, pad_r, pad_t, pad_b = 72, 24, 24, 48
     x_lo, x_hi = min(xs), max(xs)
@@ -215,18 +218,13 @@ def polyline_svg(
 
 
 def sequence_svg(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -> list[str]:
-    xs = [float(n) for n in seq.ns()]
     ys = seq.float_values()
-    marks = []
-    for m in report.modes:
-        marks.append((float(m), ys[m - 1], f"n={m}"))
-    for m in report.minima:
-        if m > 1:
-            marks.append((float(m), ys[m - 1], f"n={m}"))
+    extrema = [*report.modes, *(m for m in report.minima if m > 1)]
+    marks = [(float(m), ys[m - 1], f"n={m}") for m in extrema]
     for n_star, kind in report.critical_points:
         idx = min(max(int(round(n_star)), 1), len(ys))
         marks.append((float(idx), ys[idx - 1], f"{kind}~{n_star:.0f}"))
-    return polyline_svg(xs, ys, marks)
+    return polyline_svg(seq.ns(), ys, marks)
 
 
 def emit_scenario_files(scenario: Scenario, outdir: str) -> list[str]:

@@ -2,19 +2,19 @@
 
 Exact sequence values can carry integer numerators/denominators with
 hundreds of thousands of bits, so this module avoids gcd normalization on
-the hot path.  ``ExactValue`` keeps raw (num, den) pairs; its float and
-log come from the bit length and 64 leading bits of each operand
-(``_split``).  A ``DeferredExactValue`` carries only those leading bits,
-certified from ``ENCLOSURE_BITS``-bit enclosures of the pair
-(``tree_sum_leading_bits``), and builds the exact pair on first use.  The
-floats decide a comparison only where ``certified_sign`` proves them
-right; all others escalate to exact cross-multiplication, so results are
-exact in all cases.
+the hot path.  ``ExactValue`` keeps raw (num, den) pairs; its float and log
+come from the correctly rounded quotient, so they depend on the value
+alone.  A ``DeferredExactValue`` carries only those, certified on an
+enclosure of the quotient (``certified_quotient``), and builds the exact
+pair on first use.  The floats decide a comparison only where
+``certified_sign`` proves them right; all others escalate to exact
+cross-multiplication, so results are exact in all cases.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -24,15 +24,16 @@ _INF = math.inf
 _NEG_INF = -math.inf
 _exp = math.exp
 _log = math.log
+_MIN_NORMAL = sys.float_info.min
 
 # bit size up to which canonical "p/q" serialization is attempted; beyond
 # it the gcd/str cost dominates (and CPython caps int - str conversion
 # around 4300 digits), so only the float rendering is emitted
 CANONICAL_RATIONAL_BITS = 1 << 13
 
-# working precision of the enclosures that certify leading bits: each
-# truncation or inexact quotient of an m-term sum costs at most
-# 2^-(ENCLOSURE_BITS - 1) relative, so about 150 bits stay certified at m = 500
+# bits of the fixed-point sum that encloses a deferred quotient: m floored
+# quotients leave it under m units over at least 2^(ENCLOSURE_BITS - 1), so
+# 2^-149 wide relative at m = 1000, straddling a rounding boundary rarely
 ENCLOSURE_BITS = 160
 
 
@@ -47,33 +48,42 @@ def logsumexp(terms: Iterable[float]) -> float:
     return m + _log(sum([_exp(t - m) for t in ts]))
 
 
-def _split(num: int, den: int) -> tuple[float, int]:
-    """(m, e) with num/den = m * 2^e, for positive ints of any size.
-
-    Each operand keeps its own 64 leading bits (relative error < 2^-63
-    each) and the division rounds once, so m is within 2^-53 + 2^-62.
-    """
-    sn = max(num.bit_length() - 64, 0)
-    sd = max(den.bit_length() - 64, 0)
-    return (num >> sn) / (den >> sd), sn - sd
-
-
 def ratio_to_float(num: int, den: int) -> float:
-    """num/den for ints of any size, within 2^-53 + 2^-62 relative of the
-    true value unless the result is subnormal; raises OverflowError beyond
-    the float range."""
+    """num/den correctly rounded, for ints of any size (Python's int true
+    division); 0.0, never -0.0, for a zero numerator; raises OverflowError
+    beyond the float range."""
     if den == 0:
         raise ZeroDivisionError("ratio_to_float: zero denominator")
-    if num == 0:
-        return 0.0
-    sign = -1.0 if (num < 0) != (den < 0) else 1.0
-    m, e = _split(abs(num), abs(den))
-    return sign * math.ldexp(m, e)
+    return num / den if num else 0.0
 
 
-# relative error bound of one rounding step: a correctly rounded float
-# operation (2^-53) or one ratio_to_float (2^-53 + 2^-62)
-ROUNDING = 2.0**-53 + 2.0**-62
+def _quotient(num: int, den: int) -> tuple[float, int]:
+    """(m, e), m in [1/2, 1), with m 2^e the positive num/den correctly
+    rounded to 53 bits under an unbounded exponent: int true division
+    rounds the shifted quotient once, and frexp renormalizes it exactly."""
+    shift = den.bit_length() - num.bit_length()
+    q = (num << shift) / den if shift >= 0 else num / (den << -shift)
+    m, e = math.frexp(q)
+    return m, e - shift
+
+
+def _float_log(num: int, den: int) -> tuple[float, float]:
+    """(float, log) of the positive num/den: the correctly rounded quotient,
+    inf beyond the float range, and ``math.log`` of it where it is normal;
+    elsewhere log m + e ln 2 from ``_quotient``."""
+    try:
+        f = num / den
+    except OverflowError:
+        f = _INF
+    if _MIN_NORMAL <= f < _INF:
+        return f, _log(f)
+    m, e = _quotient(num, den)
+    return f, _log(m) + e * LOG2
+
+
+# relative error bound of one correctly rounded float operation, such as
+# one ratio_to_float of a normal result
+ROUNDING = 2.0**-53
 
 
 def certified_sign(x: float, y: float) -> int:
@@ -111,58 +121,46 @@ def tree_sum_fractions(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, i
     return nums[0], dens[0]
 
 
-def certified_top_bits(lo: int, hi: int, exp: int) -> tuple[int, int] | None:
-    """(bits, top) with X.bit_length() == bits and X >> (bits - 64) == top
-    for every integer X in [lo·2^exp, hi·2^exp], 0 < lo <= hi.
+def fixed_point_sum(nums: Sequence[int], dens: Sequence[int], shift: int) -> tuple[int, int]:
+    """(S, shift) for nums >= 0 and dens > 0, where S is the sum of the
+    quotients floor(nums[i] 2^shift / dens[i]), so 2^shift sum(nums[i] / dens[i])
+    lies in [S, S + len(nums)); a negative shift floors nums[i] 2^shift first.
 
-    None where the ends disagree: they straddle a power of two or a 64-bit
-    truncation boundary, or X has 64 bits or fewer (then ``_split`` keeps
-    all of X and no enclosure narrower than X itself can name it).
+    A shift that leaves S fewer than ENCLOSURE_BITS bits is replaced by one
+    read off the bit lengths, which gives the largest quotient that many (S
+    = 0 only where every num is), so a caller can pass the last shift back.
     """
-    width = lo.bit_length()
-    bits = width + exp
-    if lo <= 0 or bits <= 64 or hi.bit_length() != width:
+
+    def floored(shift: int) -> int:
+        shifted = [n << shift for n in nums] if shift >= 0 else [n >> -shift for n in nums]
+        return sum(map(operator.floordiv, shifted, dens))
+
+    total = floored(shift)
+    if total.bit_length() < ENCLOSURE_BITS:
+        gap = max((n.bit_length() - d.bit_length() for n, d in zip(nums, dens) if n), default=None)
+        if gap is None:
+            return 0, shift
+        shift = ENCLOSURE_BITS + 1 - gap
+        total = floored(shift)
+    return total, shift
+
+
+def certified_quotient(lo: int, hi: int, den: int, shift: int = 0) -> tuple[float, float] | None:
+    """The (float, log) that ``ExactValue(x, den << shift)`` gives for every
+    integer x in [lo, hi], 0 < lo <= hi, den > 0 (a negative shift scales x
+    up), read off the ends: rounding is monotone, so where both round alike
+    (the float, and below the normal range the 53-bit quotient too), every
+    x between does.  None where they do not, where lo = 0, and on overflow."""
+    if lo <= 0:
         return None
-    top = (lo << 64) >> width
-    return (bits, top) if (hi << 64) >> width == top else None
-
-
-def tree_sum_leading_bits(
-    nums: Sequence[int], dens: Sequence[int], num_scale: int, den_scale: int
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """``certified_top_bits`` of num_scale·N and of den_scale·D, where
-    (N, D) = tree_sum_fractions(nums, dens), nums >= 0 and dens, scales > 0,
-    read off enclosures of ENCLOSURE_BITS bits without building (N, D).
-
-    D is the product of dens whatever the merge order.  With P =
-    ENCLOSURE_BITS, a running product lo·2^exp floored to P bits at each of
-    its ``steps`` truncations keeps lo >= 2^(P-1) there, so each loses less
-    than 2^-(P-1) relative, and lo·2^exp <= D <= lo·2^exp (1 + 2^-(P-1))^steps
-    <= hi·2^exp with hi = lo + ceil(lo·steps / 2^(P-2)), as steps < 2^(P-1).
-    N/D is the sum of nums[i]/dens[i]; with the fixed-point quotients
-    floor(nums[i]·2^s / dens[i]), s chosen so the largest has at least
-    ENCLOSURE_BITS bits, the sum lies within one unit per inexact quotient
-    above their total.  None where either side is undecided, or where N = 0.
-    """
-    gap = max((n.bit_length() - d.bit_length() for n, d in zip(nums, dens) if n), default=None)
-    if gap is None:
+    if shift >= 0:
+        den <<= shift
+    else:
+        lo, hi = lo << -shift, hi << -shift
+    (f, log), (f_hi, _) = _float_log(lo, den), _float_log(hi, den)
+    if f != f_hi or f == _INF or f < _MIN_NORMAL and _quotient(lo, den) != _quotient(hi, den):
         return None
-    s = ENCLOSURE_BITS + 1 - gap
-    sum_lo = sum_hi = 0
-    for n, d in zip(nums, dens):
-        q, r = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
-        sum_lo += q
-        sum_hi += q + (r != 0)
-    lo, exp, steps = 1, 0, 0
-    for d in dens:
-        lo *= d
-        t = lo.bit_length() - ENCLOSURE_BITS
-        if t > 0:
-            lo, exp, steps = lo >> t, exp + t, steps + 1
-    hi = lo + -(-lo * steps >> (ENCLOSURE_BITS - 2))
-    num = certified_top_bits(lo * sum_lo * num_scale, hi * sum_hi * num_scale, exp - s)
-    den = certified_top_bits(lo * den_scale, hi * den_scale, exp)
-    return None if num is None or den is None else (num, den)
+    return f, log
 
 
 class ExactValue:
@@ -186,25 +184,29 @@ class ExactValue:
         return ratio_to_float(self.num, self.den)
 
     def log(self) -> float:
-        """Natural log, from the leading bits, within ``log_error``; -inf at zero."""
+        """Natural log, within ``log_error``; -inf at zero.  It is
+        ``math.log(float(self))`` where that float is normal, and
+        log m + e ln 2 from the correctly rounded 53-bit quotient m 2^e
+        elsewhere, so it never underflows or overflows."""
         if self.num <= 0:
             if self.num == 0:
                 return -math.inf
             raise ValueError("log of a negative ExactValue")
-        m, e = _split(self.num, self.den)
-        return math.log(m) + e * LOG2
+        return _float_log(self.num, self.den)[1]
 
     @staticmethod
     def log_error(log: float) -> float:
         """A bound on |x.log() - ln X| for each positive ExactValue x whose
-        ``log()`` is ``log``.  ``_split`` gives m 2^e = X (1 + d), |d| <=
-        ROUNDING; math.log adds at most one ulp, 2^-52 |ln m|; e * LOG2
-        carries the error of LOG2 and one rounding, below 2^-52 |e ln 2| in
-        all; the sum rounds by 2^-53 |log|.  As m lies in (2^-64, 2^64) and
-        ln m has the sign of e unless |ln m| < ln 2, |ln m| + |e ln 2| <=
-        |log| + 2 ln 2: the error is below (1.9 + 1.5 |log|) 2^-52, and the
-        constant is doubled for margin."""
-        return (4.0 + 1.5 * abs(log)) * 2.0**-52
+        ``log()`` is ``log``, taking ``math.log`` within one ulp; u = 2^-53.
+        Where f = float(x) is normal, f = X (1 + d), |d| <= u, so
+        |ln f - ln X| <= 1.01 u, and math.log adds at most 2^-52 |log| (1 + u).
+        Elsewhere m 2^e = X (1 + d), |d| <= u, m in [1/2, 1): d costs 1.01 u;
+        log m lies in [-ln 2, 0), and math.log adds at most u; LOG2 is within
+        u of ln 2 and e * LOG2 rounds once, 2.01 u |e ln 2| in all; the sum
+        rounds by u |log|.  There log m and e ln 2 have the sign of log
+        (|e| > 1000), so |e ln 2| <= |log| + ln 2, and the error is below
+        (1.7 + 1.5 |log|) 2^-52.  The bound covers both cases."""
+        return (2.0 + 1.5 * abs(log)) * 2.0**-52
 
     def __mul__(self, other):
         if isinstance(other, ExactValue):
@@ -252,14 +254,13 @@ class ExactValue:
         return hash(self.as_fraction())
 
     def canonical_str(self) -> str | None:
-        """"p/q" in lowest terms, or None when the value is too large."""
-        if max(self._bit_lengths()) > CANONICAL_RATIONAL_BITS:
+        """"p/q" in lowest terms, or None when the pair as its route stores
+        it (lowest terms on the uniform and Beta routes, the atom route's
+        unreduced sum) has a side wider than CANONICAL_RATIONAL_BITS."""
+        if max(abs(self.num).bit_length(), self.den.bit_length()) > CANONICAL_RATIONAL_BITS:
             return None
         f = self.as_fraction()
         return f"{f.numerator}/{f.denominator}"
-
-    def _bit_lengths(self) -> tuple[int, int]:
-        return abs(self.num).bit_length(), self.den.bit_length()
 
     def __repr__(self):
         return f"ExactValue({float(self):.6g})"
@@ -267,27 +268,18 @@ class ExactValue:
 
 class DeferredExactValue(ExactValue):
     """A positive ExactValue that holds, instead of its (num, den) pair,
-    the bit length and 64 leading bits of each side, certified by
-    ``tree_sum_leading_bits``.
+    the float and log the pair gives, certified by ``certified_quotient``;
+    only a pair wider than CANONICAL_RATIONAL_BITS is deferred, so
+    ``canonical_str`` is None.  The first read of ``num`` or ``den`` (an
+    escalated comparison, ``as_fraction``, ``hash``, ``*``) calls
+    ``build()`` for the pair and keeps it."""
 
-    float, log and canonical_str read only those and give exactly what the
-    pair gives.  The first read of ``num`` or ``den`` (an escalated
-    comparison, ``as_fraction``, ``hash``, ``*``) calls ``build()`` for the
-    pair and keeps it.
-    """
+    __slots__ = ("_build", "_pair", "_float", "_log")
 
-    __slots__ = ("_build", "_pair", "_num_lead", "_den_lead")
-
-    def __init__(
-        self,
-        build: Callable[[], tuple[int, int]],
-        num_lead: tuple[int, int],
-        den_lead: tuple[int, int],
-    ):
+    def __init__(self, build: Callable[[], tuple[int, int]], quotient: tuple[float, float]):
         self._build = build
         self._pair = None
-        self._num_lead = num_lead
-        self._den_lead = den_lead
+        self._float, self._log = quotient
 
     def _exact(self) -> tuple[int, int]:
         if self._pair is None:
@@ -298,17 +290,11 @@ class DeferredExactValue(ExactValue):
     num = property(lambda self: self._exact()[0])
     den = property(lambda self: self._exact()[1])
 
-    def _leading(self) -> tuple[float, int]:
-        """``_split(num, den)``: each side keeps its 64 leading bits."""
-        (num_bits, num_top), (den_bits, den_top) = self._num_lead, self._den_lead
-        return num_top / den_top, num_bits - den_bits
-
     def __float__(self) -> float:
-        return math.ldexp(*self._leading())
+        return self._float
 
     def log(self) -> float:
-        m, e = self._leading()
-        return math.log(m) + e * LOG2
+        return self._log
 
-    def _bit_lengths(self) -> tuple[int, int]:
-        return self._num_lead[0], self._den_lead[0]
+    def canonical_str(self) -> None:
+        return None

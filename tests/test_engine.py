@@ -154,6 +154,18 @@ class TestDeferredValues:
             assert seq.value(100) > seq.value(200)  # decided on the floats
         assert sums.call_count == 0
 
+    @pytest.mark.parametrize("name,deferred", [("figure1", range(47, 201)),
+                                               ("figure2", range(46, 201))])
+    def test_deferred_reads_equal_the_rebuilt_pair(self, name, deferred):
+        sc = figures.bundled_scenario(name)
+        seq = engine.expected_posterior_discrete(sc.prior, sc.theta0, sc.theta1, 200)
+        ints = engine._AtomIntegers.of(sc.prior, sc.theta0, sc.theta1)
+        assert [n for n in seq.ns() if isinstance(seq.value(n), DeferredExactValue)] == list(
+            deferred)
+        for n in seq.ns():
+            v, eager = seq.value(n), ExactValue(*ints.rebuild(n))
+            assert (float(v), v.log()) == (float(eager), eager.log())
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_impossible_observation_is_refused(self, mode):
         # atoms 0 and 1 give u_2 = 1 no prior mass, but theta1 = 1/2 can produce it
@@ -238,7 +250,7 @@ class TestCarriedRows:
             return
         for n, terms in enumerate(ints.carried_terms(horizon), start=1):
             assert terms == ints.direct_terms(n)
-        with mock.patch.object(engine, "tree_sum_leading_bits", return_value=None):
+        with mock.patch.object(engine, "certified_quotient", return_value=None):
             seq = engine.expected_posterior_discrete(*case)  # every pair from the sweep
         assert [(v.num, v.den) for v in seq.values] == pairs
         assert [ints.rebuild(n) for n in seq.ns()] == pairs
@@ -509,6 +521,25 @@ class TestMpmathOracle:
                 for n in range(1, 101):
                     want = float(_exponential_reference(t0, t1, rate, n))
                     assert seq.value(n) == pytest.approx(want, rel=1e-12)
+
+    FIGURE2 = figures.bundled_scenario("figure2")
+    EXACT_ROUTES = {
+        "figure1": lambda: engine.expected_posterior_discrete(FIGURE1_PRIOR, F(1, 2), F(13, 20),
+                                                              200),
+        "figure2_h200": lambda: engine.expected_posterior_discrete(
+            TestMpmathOracle.FIGURE2.prior, F(1, 5), F(1, 2), 200),
+        "beta71": lambda: engine.expected_posterior_beta(pr.Beta(7, 1), F(3, 4), F(9, 10), 120),
+        "uniform": lambda: engine.expected_posterior_uniform(F(1, 2), F(3, 4), 500),
+    }
+
+    @pytest.mark.parametrize("route", sorted(EXACT_ROUTES))
+    def test_exact_logs_within_log_error(self, route):
+        seq = self.EXACT_ROUTES[route]()
+        with mp.workdps(ORACLE_DPS):
+            for n in [*range(1, 12), *range(12, seq.horizon + 1, 9), seq.horizon]:
+                exact, log = seq.value(n).as_fraction(), seq.log_values[n - 1]
+                want = mp.log(mp.mpf(exact.numerator)) - mp.log(mp.mpf(exact.denominator))
+                assert abs(mp.mpf(log) - want) <= engine.ExactValue.log_error(log), n
 
 
 def fraction_beta_sum(a, b, theta0, theta1, horizon):

@@ -44,11 +44,11 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "figure1.csv": "2b6f116a451c8dbcd3b6c955fb2f9313022ab15c90c723eb671b5d81d3107eae",
-    "figure1.json": "6d5d467cacce908d87f8732b55b40aad07fc6fdc4a4422827ff79e17f32aef02",
+    "figure1.csv": "301d03d6ee45553f7772a641c1cda133ec3335afe46bcaa5474b4b7664209a1d",
+    "figure1.json": "eb15da3bfd02dcf978e38170a096506fd0f12108ba8b8a7c106a5775b5f54846",
     "figure1.svg": "9535986e3ae22675a384f69ffb95c0542ccd612cd01f349e3f4c6d40171969f0",
-    "figure2.csv": "ecb6eefc9a444468e5a2ae4363adc759f2b61376039b5347764622c3199bbbb8",
-    "figure2.json": "8a520abfbccd4cbc3013b5127eadc040f1d4e0e94010bee0b6e03a9be2d447be",
+    "figure2.csv": "307ea6ff9f50fa338dcdd2205add61809d5e0ef221e4229be1560a66307f1f73",
+    "figure2.json": "bfa953cac07b64b1849e4d098d054c9650f1562637b3889115f3bb264f34a3d0",
     "figure2.svg": "d02f4296a4e6642a11b933192c0e077034886ee8e70630240275798ba3f44657",
     "figure3.csv": "53d819a209ed7bf532c9e197427f4239c6ff663ab4205cbdc13598f91bee4c54",
     "figure3.json": "0625f55a71d9d9c7cc4bdbf0e07eb93a2a6367d2bd3b543fb6b45ea2b3b109f6",
@@ -57,12 +57,12 @@ GOLDEN = {
     "beta71.json": "70d1578d2241f06204a848b69b99db13d1a3d6486c57278db46c8e329d5618f0",
     "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
     "atoms_float.json": "43731509a729261c8616593ad3a016a2d85ac9f21a51a479e37367927b7d88c7",
-    "atoms_rescaled.csv": "3f1656b0ca71207615cc323826d040cbfce0d0508482e658d411d84d8e617462",
-    "atoms_rescaled.json": "0b35189b936ff0f6b666a3a9e04dc7db7d1dbe6b84778c301f345477e4a8fd69",
+    "atoms_rescaled.csv": "2c3a16657bfa6427049249d550a2d4f40560ced37cde571e58f420ba2ab26990",
+    "atoms_rescaled.json": "363ee97a3a9097085515d7fdbc359efae06bd3464b41ce9c1caa10717b616aa8",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
     "beta_float.json": "d45c7a1dfead682b6b2c2cd371f1372a87340384f7d0c345dea8369315dd99fc",
-    "beta_exact.csv": "4636767e5fd6f2d5ae231e935f7e8380247286123a9cf9461dcbee0527f9cb4c",
-    "beta_exact.json": "393bfb63c87be3371a778fffc90daba508012992c672e92232ccc7390d711987",
+    "beta_exact.csv": "de6589d7fdeeec37c170a78f32086c46b8dba81a8f8c45adae55d1fefa4bb33c",
+    "beta_exact.json": "ba18506e1d2cd32b9953c1e121689ab94e665c7e943e6d8b9702514f06951bbe",
     "audit_all.json": "f703109541ed6e90bb1b6ea5083ad3ea5a2a84b8bcda2d76c834731dea72ffd3",
     "seed7/audit_all.json": "83da24fa3d2589c3ba6d664b27c6aaba13ff0efbf977916126cd8216fbba82ec",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",

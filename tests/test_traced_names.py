@@ -73,7 +73,7 @@ def test_max_bits_reads_deferred_values_like_eager_ones(monkeypatch):
     assert len(calls) == figure1.horizon
     SPANS._max_bits(seq.values)
     assert len(calls) == figure1.horizon  # each pair is built once
-    monkeypatch.setattr(engine, "tree_sum_leading_bits", lambda *args: None)
+    monkeypatch.setattr(engine, "certified_quotient", lambda *args: None)
     eager = scenario.run_scenario(figure1)
     assert not any(isinstance(v, DeferredExactValue) for v in eager.values)
     assert bits == SPANS._max_bits(eager.values)

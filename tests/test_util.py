@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from posterior_dynamics import diagnostics as dg
 from posterior_dynamics.util import (
+    ENCLOSURE_BITS,
     ROUNDING,
     ExactValue,
+    certified_quotient,
     certified_sign,
-    certified_top_bits,
+    fixed_point_sum,
     ratio_to_float,
     tree_sum_fractions,
-    tree_sum_leading_bits,
 )
 
 # widest bit-length gap between numerator and denominator that still
@@ -53,10 +54,10 @@ class TestRegressions:
         assert a > b
 
     def test_log_order_flipped_by_rounding_escalates(self):
-        # y > x by one part in 2^300, yet y.log() < x.log() by one ulp
-        num, den = 405517788424633805213829157878, 10642947104617309222109089999
-        scale = 905279 << 200
-        x, y = ExactValue(num, den), ExactValue(num * scale + 1, den * scale)
+        # y = 2^-5000 > x = y (1 - 2^-53), yet their logs, log m + e ln 2 on
+        # either side of a binade below the float range, round in the other
+        # order by one ulp
+        x, y = ExactValue((1 << 53) - 1, 1 << 5053), ExactValue(1, 1 << 5000)
         assert y > x and y.log() < x.log()
         assert dg.detect_modes([x, y, x]) == [2]
         assert dg.logconcavity_scan([x, y, x]) == []
@@ -64,6 +65,39 @@ class TestRegressions:
     def test_unbalanced_operands_keep_their_bits(self):
         want = 1.0654613332037199e-112
         assert abs(ratio_to_float(3**600, 7**400 * 2**200) - want) <= 2**-52 * want
+
+    def test_pairs_scaled_by_three_round_alike(self):
+        # scaling a pair must not move its float; 7 of these pairs once did, by one bit
+        rng = random.Random(18)
+        mismatches = 0
+        for _ in range(20000):
+            num, den = rng.getrandbits(200) | 1 << 199, rng.getrandbits(200) | 1 << 199
+            mismatches += ratio_to_float(3 * num, 3 * den) != ratio_to_float(num, den)
+        assert mismatches == 0
+
+
+class TestValueDetermined:
+    """The float, the log and the printed digits of an ExactValue depend on
+    the value alone, not on how its pair is scaled."""
+
+    @given(ratios(max_bits=4000), st.integers(1, 2**64))
+    def test_scaled_pair_gives_the_same_bytes(self, pair, k):
+        num, den = pair
+        x, y = ExactValue(num, den), ExactValue(k * num, k * den)
+        assert x.log() == y.log()
+        assert x.canonical_str() == y.canonical_str() is not None  # both under the cap
+        try:
+            want = float(F(num, den))
+        except OverflowError:
+            for v in (x, y):
+                with pytest.raises(OverflowError):
+                    float(v)
+            return
+        assert float(x) == float(y) == want
+
+    def test_zero_is_positive_zero(self):
+        assert math.copysign(1.0, ratio_to_float(0, -7)) == 1.0
+        assert repr(float(ExactValue(0, -7))) == "0.0"
 
 
 class TestCertifiedSign:
@@ -96,6 +130,23 @@ class TestExactLog:
             assert err <= ExactValue.log_error(got)
 
 
+    def test_adversarial_pairs_within_log_error(self):
+        # sides near powers of two, ratios near 1, and quotients far
+        # outside the float range
+        rng = random.Random(20)
+        pairs = []
+        for _ in range(300):
+            bits = rng.randrange(1, 20000)
+            near = (1 << bits) + rng.randrange(-64, 65)
+            other = (1 << rng.randrange(1, 20000)) + rng.randrange(-64, 65)
+            pairs += [(max(near, 1), max(other, 1)), (max(near + rng.randrange(-4, 5), 1), near),
+                      (rng.getrandbits(bits) | 1, max(near, 1))]
+        with mp.workdps(60):
+            for num, den in pairs:
+                got = ExactValue(num, den).log()
+                assert abs(mp.mpf(got) - (mp.log(num) - mp.log(den))) <= ExactValue.log_error(got)
+
+
 class TestRatioToFloat:
     @given(ratios())
     def test_within_bound_of_fraction(self, pair):
@@ -116,68 +167,100 @@ class TestRatioToFloat:
             ratio_to_float(1, 0)
 
 
-def _leading(x: int) -> tuple[int, int]:
-    """(bit length, 64 leading bits) of x, as ``_split`` truncates it."""
-    return x.bit_length(), x >> max(x.bit_length() - 64, 0)
+def _float_log(num: int, den: int) -> tuple[float, float]:
+    """(float, log) of the positive num/den, as an eager ExactValue gives them."""
+    x = ExactValue(num, den)
+    return float(x), x.log()
+
+
+def _certify(nums, dens, num_scale, den_scale, shift=0):
+    """The atom route's certificate of num_scale N / (den_scale D), where
+    (N, D) = tree_sum_fractions(nums, dens): the quotient over the ends of
+    the fixed-point enclosure of N/D."""
+    total, shift = fixed_point_sum(nums, dens, shift)
+    return certified_quotient(num_scale * total, num_scale * (total + len(nums)), den_scale, shift)
+
+
+def _exact_float_log(nums, dens, num_scale, den_scale):
+    num, den = tree_sum_fractions(nums, dens)
+    return _float_log(num_scale * num, den_scale * den)
 
 
 class TestCertifiedTopBits:
-    TOP = (1 << 63) | 0x5DEECE66D  # a 64-bit leading part
+    """``certified_quotient`` names the top 53 bits of a quotient (its
+    correctly rounded float, and the log read off them) for every value of
+    an enclosure [lo, hi] / den, or declines where the two ends round
+    apart."""
+
+    TOP = (1 << 52) | 0x5DEECE66D  # an odd 53-bit significand
 
     def test_exact_enclosure_is_decided(self):
-        for x, exp in ((self.TOP << 40 | 12345, 0), (self.TOP, 100), (self.TOP << 200, -150)):
-            assert certified_top_bits(x, x, exp) == _leading(x << exp if exp >= 0 else x >> -exp)
+        for x, den in ((self.TOP << 40 | 12345, 3 << 90), (self.TOP, 7),
+                       (self.TOP << 200, 1 << 2300)):  # the last below the float range
+            assert certified_quotient(x, x, den) == _float_log(x, den)
 
     def test_narrow_enclosure_is_decided(self):
-        x = self.TOP << 96 | 2**95
-        assert certified_top_bits(x - 2**90, x + 2**90, 7) == _leading(x << 7)
+        x = self.TOP << 96 | 2**94
+        assert certified_quotient(x - 2**90, x + 2**90, 1) == _float_log(x, 1)
+        assert certified_quotient(x - 2**90, x + 2**90, 1, -7) == _float_log(x << 7, 1)
 
     def test_declines_a_straddled_truncation_boundary(self):
-        # X = TOP·2^36 exactly: one unit below, the leading bits are TOP - 1
-        x = self.TOP << 36
-        assert certified_top_bits(x - 1, x + 1, 0) is None
-        assert certified_top_bits(x - 1, x, 0) is None
-        assert certified_top_bits(x, x + 1, 0) == _leading(x)
+        # rounding to nearest truncates X + ulp/2, so its boundaries are the
+        # midpoints between floats: X = (TOP + 1/2) 2^36 ties to TOP + 1
+        x = (2 * self.TOP + 1) << 35
+        assert certified_quotient(x - 1, x + 1, 1) is None
+        assert certified_quotient(x - 1, x, 1) is None
+        assert certified_quotient(x, x + 1, 1) == _float_log(x, 1)
 
     def test_declines_a_straddled_power_of_two(self):
-        assert certified_top_bits(2**100 - 1, 2**100 + 1, 0) is None
-        assert certified_top_bits(2**100 - 1, 2**100, 0) is None
-        assert certified_top_bits(2**99, 2**100 - 1, 3) is None
+        # 2^100 (1 - 2^-54), the midpoint below the binade 2^100, ties up to it
+        x = (1 << 100) - (1 << 46)
+        assert certified_quotient(x - 1, x + 1, 1) is None
+        assert certified_quotient(x - 1, x, 1) is None
+        assert certified_quotient(x, x + 1, 1) == _float_log(1 << 100, 1)
+        assert certified_quotient(2**99, 2**100 - 1, 8) is None
 
     def test_declines_short_and_empty_values(self):
-        assert certified_top_bits(2**63, 2**63, 0) is None  # 64 bits: _split keeps all
-        assert certified_top_bits(0, 5, 100) is None
+        # below the float range the float keeps fewer bits than the 53-bit
+        # quotient the log reads: 2^-1100 and 3 * 2^-1100 both give 0.0
+        den = 1 << 1200
+        assert ratio_to_float(1 << 100, den) == ratio_to_float(3 << 100, den) == 0.0
+        assert certified_quotient(1 << 100, 3 << 100, den) is None
+        assert certified_quotient(1 << 100, 1 << 100, den) == _float_log(1 << 100, den)
+        assert certified_quotient(0, 5, 100) is None  # psi = 0 builds its pair
+        assert _certify([0, 0], [3, 5], 1, 1) is None
 
     def test_sum_on_a_boundary_is_declined(self):
-        # 1/3 + 2/3 = 1 exactly, but each fixed-point quotient is inexact,
-        # so the enclosure of N = 9·2^200 straddles its leading bits
-        nums, dens = [2**100, 2**101], [3 << 100, 3 << 100]
-        assert tree_sum_leading_bits(nums, dens, 1, 1) is None
+        # 1/3 + (2/3 + 2^-53) = 1 + 2^-53, the midpoint above 1, and each
+        # fixed-point quotient is inexact
+        nums, dens = [1, 2**54 + 3], [3, 3 << 53]
+        assert F(nums[0], dens[0]) + F(nums[1], dens[1]) == 1 + F(1, 2**53)
+        assert _certify(nums, dens, 1, 1) is None
 
     def test_sum_on_a_power_of_two_is_declined(self):
-        # N = 2^300 exactly, over a mass with nonzero bits below its leading
-        # 160: only a product rounded outward keeps N inside the enclosure
-        assert tree_sum_leading_bits([2**300], [2**199 + 2**39 - 1], 1, 1) is None
+        # 1/3 + (2/3 - 2^-54) = 1 - 2^-54, the midpoint below the binade 1
+        nums, dens = [1, 2**55 - 3], [3, 3 << 54]
+        assert F(nums[0], dens[0]) + F(nums[1], dens[1]) == 1 - F(1, 2**54)
+        assert _certify(nums, dens, 1, 1) is None
 
     @given(st.lists(st.tuples(st.integers(0, 2**300), st.integers(1, 2**300)),
-                    min_size=1, max_size=30), st.integers(1, 2**64), st.integers(1, 2**900))
-    def test_sum_matches_the_exact_pair(self, terms, num_scale, den_scale):
+                    min_size=1, max_size=30), st.integers(1, 2**64), st.integers(1, 2**900),
+           st.integers(-600, 600))
+    def test_sum_matches_the_exact_pair(self, terms, num_scale, den_scale, shift):
         nums, dens = [n for n, _ in terms], [d for _, d in terms]
-        got = tree_sum_leading_bits(nums, dens, num_scale, den_scale)
+        total, used = fixed_point_sum(nums, dens, shift)
+        exact = sum(F(n, d) for n, d in terms)
+        assert total <= exact * F(2) ** used < total + len(nums)
+        assert total.bit_length() >= ENCLOSURE_BITS or (total == 0 and not any(nums))
+        got = _certify(nums, dens, num_scale, den_scale, shift)
         if got is not None:
             num = num_scale * sum(n * math.prod(dens[:i] + dens[i + 1 :]) for i, n in enumerate(nums))
-            den = den_scale * math.prod(dens)
-            assert got == (_leading(num), _leading(den))
-
-
-def _exact_leading(nums, dens, num_scale, den_scale):
-    num, den = tree_sum_fractions(nums, dens)
-    return _leading(num_scale * num), _leading(den_scale * den)
+            assert got == _float_log(num, den_scale * math.prod(dens))
 
 
 class TestOneSidedEnclosure:
-    """The running product of the denominators is floored at every step
-    and its upper end derived from the count of truncations."""
+    """Every fixed-point quotient is floored, and the upper end of the
+    enclosure adds one unit per quotient."""
 
     @pytest.mark.parametrize("seed", range(2))
     def test_every_step_truncates(self, seed):
@@ -186,31 +269,21 @@ class TestOneSidedEnclosure:
         dens = [rng.getrandbits(2000 + rng.randrange(64)) | 1 << 1999 for _ in range(m)]
         nums = [rng.getrandbits(rng.randrange(1, 2100)) for _ in range(m)]
         num_scale, den_scale = rng.getrandbits(40) | 1, rng.getrandbits(900) | 1
-        got = tree_sum_leading_bits(nums, dens, num_scale, den_scale)
-        # the enclosure is ~2^-149 wide relative: a random pair is decided
-        assert got == _exact_leading(nums, dens, num_scale, den_scale)
+        got = _certify(nums, dens, num_scale, den_scale)
+        # the enclosure is ~2^-150 wide relative: a random pair is decided
+        assert got == _exact_float_log(nums, dens, num_scale, den_scale)
 
     TOPS = (1 << 63, (1 << 63) | 0x5DEECE66D, (1 << 64) - 1)
 
     @pytest.mark.parametrize("top", TOPS)
-    @pytest.mark.parametrize("m", [1, 200])
-    def test_product_just_below_a_truncation_boundary_is_declined(self, top, m):
-        # D = (top·2^2000 - 1)(2^2000 - 1)^(m-1) lies one unit (m = 1) or a
-        # relative ~2^-2000 below top·2^J, J = 2000·m, so it has the leading
-        # bits of top·2^J - 1, and every step truncates
-        dens = [(top << 2000) - 1] + [(1 << 2000) - 1] * (m - 1)
-        nums = [1] + [0] * (m - 1)
-        assert tree_sum_leading_bits(nums, dens, 1, 1) is None
-        assert _exact_leading(nums, dens, 1, 1)[1] == _leading((top << 2000 * m) - 1)
-
-    @pytest.mark.parametrize("top", TOPS)
     @pytest.mark.parametrize("nudge", [-1, 0, 1])
     def test_product_at_a_truncation_boundary_is_exact_or_declined(self, top, nudge):
-        # D within a relative ~2^-2000 of top·2^j, above, at or below it
+        # the product of the dens within a relative ~2^-2000 of top·2^j,
+        # above, at or below it
         dens = [(top << 2000) + nudge] + [(1 << 2000) + nudge] * 199
         for nums in ([1] + [0] * 199, list(range(200))):
-            got = tree_sum_leading_bits(nums, dens, 1, 3)
-            assert got is None or got == _exact_leading(nums, dens, 1, 3)
+            got = _certify(nums, dens, 1, 3)
+            assert got is None or got == _exact_float_log(nums, dens, 1, 3)
 
 
 class TestExactValueOrdering:
