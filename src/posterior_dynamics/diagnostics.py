@@ -71,10 +71,14 @@ def _steps_of(seq, what: str, min_horizon: int) -> list[int]:
 
 
 def _extrema(steps: list[int], sign: int) -> list[int]:
-    """The mode convention on sign * value: sign 1 finds modes, -1 minima."""
-    steps = [sign * s for s in steps]
-    out = [1] if steps[0] <= 0 else []
-    return out + [i + 1 for i in range(1, len(steps)) if steps[i - 1] > 0 and steps[i] <= 0]
+    """The mode convention on sign * value, read off the steps as they are:
+    sign 1 finds modes (a rise into n, no rise out), -1 minima (a fall
+    into n, no fall out)."""
+    if sign > 0:
+        out = [1] if steps[0] <= 0 else []
+        return out + [i + 1 for i in range(1, len(steps)) if steps[i - 1] > 0 >= steps[i]]
+    out = [1] if steps[0] >= 0 else []
+    return out + [i + 1 for i in range(1, len(steps)) if steps[i - 1] < 0 <= steps[i]]
 
 
 def detect_modes(seq) -> list[int]:

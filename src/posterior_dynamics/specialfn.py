@@ -169,12 +169,16 @@ def bessel_K_half(theta: float, n_max: int) -> BesselHalfSeq:
         raise SpecialFnDomainError(f"theta={theta} must be > 0")
     if n_max < 0:
         raise SpecialFnDomainError(f"n_max={n_max} must be >= 0")
-    log_k = [0.5 * (math.log(math.pi) - math.log(2.0) - math.log(theta)) - theta]
-    rho = [1.0]
-    for n in range(n_max):
-        step = (2 * n + 1) / theta + rho[n]  # k_{n+1} / k_n
-        log_k.append(log_k[n] + math.log(step))
-        rho.append(1.0 / step)
+    log = math.log
+    last_log_k = 0.5 * (log(math.pi) - log(2.0) - log(theta)) - theta
+    last_rho = 1.0
+    log_k, rho = [last_log_k], [last_rho]
+    for odd in range(1, 2 * n_max, 2):  # 2n + 1
+        step = odd / theta + last_rho  # k_{n+1} / k_n
+        last_log_k += log(step)
+        last_rho = 1.0 / step
+        log_k.append(last_log_k)
+        rho.append(last_rho)
     return BesselHalfSeq(theta, tuple(log_k), tuple(rho))
 
 

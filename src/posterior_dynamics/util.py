@@ -188,11 +188,16 @@ class ExactValue:
         ``math.log(float(self))`` where that float is normal, and
         log m + e ln 2 from the correctly rounded 53-bit quotient m 2^e
         elsewhere, so it never underflows or overflows."""
+        return self.float_log()[1]
+
+    def float_log(self) -> tuple[float, float]:
+        """``(f, self.log())`` from one division, where f is ``float(self)``
+        or inf beyond the float range (where ``float`` raises)."""
         if self.num <= 0:
             if self.num == 0:
-                return -math.inf
+                return 0.0, -math.inf
             raise ValueError("log of a negative ExactValue")
-        return _float_log(self.num, self.den)[1]
+        return _float_log(self.num, self.den)
 
     @staticmethod
     def log_error(log: float) -> float:
@@ -295,6 +300,9 @@ class DeferredExactValue(ExactValue):
 
     def log(self) -> float:
         return self._log
+
+    def float_log(self) -> tuple[float, float]:
+        return self._float, self._log
 
     def canonical_str(self) -> None:
         return None

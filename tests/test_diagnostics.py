@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posterior_dynamics import diagnostics as dg
 from posterior_dynamics import engine
@@ -36,6 +38,18 @@ class TestDetectModes:
     def test_needs_three_points(self):
         with pytest.raises(DomainError):
             dg.detect_modes([F(1), F(2)])
+
+    @given(st.lists(st.integers(0, 3), min_size=3, max_size=30))
+    def test_modes_and_minima_follow_the_convention(self, ints):
+        """Brute force on small integers, plateaus included: a strict rise
+        into n and a weak fall out (mirrored for minima), the left boundary
+        counting on its step alone and the right one never."""
+        v = [F(i + 1) for i in ints]
+        last = len(v) - 1
+        modes = [i + 1 for i in range(last) if (i == 0 or v[i - 1] < v[i]) and v[i + 1] <= v[i]]
+        minima = [i + 1 for i in range(last) if (i == 0 or v[i - 1] > v[i]) and v[i + 1] >= v[i]]
+        assert dg.detect_modes(v) == modes
+        assert dg.detect_minima(v) == minima
 
 
 class TestLogConcavityScan:

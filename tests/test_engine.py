@@ -715,3 +715,27 @@ class TestSequenceBehavior:
         assert c > b
         assert float(a) == pytest.approx(1 / 3, rel=1e-15)
         assert a.log() == pytest.approx(math.log(1 / 3), rel=1e-14)
+
+    def test_exact_floats_and_logs_come_from_one_division(self, monkeypatch):
+        """Each eager value is divided once for its float and its log; a zero
+        gives 0.0 and -inf, a deferred value its certified pair, and a value
+        beyond the float range raises where float(v) does."""
+        deferred = DeferredExactValue(lambda: (1, 8), (0.125, math.log(0.125)))
+        values = [ExactValue(0, 5), ExactValue(1, 3), deferred, ExactValue(3 << 2000, 7)]
+        calls = []
+        real = engine.ExactValue.float_log
+        monkeypatch.setattr(engine.ExactValue, "float_log",
+                            lambda v: calls.append(v) or real(v))
+        seq = engine.ExpectedPosteriorSequence(fam.bernoulli(), F(1, 2), F(1, 2), "t",
+                                               values=values[:3])
+        assert calls == values[:2]  # the deferred value keeps its own pair
+        assert seq.float_values() == [0.0, 1 / 3, 0.125]
+        assert seq.log_values == [-math.inf, ExactValue(1, 3).log(), math.log(0.125)]
+        assert deferred._pair is None
+        big = engine.ExpectedPosteriorSequence(fam.bernoulli(), F(1, 2), F(1, 2), "t",
+                                               values=values)
+        assert big.log_values[3] == values[3].log()
+        with pytest.raises(OverflowError):
+            float(values[3])
+        with pytest.raises(OverflowError):
+            big.float_values()

@@ -198,22 +198,28 @@ def test_svg_matches_closure_polyline(seq_name, report_name):
     assert "".join(figures.sequence_svg(seq, report)) == oracle_svg(seq, report)
 
 
-B = figures.BLOCK_ROWS
-EDGE_HORIZONS = [1, B - 1, B, B + 1, 2 * B + 1]
-# the last row of a block, the first of the next, and the last row overall
-EDGES = (B, B + 1, 2 * B + 1)
+B, S = figures.BLOCK_ROWS, figures.SUB_ROWS
+EDGE_HORIZONS = [1, S - 1, S, S + 1, 2 * S + 1, B - 1, B, B + 1, 2 * B + 1]
+# the last row of a sub-block and of a block, the first of the next, and
+# the last row overall
+EDGES = (S, S + 1, 2 * S + 1, B, B + 1, 2 * B + 1)
 
 
 def _exact_rows(horizon) -> ExpectedPosteriorSequence:
-    """psi_rational strings on every row but two edge rows: a zero (psi 0.0,
-    log -inf) and a value past the canonical size cap."""
-    special = {B: ExactValue(0, 7), B + 1: ExactValue(3 * LIMIT + 1, 5 * LIMIT)}
+    """psi_rational strings on every row but these: a zero (psi 0.0, log
+    -inf) and a value past the canonical size cap at block edges, and a
+    whole sub-block of values past the cap (no rational in it)."""
+    past_cap = ExactValue(3 * LIMIT + 1, 5 * LIMIT)
+    special = {B: ExactValue(0, 7), B + 1: past_cap}
+    special.update((n, past_cap) for n in range(2 * S + 1, 3 * S + 1))
     return _exact(*[special.get(n, ExactValue(n, n + 1)) for n in range(1, horizon + 1)])
 
 
 def _float_rows(horizon) -> ExpectedPosteriorSequence:
-    """Non-finite and underflowing values on the edge rows."""
-    special = {B - 1: -800.0, B: float("-inf"), 2 * B + 1: float("-inf")}
+    """Non-finite and underflowing values on the edge rows, and one NaN and
+    one -inf row inside otherwise finite sub-blocks."""
+    special = {S // 2: float("nan"), S + S // 2: float("-inf"),
+               B - 1: -800.0, B: float("-inf"), 2 * B + 1: float("-inf")}
     return _float(*[special.get(n, -n / 1000.0) for n in range(1, horizon + 1)])
 
 
@@ -221,7 +227,7 @@ def _edge_report(horizon) -> dg.DiagnosticsReport:
     def on(ns):
         return [n for n in ns if n <= horizon]
     return dg.DiagnosticsReport(
-        modes=on([1, B, B + 1]), minima=on([B - 1, 2 * B + 1]),
+        modes=on([1, S, S + 1, B, B + 1]), minima=on([S - 1, B - 1, 2 * B + 1]),
         logconcavity_violations=on([B - 1, *EDGES]), eventual_decrease=None,
         critical_points=[(float(horizon), "max")],
     )
@@ -237,21 +243,39 @@ def test_block_edges_match_oracles(rows, horizon):
     assert_emitters_match_oracles(seq, report)
 
 
-def test_json_peak_memory_is_near_its_text():
-    """The blocks, not a list of 50,000 row strings plus their join, set
-    the peak: 1.15x the 4.5 MB text here, against 3.6x when the rows were
-    held whole, so a bound of 1.5x fails the whole-file form."""
-    seq = _float(*[-n / 1e4 for n in range(1, 50_001)])
+PEAK_SEQ = _float(*[-n / 1e4 for n in range(1, 50_001)])
+
+
+def _peak_and_text(emit) -> tuple[int, int]:
+    """The tracemalloc peak of one ``emit(seq, report)`` call on 50,000
+    float rows, and the length of the text it returns."""
     report = REPORTS["none"]
-    figures.sequence_json(SCENARIO, seq, report)  # warm any lazy state
+    emit(PEAK_SEQ, report)  # warm any lazy state
     tracemalloc.start()
     try:
-        parts = figures.sequence_json(SCENARIO, seq, report)
+        parts = emit(PEAK_SEQ, report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    text = sum(map(len, parts))
+    return peak, sum(map(len, parts))
+
+
+def test_json_peak_memory_is_near_its_text():
+    """The blocks, not a list of 50,000 row strings plus their join, set
+    the peak: 1.03x the 4.5 MB text here, against 3.6x when the rows were
+    held whole, so a bound of 1.5x fails the whole-file form."""
+    peak, text = _peak_and_text(lambda seq, report: figures.sequence_json(SCENARIO, seq, report))
     assert text > 4_000_000
+    assert peak < 1.5 * text
+
+
+@pytest.mark.parametrize("emit", [figures.sequence_csv, figures.sequence_svg],
+                         ids=["csv", "svg"])
+def test_csv_and_svg_peak_memory_is_near_their_text(emit):
+    """The same bound for the CSV (2.4 MB, 1.07x) and the SVG (0.7 MB,
+    1.04x; 1.35x while it held a list of 50,000 x floats)."""
+    peak, text = _peak_and_text(emit)
+    assert text > 500_000
     assert peak < 1.5 * text
 
 

@@ -19,6 +19,10 @@ FIGURE1_PRIOR = {"type": "atoms", "atoms": [
     {"theta": "17/20", "weight": "900/5001"},
 ]}
 
+LONG_H = 5000
+EXPONENTIAL, EXP1 = {"kind": "exponential"}, {"type": "exp", "lambda": 1}
+BERNOULLI, UNIFORM, FLOAT = {"kind": "bernoulli"}, {"type": "uniform01"}, {"numeric_mode": "float"}
+
 SCENARIOS = {
     "atoms_float": {
         "family": {"kind": "bernoulli"}, "prior": FIGURE1_PRIOR,
@@ -40,6 +44,20 @@ SCENARIOS = {
     "beta_exact": {
         "family": {"kind": "bernoulli"}, "prior": {"type": "beta", "a": 7, "b": 1},
         "theta0": "3/4", "theta1": "9/10", "horizon": 120, "numeric_mode": "exact",
+    },
+    # the Bessel route and the float Legendre route past two row blocks; off
+    # the diagonal, psi underflows to 0.0 while log_psi stays finite
+    **{
+        name: {
+            "family": family, "prior": prior, "theta0": theta0, "theta1": theta1,
+            "horizon": LONG_H, "outputs": ["csv", "json", "svg"], **mode,
+        }
+        for name, family, prior, theta0, theta1, mode in (
+            ("exp_diagonal", EXPONENTIAL, EXP1, "3/2", "3/2", {}),
+            ("exp_offdiag", EXPONENTIAL, EXP1, "1", "4", {}),
+            ("uniform_diagonal", BERNOULLI, UNIFORM, "3/5", "3/5", FLOAT),
+            ("uniform_offdiag", BERNOULLI, UNIFORM, "1/2", "3/4", FLOAT),
+        )
     },
 }
 
@@ -63,6 +81,18 @@ GOLDEN = {
     "beta_float.json": "d45c7a1dfead682b6b2c2cd371f1372a87340384f7d0c345dea8369315dd99fc",
     "beta_exact.csv": "de6589d7fdeeec37c170a78f32086c46b8dba81a8f8c45adae55d1fefa4bb33c",
     "beta_exact.json": "ba18506e1d2cd32b9953c1e121689ab94e665c7e943e6d8b9702514f06951bbe",
+    "exp_diagonal.csv": "d9a1dccbd97c9b274deefd4bcd315acfbc075bbdedcbdf653fac2e68cdefba78",
+    "exp_diagonal.json": "858efa4033d3262c95745e863c2c42bf16a9672f372273c3d0fe10c96ee526d8",
+    "exp_diagonal.svg": "cc61a308cf9da4b39c8070551b2400828cf7e819d1d87d3d47e42ae1860c5bd5",
+    "exp_offdiag.csv": "8034cedc86c010fc25a8a9d4ec98e8796ee8ae95d79a2395a3ac1906b4db11bb",
+    "exp_offdiag.json": "45364960e8d1b5eb6fdefaa86713dd4f0e720082e21b9701c987dc1b470457a5",
+    "exp_offdiag.svg": "7451006a85b440e7e854828c442d89075da036ba288aaa4fa0f987a78f86b163",
+    "uniform_diagonal.csv": "364f4ffe43b0bd89b15426af63515e570c987f540980f8efbd9229d66cf84a31",
+    "uniform_diagonal.json": "ce9f9e322879561c9034e1a7fc5937e94f2c447684b1e0f2d869be66514100e1",
+    "uniform_diagonal.svg": "d2dc447610b2c1ca0960a313e73484c0dc8a899bef080b043ac9c86b35ab05a4",
+    "uniform_offdiag.csv": "0a0d5ad27e817b9233e6e8f9b0a2e0bb478b089b0493c61d2132715e1eb1030c",
+    "uniform_offdiag.json": "264492e5efe6758a2a289f4b93c6a79aefa60e47fe1d4b17fb8ce98ed236d42b",
+    "uniform_offdiag.svg": "5ff6a3c1bcb8424514fa4b28872c63be9921affe67bedcee4cdbbb06f49b1d2b",
     "audit_all.json": "f703109541ed6e90bb1b6ea5083ad3ea5a2a84b8bcda2d76c834731dea72ffd3",
     "seed7/audit_all.json": "83da24fa3d2589c3ba6d664b27c6aaba13ff0efbf977916126cd8216fbba82ec",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
@@ -81,7 +111,7 @@ def emitted(tmp_path_factory):
     tokens = ["figure1", "figure2", "figure3", "beta71"]
     for name, body in SCENARIOS.items():
         path = scenarios / f"{name}.json"
-        path.write_text(json.dumps({"schema": 1, **body, "outputs": ["csv", "json"]}))
+        path.write_text(json.dumps({"schema": 1, "outputs": ["csv", "json"], **body}))
         tokens.append(str(path))
     for token in tokens:
         assert cli.main(["psi", token, "--out", str(out)]) == cli.EXIT_OK
