@@ -19,6 +19,7 @@ from . import orders
 from . import priors as pr
 from . import specialfn as sf
 from .bipoly import certify_logconcavity_polynomials
+from .bipoly import poly_eval, poly_mul, poly_sub, positive_on_halfline, positive_roots
 from .quadrature import integrate_half_line
 
 SUITES = ("turan", "bessel", "logconcavity", "orders", "positivity", "asymptotics")
@@ -39,103 +40,75 @@ def _finish(name: str, checks: list[dict]) -> dict:
 # turan
 # ---------------------------------------------------------------------------
 
-TURAN_GRID_X = (1.0 + 1e-6, 1.5, math.sqrt(3.0), 2.0, 10.0, 1e3, 1e6)
-TURAN_MAX_N = 300
+TURAN_N = 10  # A_n and B_n are decided for 2 <= n <= TURAN_N; the tests reach further
+
+
+def _at_sqrt3(row: list[int]) -> tuple[Fraction, Fraction]:
+    """A row in s = (x - 1)/2 at x = sqrt 3, as (a, b) for a + b sqrt 3."""
+    a = b = Fraction(0)
+    for c in reversed(row):  # times s = (sqrt 3 - 1)/2, plus c
+        a, b = (3 * b - a) / 2 + c, (a - b) / 2
+    return a, b
 
 
 def suite_turan(seed: int = 0) -> dict:
-    checks = []
-    sqrt3 = math.sqrt(3.0)
+    """R_n = P_{n-1} P_{n+1} / P_n^2 between 1 and (n+1)^2/(n(n+2)), decided
+    for every x >= 1 on the exact integer rows of P_n in s = (x - 1)/2."""
+    n_range, every = [2, TURAN_N], "every x >= 1"
+    rows = [sf.legendre_shifted(n) for n in range(TURAN_N + 2)]
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4) = at3 = [_at_sqrt3(r) for r in rows[:5]]
+    # P_k(sqrt 3) is rational for even k and a rational times sqrt 3 for odd k
+    parity = not (b0 or a1 or b2 or a3 or b4)
+    r2, r3 = Fraction(3 * b1 * b3, a2 * a2), Fraction(a2 * a4, 3 * b3 * b3)
+    checks = [
+        _check("ratio_2_at_sqrt3", parity and r2 == Fraction(9, 8), value=str(r2)),
+        _check("ratio_3_at_sqrt3", parity and r3 == Fraction(19, 18), value=str(r3)),
+        _check("ratio_3_below_bound", r3 < sf.turan_bound(3), value=str(r3),
+               bound=str(sf.turan_bound(3))),
+    ]
 
-    r2 = sf.turan_ratio(2, sqrt3)
-    r3 = sf.turan_ratio(3, sqrt3)
-    checks.append(_check("ratio_2_at_sqrt3", abs(r2 - 9 / 8) <= 1e-14, value=r2, expected=1.125))
-    checks.append(
-        _check("ratio_3_at_sqrt3", abs(r3 - 19 / 18) <= 1e-14, value=r3, expected=19 / 18)
-    )
-    checks.append(
-        _check("ratio_3_below_bound", r3 < 16 / 15, value=r3, bound=16 / 15)
-    )
+    # A_n(0) = 1 and B_n(0) = 0, so A_n > 0 on s >= 0 and B_n > 0 on s > 0
+    # unless they have a positive root.  A_2 = (2s^2 + 2s - 1)^2 = (x^2 - 3)^2 / 4
+    # has one, at x = sqrt 3, where R_2 meets its bound.
+    a_rows, b_rows = zip(*(sf.turan_polynomials(n) for n in range(2, TURAN_N + 1)))
+    reverse_fails = [n for n, b in enumerate(b_rows, 2) if positive_roots(b) or b[-1] <= 0]
+    strict_fails = [n for n, a in enumerate(a_rows[1:], 3) if not positive_on_halfline(a)]
+    half = [-1, 2, 2]
+    a2_square = [a_rows[0]] == poly_mul([half], [half]) and _at_sqrt3(half) == (0, 0)
+    equality = a2_square and len(positive_roots(half)) == 1 and not strict_fails
+    sandwich = all(1 < sf.turan_limit(n) < sf.turan_bound(n) for n in range(2, TURAN_N + 1))
+    checks += [
+        _check("reverse_inequality_grid", not reverse_fails, failing_n=reverse_fails,
+               n_range=n_range, x="every x > 1"),
+        _check("bound_grid", a2_square and not strict_fails, failing_n=strict_fails,
+               n_range=n_range, x=every),
+        _check("equality_only_at_2_sqrt3", equality, n_range=n_range, x=every,
+               witnesses=[[2, "sqrt(3)"]] if equality else []),
+        _check("limit_sandwich_exact", sandwich, n_range=n_range),
+        _check("limit_at_2", sf.turan_limit(2) == Fraction(10, 9), value=str(sf.turan_limit(2))),
+    ]
 
-    # 1 < R_n(x) <= bound on the grid, equality only at (2, sqrt 3); the
-    # scaled sequence (n+1) P_n is log-concave there, strictly from 3
-    ok_lower, ok_upper, ok_scaled, equality_witnesses = True, True, True, []
-    worst_lower = worst_upper = None
-    for x in TURAN_GRID_X:
-        ratios = sf.legendre_ratios(TURAN_MAX_N + 1, x)
-        for n in range(2, TURAN_MAX_N + 1):
-            value = ratios[n] / ratios[n - 1]
-            scaled = value * (n * (n + 2)) / (n + 1) ** 2
-            if not scaled <= 1.0 + 1e-14 or (n >= 3 and not scaled < 1.0):
-                ok_scaled = False
-            bound = float(sf.turan_bound(n))
-            if not value > 1.0:
-                ok_lower = False
-                worst_lower = (n, x, value)
-            gap = bound - value
-            if gap < -1e-15 * bound:
-                ok_upper = False
-                worst_upper = (n, x, value)
-            if abs(gap) <= 1e-12:
-                equality_witnesses.append((n, x))
-    checks.append(_check("reverse_inequality_grid", ok_lower, worst=worst_lower))
-    checks.append(_check("bound_grid", ok_upper, worst=worst_upper))
-    checks.append(
-        _check(
-            "equality_only_at_2_sqrt3",
-            equality_witnesses == [(2, sqrt3)],
-            witnesses=[[n, x] for n, x in equality_witnesses],
-        )
+    # every row against (n+1) P_{n+1} = (2n+1)(1 + 2s) P_n - n P_{n-1}, then read off
+    recurrence = all(
+        [[(n + 1) * c for c in rows[n + 1]]]
+        == poly_sub(poly_mul([[2 * n + 1, 4 * n + 2]], [rows[n]]), [[n * c for c in rows[n - 1]]])
+        for n in range(1, TURAN_N + 1)
     )
+    lead2 = Fraction(rows[2][-1], 4)  # s^2 = (x - 1)^2 / 4
+    p_values = [[str(a), str(b)] for a, b in at3[1:4]]  # [a, b] for a + b sqrt 3
+    checks += [
+        _check("value_at_one", recurrence and all(r[0] == 1 for r in rows),
+               n_range=[0, TURAN_N + 1]),
+        _check("leading_coefficient_2", recurrence and lead2 == Fraction(3, 2), value=str(lead2)),
+        _check("values_at_sqrt3", at3[1:4] == [(0, 1), (4, 0), (0, 6)], p1_p2_p3=p_values),
+        _check("scaled_sequence_logconcave", a2_square and not strict_fails, failing_n=strict_fails,
+               strict_from=3, n_range=n_range, x=every),
+    ]
 
-    # exact sandwich 1 < limit(n) < bound(n)
-    sandwich = all(
-        1 < sf.turan_limit(n) < sf.turan_bound(n) for n in range(2, TURAN_MAX_N + 1)
-    )
-    checks.append(_check("limit_sandwich_exact", sandwich, n_range=[2, TURAN_MAX_N]))
-    lim2 = sf.turan_limit(2)
-    checks.append(_check("limit_at_2", lim2 == Fraction(10, 9), value=str(lim2)))
-
-    # normalization and leading coefficient
-    p_at_one = all(sf.legendre_P(n, 1.0).value == 1.0 for n in range(51))
-    checks.append(_check("value_at_one", p_at_one))
-    checks.append(
-        _check(
-            "leading_coefficient_2",
-            sf.legendre_leading_coefficient(2) == Fraction(3, 2),
-        )
-    )
-    p1 = sf.legendre_P(1, sqrt3).value
-    p2 = sf.legendre_P(2, sqrt3).value
-    p3 = sf.legendre_P(3, sqrt3).value
-    checks.append(
-        _check(
-            "values_at_sqrt3",
-            abs(p1 - sqrt3) < 1e-13 and abs(p2 - 4.0) < 1e-12 and abs(p3 - 6 * sqrt3) < 1e-12,
-            p1=p1,
-            p2=p2,
-            p3=p3,
-        )
-    )
-
-    checks.append(_check("scaled_sequence_logconcave", ok_scaled))
-
-    # classical regime inside (-1, 1): spot check with explicit polynomials
-    def p_small(n: int, x: float) -> float:
-        table = (
-            lambda v: 1.0,
-            lambda v: v,
-            lambda v: (3 * v * v - 1) / 2,
-            lambda v: (5 * v**3 - 3 * v) / 2,
-            lambda v: (35 * v**4 - 30 * v * v + 3) / 8,
-        )
-        return table[n](x)
-
-    classical = all(
-        p_small(n, x) ** 2 >= p_small(n - 1, x) * p_small(n + 1, x) - 1e-15
-        for x in (0.0, 0.5, -0.5)
-        for n in (1, 2, 3)
-    )
+    # the classical regime inside (-1, 1): P_n^2 >= P_{n-1} P_{n+1}, exactly
+    halves = (Fraction(0), Fraction(1, 2), Fraction(-1, 2))
+    p = {(n, x): poly_eval(rows[n], (x - 1) / 2) for n in range(5) for x in halves}
+    classical = all(p[n, x] ** 2 >= p[n - 1, x] * p[n + 1, x] for n, x in p if 1 <= n <= 3)
     checks.append(_check("classical_regime_spot", classical))
     return _finish("turan", checks)
 
@@ -550,13 +523,15 @@ def suite_asymptotics(seed: int = 0) -> dict:
     family = fam.bernoulli()
     uniform = pr.Uniform01()
 
-    # fair-coin diagonal: exact value at n = 1000 against the growth law
+    # fair coin: psi(n) = (n+1) C(2n, n) / 4^n at n = 1000 against the growth law, by
+    # the proven envelope 4^n / sqrt(pi (n + 1/2)) < C(2n, n) < 4^n / sqrt(pi (n + 1/4)),
+    # squared and compared exactly; math.pi is within 2^-52 of pi
     n = 1000
-    exact = F(n + 1) * math.comb(2 * n, n) * F(1, 4**n)
-    ratio = float(exact) / (math.sqrt(n) / math.sqrt(math.pi))
-    checks.append(
-        _check("fair_coin_ratio_1000", 0.999 <= ratio <= 1.002, ratio=ratio)
-    )
+    central = math.comb(2 * n, n)
+    pi_lo, pi_hi = F(math.pi) - F(1, 2**50), F(math.pi) + F(1, 2**50)
+    envelope = central**2 * pi_lo * (n + F(1, 2)) > 16**n > central**2 * pi_hi * (n + F(1, 4))
+    ratio = float(F(n + 1) * central * F(1, 4**n)) / (math.sqrt(n) / math.sqrt(math.pi))
+    checks.append(_check("fair_coin_ratio_1000", envelope, ratio=ratio))
     asym1 = dg.asymptotic_expected_posterior(family, uniform, 0.5, 0.5, 1)
     checks.append(
         _check(

@@ -153,7 +153,8 @@ def positive_roots(row: Sequence[Coeff]) -> list[float]:
 
     The chain is built on the square-free part p / gcd(p, p'), so by
     Sturm's theorem the sign changes at lo minus those at hi count the
-    distinct roots in (lo, hi] for any lo < hi.  Bisection starts on
+    distinct roots in (lo, hi] for any lo < hi; a row whose coefficients
+    never change sign has none, by Descartes' rule.  Bisection starts on
     (0, B], B the power of two above the Cauchy bound, so every point is
     a dyadic k / 2^e and is evaluated in integers.  A root on a midpoint is
     met exactly and taken as it is; an interval holding one root stops
@@ -162,7 +163,7 @@ def positive_roots(row: Sequence[Coeff]) -> list[float]:
     p = [Fraction(c) for c in row]
     while p and p[-1] == 0:
         p.pop()
-    if len(p) < 2:
+    if not _sign_changes(p):
         return []
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:

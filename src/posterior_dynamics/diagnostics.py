@@ -120,12 +120,12 @@ def eventual_decrease_index(seq) -> int | None:
 
 
 def _decrease_start(steps: list[int]) -> int | None:
-    last_rise = max((i for i, s in enumerate(steps) if s >= 0), default=None)
-    if last_rise is None:
-        return 1
-    if last_rise == len(steps) - 1:
-        return None
-    return last_rise + 2
+    """The smallest n with steps[n-1:] all negative (steps[i] is the sign of
+    psi(i+2) - psi(i+1)), or None; scanned from the end, so only the tail is read."""
+    for last_rise in range(len(steps) - 1, -1, -1):
+        if steps[last_rise] >= 0:
+            return None if last_rise == len(steps) - 1 else last_rise + 2
+    return 1
 
 
 @dataclass

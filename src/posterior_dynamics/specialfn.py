@@ -1,10 +1,10 @@
-"""Legendre polynomials, Turan-type ratios, half-integer Bessel K, and the
-bivariate binomial-square sum that ties them to Bernoulli expected posteriors.
+"""Legendre polynomials, the Turan-type polynomials of their scaled-ratio
+bound, half-integer Bessel K, and the bivariate binomial-square sum that ties
+them to Bernoulli expected posteriors.
 
-Values grow like (2x)^n and overflow float64 near degree 300 for large
-arguments, so sequences are carried as (log magnitude, sign) together with
-first-order ratios; the inequalities of interest are ratio statements, so
-ratios are also the numerically natural representation.
+Legendre values overflow float64 near degree 300 for large x, so the float
+route carries ratios P_k/P_{k-1}; the Turan audit works on the exact integer
+coefficients of P_n in s = (x - 1)/2, where x >= 1 is s >= 0.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .bipoly import poly_mul, poly_sub
 from .util import ExactValue
 
 Real = Union[int, float, Fraction]
@@ -24,22 +25,8 @@ class SpecialFnDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Legendre polynomials on |x| >= 1
+# Legendre polynomials on x >= 1
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LegendreEval:
-    """P_n(x) as (log|P_n|, sign)."""
-
-    n: int
-    x: float
-    log_abs: float
-    sign: int
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.exp(self.log_abs)
 
 
 def legendre_ratios(n: int, x: float) -> list[float]:
@@ -61,28 +48,12 @@ def legendre_ratios(n: int, x: float) -> list[float]:
     return ratios
 
 
-def legendre_P(n: int, x: float) -> LegendreEval:
-    """Legendre polynomial of degree n at |x| >= 1, in log/sign form.
-
-    x <= -1 is mapped through the parity P_n(-x) = (-1)^n P_n(x); |x| < 1
-    is rejected (the inequalities audited here live on |x| >= 1).
-    """
+def legendre_shifted(n: int) -> list[int]:
+    """Integer coefficients of P_n(1 + 2s) in s, ascending: C(n, k) C(n+k, k).
+    The first is P_n(1) = 1; the last over 2^n is the x^n coefficient of P_n."""
     if n < 0:
         raise SpecialFnDomainError(f"degree n={n} must be >= 0")
-    sign = 1
-    if x <= -1.0:
-        x = -x
-        sign = -1 if n % 2 else 1
-    if x < 1.0:
-        raise SpecialFnDomainError(f"x={x} inside (-1, 1); supported domain is |x| >= 1")
-    ratios = legendre_ratios(n, x)
-    log_abs = math.fsum(math.log(r) for r in ratios)
-    return LegendreEval(n, x, log_abs, sign)
-
-
-def legendre_leading_coefficient(n: int) -> Fraction:
-    """Coefficient of x^n in P_n: C(2n, n) / 2^n."""
-    return Fraction(math.comb(2 * n, n), 2**n)
+    return [math.comb(n, k) * math.comb(n + k, k) for k in range(n + 1)]
 
 
 def turan_bound(n: int) -> Fraction:
@@ -93,15 +64,17 @@ def turan_limit(n: int) -> Fraction:
     return Fraction(n * (2 * n + 1), (n + 1) * (2 * n - 1))
 
 
-def turan_ratio(n: int, x: float) -> float:
-    """P_{n-1}(x) P_{n+1}(x) / P_n(x)^2 for n >= 1, x > 1, via ratios; its
-    bound is ``turan_bound(n)`` and its x -> inf limit ``turan_limit(n)``."""
+def turan_polynomials(n: int) -> tuple[list[int], list[int]]:
+    """A_n = (n+1)^2 P_n^2 - n(n+2) P_{n-1} P_{n+1} and B_n = P_{n-1} P_{n+1} - P_n^2
+    for n >= 1, as integer coefficients in s = (x - 1)/2.  P_n > 0 on x >= 1, so
+    there A_n >= 0 is R_n = P_{n-1} P_{n+1} / P_n^2 <= ``turan_bound(n)``, B_n > 0
+    is R_n > 1, and R_n -> ``turan_limit(n)`` as x -> inf."""
     if n < 1:
         raise SpecialFnDomainError(f"n={n} must be >= 1")
-    if not x > 1.0:
-        raise SpecialFnDomainError(f"x={x} must be > 1")
-    ratios = legendre_ratios(n + 1, x)
-    return ratios[n] / ratios[n - 1]
+    prev, cur, nxt = ([legendre_shifted(k)] for k in (n - 1, n, n + 1))
+    square, straddle = poly_mul(cur, cur), poly_mul(prev, nxt)
+    a = poly_sub(poly_mul([[(n + 1) ** 2]], square), poly_mul([[n * (n + 2)]], straddle))
+    return a[0], poly_sub(straddle, square)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,9 @@ def test_criterion_06_turan_suite():
     report(
         6,
         ok,
-        "scaled-ratio bound on n in [2,300] x 7 grid points with the unique "
-        "equality witness at (2, sqrt 3)",
+        "scaled-ratio bound and its reverse certified on exact integer polynomials "
+        f"for n in [2,{audit.TURAN_N}] and every x >= 1, with the unique equality "
+        "witness at (2, sqrt 3)",
     )
 
 

@@ -147,6 +147,21 @@ class TestPositiveRoots:
         assert bipoly.positive_roots(coeffs) == [float(r) for r in oracle_roots(coeffs)]
 
 
+class TestDescartesShortcut:
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=9))
+    @example([0, 0, 3])  # only a root at t = 0
+    def test_rows_without_sign_change(self, coeffs):
+        assert bipoly.positive_roots(coeffs) == [] == oracle_roots(coeffs)
+        assert bipoly.positive_roots([-c for c in coeffs]) == []
+
+    def test_certificate_rows_unchanged(self):
+        # every row the certificate isolates roots of, and its derivative
+        polys = (bipoly.POLY_A, bipoly.POLY_B, bipoly.POLY_C, bipoly.EXPECTED_E_ROWS)
+        for row in (r for poly in polys for r in poly):
+            for f in (row, bipoly.poly_derivative(row)):
+                assert bipoly.positive_roots(f) == [float(r) for r in oracle_roots(f)]
+
+
 class TestPositiveOnHalfline:
     @settings(max_examples=500)
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=7))

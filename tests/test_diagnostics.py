@@ -80,6 +80,17 @@ class TestEventualDecrease:
     def test_late_uptick_blocks(self):
         assert dg.eventual_decrease_index([F(3), F(2), F(1), F(2)]) is None
 
+    @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=40))
+    def test_backward_scan_matches_forward_definition(self, steps):
+        last_rise = max((i for i, s in enumerate(steps) if s >= 0), default=None)
+        if last_rise is None:
+            expected = 1
+        elif last_rise == len(steps) - 1:
+            expected = None
+        else:
+            expected = last_rise + 2
+        assert dg._decrease_start(steps) == expected
+
 
 class TestAnalyze:
     def test_full_report_on_exact_sequence(self):

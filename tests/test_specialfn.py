@@ -1,68 +1,108 @@
-"""Legendre/Turan machinery, binomial-square sums, half-integer Bessel K."""
+"""Legendre rows and ratios, the Turan polynomials, binomial-square sums,
+half-integer Bessel K."""
 
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
+import sympy
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from posterior_dynamics import audit, bipoly
 from posterior_dynamics import specialfn as sf
+from posterior_dynamics.bipoly import poly_eval
 from posterior_dynamics.quadrature import integrate_half_line
 from posterior_dynamics.util import logsumexp
 
-SQRT3 = math.sqrt(3.0)
+X = sympy.Symbol("x")
+
+
+def in_x(row):
+    """A row of integer coefficients in s = (x - 1)/2 as a sympy polynomial in x."""
+    return sympy.expand(sum(c * ((X - 1) / 2) ** k for k, c in enumerate(row)))
+
+
+def at(n, x):
+    """P_n(x) exactly, from the integer row in s = (x - 1)/2."""
+    return poly_eval(sf.legendre_shifted(n), (F(x) - 1) / 2)
+
+
+def ratio_at_sqrt3(n):
+    """R_n(sqrt 3) = P_{n-1} P_{n+1} / P_n^2, simplified by sympy."""
+    p = [in_x(sf.legendre_shifted(k)) for k in (n - 1, n, n + 1)]
+    return sympy.radsimp((p[0] * p[2] / p[1] ** 2).subs(X, sympy.sqrt(3)))
 
 
 class TestLegendre:
     def test_value_at_one(self):
         for n in range(51):
-            assert sf.legendre_P(n, 1.0).value == 1.0
+            assert sf.legendre_shifted(n)[0] == 1
+        assert sf.legendre_ratios(50, 1.0) == [1.0] * 50
 
     def test_values_at_sqrt3(self):
-        # (3x^2-1)/2 and (5x^3-3x)/2 evaluated at sqrt 3
-        assert sf.legendre_P(1, SQRT3).value == pytest.approx(SQRT3, rel=1e-15)
-        assert sf.legendre_P(2, SQRT3).value == pytest.approx(4.0, rel=1e-14)
-        assert sf.legendre_P(3, SQRT3).value == pytest.approx(6 * SQRT3, rel=1e-14)
+        # (3x^2-1)/2 and (5x^3-3x)/2 at sqrt 3, exactly
+        values = [sympy.radsimp(in_x(sf.legendre_shifted(n)).subs(X, sympy.sqrt(3)))
+                  for n in (1, 2, 3)]
+        assert values == [sympy.sqrt(3), 4, 6 * sympy.sqrt(3)]
 
     def test_parity(self):
         for n in (2, 3, 7):
-            left = sf.legendre_P(n, -2.5)
-            right = sf.legendre_P(n, 2.5)
-            assert left.sign == (-1) ** n
-            assert left.log_abs == right.log_abs
+            for x in (F(5, 2), F(1, 3), F(7)):
+                assert at(n, -x) == (-1) ** n * at(n, x)
 
     def test_inside_unit_interval_rejected(self):
         with pytest.raises(sf.SpecialFnDomainError):
-            sf.legendre_P(3, 0.5)
+            sf.legendre_ratios(3, 0.5)
 
     def test_large_degree_large_argument_stays_finite(self):
-        result = sf.legendre_P(300, 1e6)
-        assert math.isfinite(result.log_abs)
-        assert result.log_abs > 4000.0  # way past float overflow in raw form
+        log_abs = math.fsum(map(math.log, sf.legendre_ratios(300, 1e6)))
+        assert math.isfinite(log_abs)
+        assert log_abs > 4000.0  # way past float overflow in raw form
 
     def test_leading_coefficient(self):
-        assert sf.legendre_leading_coefficient(2) == F(3, 2)
-        assert sf.legendre_leading_coefficient(5) == F(math.comb(10, 5), 32)
+        # s^n = (x - 1)^n / 2^n, so the x^n coefficient is the last one over 2^n
+        assert F(sf.legendre_shifted(2)[-1], 2**2) == F(3, 2)
+        assert F(sf.legendre_shifted(5)[-1], 2**5) == F(math.comb(10, 5), 32)
 
     def test_recurrence_against_direct_polynomials(self):
-        # degree-4 closed form (35x^4 - 30x^2 + 3)/8
-        for x in (1.5, 2.0, 10.0):
+        # degree-4 closed form (35x^4 - 30x^2 + 3)/8, exactly and in ratio form
+        for x in (F(3, 2), F(2), F(10)):
             direct = (35 * x**4 - 30 * x**2 + 3) / 8
-            assert sf.legendre_P(4, x).value == pytest.approx(direct, rel=1e-13)
+            assert at(4, x) == direct
+            assert math.prod(sf.legendre_ratios(4, float(x))) == pytest.approx(
+                float(direct), rel=1e-13
+            )
+
+    def test_coefficients_against_sympy(self):
+        for n in range(13):
+            assert in_x(sf.legendre_shifted(n)) == sympy.expand(sympy.legendre(n, X))
+
+    def test_coefficients_follow_the_recurrence(self):
+        # (n+1) P_{n+1} = (2n+1)(1 + 2s) P_n - n P_{n-1}, run on exact rows
+        rows = [[F(1)], [F(1), F(2)]]
+        for n in range(1, 30):
+            step = [(2 * n + 1) * (a + 2 * b) for a, b in zip(rows[n] + [0], [0] + rows[n])]
+            prev = rows[n - 1] + [0, 0]
+            rows.append([(c - n * p) / (n + 1) for c, p in zip(step + [0], prev)])
+        for n, row in enumerate(rows):
+            assert sf.legendre_shifted(n) == row
+
+    def test_domain(self):
+        with pytest.raises(sf.SpecialFnDomainError):
+            sf.legendre_shifted(-1)
 
 
 class TestTuranRatio:
     def test_equality_case(self):
-        r2 = sf.turan_ratio(2, SQRT3)
-        assert r2 == pytest.approx(9 / 8, abs=1e-14)
+        assert ratio_at_sqrt3(2) == sympy.Rational(9, 8)
         assert sf.turan_bound(2) == F(9, 8)
 
     def test_strict_case_at_three(self):
-        r3 = sf.turan_ratio(3, SQRT3)
-        assert r3 == pytest.approx(19 / 18, abs=1e-14)
+        assert ratio_at_sqrt3(3) == sympy.Rational(19, 18)
         assert sf.turan_bound(3) == F(16, 15)
-        assert r3 < float(sf.turan_bound(3))
+        assert F(19, 18) < sf.turan_bound(3)
 
     def test_limit_values(self):
         assert sf.turan_limit(2) == F(10, 9)
@@ -70,15 +110,55 @@ class TestTuranRatio:
             assert 1 < sf.turan_limit(n) < sf.turan_bound(n)
 
     def test_limit_approached_for_huge_argument(self):
+        x = 10**9
         for n in (2, 5, 17):
-            value = sf.turan_ratio(n, 1e9)
-            assert value == pytest.approx(float(sf.turan_limit(n)), rel=1e-8)
+            ratio = at(n - 1, x) * at(n + 1, x) / at(n, x) ** 2
+            assert abs(ratio / sf.turan_limit(n) - 1) < F(1, 10**8)
 
     def test_domain(self):
         with pytest.raises(sf.SpecialFnDomainError):
-            sf.turan_ratio(0, 2.0)
-        with pytest.raises(sf.SpecialFnDomainError):
-            sf.turan_ratio(3, 1.0)
+            sf.turan_polynomials(0)
+
+
+class TestTuranPolynomials:
+    def test_a2_is_a_square(self):
+        a2, _ = sf.turan_polynomials(2)
+        assert 4 * in_x(a2) == sympy.expand((X**2 - 3) ** 2)
+        with mp.workdps(50):
+            assert bipoly.positive_roots(a2) == [float((mp.sqrt(3) - 1) / 2)]
+
+    def test_a1_negative_past_sqrt3(self):
+        # why the certificate starts at n = 2
+        a1, _ = sf.turan_polynomials(1)
+        assert 2 * in_x(a1) == 3 - X**2
+
+    def test_no_positive_root_of_a_n_past_the_audit(self):
+        assert audit.TURAN_N < 20
+        for n in range(3, 21):
+            a, _ = sf.turan_polynomials(n)
+            assert a[0] == 1
+            assert bipoly.positive_roots(a) == []
+
+    def test_b_n_coefficients_nonnegative(self):
+        # B_n(0) = 0 and no coefficient is negative, so B_n > 0 for every s > 0
+        for n in range(2, 41):
+            _, b = sf.turan_polynomials(n)
+            assert b[:2] == [0, 2]
+            assert min(b) >= 0
+
+    def test_polynomials_match_their_definition(self):
+        for n in (2, 5, 9):
+            a, b = sf.turan_polynomials(n)
+            p = [in_x(sf.legendre_shifted(k)) for k in (n - 1, n, n + 1)]
+            assert in_x(a) == sympy.expand((n + 1) ** 2 * p[1] ** 2 - n * (n + 2) * p[0] * p[2])
+            assert in_x(b) == sympy.expand(p[0] * p[2] - p[1] ** 2)
+
+    def test_audit_reports_exact_ratios(self):
+        checks = {c["name"]: c for c in audit.suite_turan()["checks"]}
+        assert checks["ratio_2_at_sqrt3"]["value"] == "9/8"
+        assert checks["ratio_3_at_sqrt3"]["value"] == "19/18"
+        assert all(c["pass"] for c in checks.values())
+        assert len(checks) == 13
 
 
 def log_binomial_square_sum(y: float, z: float, n: int) -> float:
@@ -133,13 +213,14 @@ class TestBinomialSquareSum:
             assert values[n - 1] == (n + 1) * F(1, 2) ** n
 
     def test_legendre_connection(self):
-        # S_n(y,z) = (y-z)^n (n+1) P_n((y+z)/(y-z)) for y > z
+        # S_n(y,z) = (y-z)^n (n+1) P_n((y+z)/(y-z)) for y > z, with
+        # log P_n = sum of log r_k over the Legendre ratios
         y, z = 0.5, 0.2
         exact = sf.binomial_square_sum(F(1, 2), F(1, 5), 30)
-        x = (y + z) / (y - z)
+        ratios = sf.legendre_ratios(30, (y + z) / (y - z))
         for n in range(1, 31):
             via_legendre = (
-                n * math.log(y - z) + math.log(n + 1) + sf.legendre_P(n, x).log_abs
+                n * math.log(y - z) + math.log(n + 1) + math.fsum(map(math.log, ratios[:n]))
             )
             assert float(exact[n - 1]) == pytest.approx(math.exp(via_legendre), rel=1e-11)
 
