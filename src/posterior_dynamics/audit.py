@@ -20,7 +20,6 @@ from . import priors as pr
 from . import specialfn as sf
 from .bipoly import certify_logconcavity_polynomials
 from .bipoly import poly_eval, poly_mul, poly_sub, positive_on_halfline, positive_roots
-from .quadrature import integrate_half_line
 
 SUITES = ("turan", "bessel", "logconcavity", "orders", "positivity", "asymptotics")
 SUITE_ALIASES = {"appendix_a4": "positivity"}
@@ -124,20 +123,22 @@ BRACKET_MAX_N = 200
 STRICT_THETAS = (0.5, 1.0, 5.0, 20.0, 50.0)
 
 
-def _poly_integral(n: int, m: int, theta: float) -> float:
-    """Quadrature of the weighted polynomial integral u^n (u+1)^m e^(-2 theta u)."""
-    value, _ = integrate_half_line(
-        lambda u: math.exp(n * math.log(u) + m * math.log(u + 1.0) - 2.0 * theta * u)
-        if u > 0
-        else 0.0,
-        tol=1e-12,
-        rel_tol=1e-12,
-    )
-    return value
+def _k_polynomials(theta: Fraction, n_max: int) -> list[Fraction]:
+    """y_n = k_n / (sqrt(pi / (2 theta)) e^(-theta)) for n = 0..n_max, exactly.
+
+    The K recurrence k_{n+1} = ((2n+1)/theta) k_n + k_{n-1} from
+    y_{-1} = y_0 = 1, carried in rationals; y_n is the sum of DLMF 10.49.12,
+    the Bessel polynomial y_n(1/theta).
+    """
+    prev, cur, out = Fraction(1), Fraction(1), [Fraction(1)]
+    for n in range(n_max):
+        prev, cur = cur, (2 * n + 1) / theta * cur + prev
+        out.append(cur)
+    return out
 
 
 def _poly_integral_from_bessel(n: int, theta: float, bess: sf.BesselHalfSeq) -> float:
-    """The same diagonal integral through the Bessel closed form."""
+    """sf.weighted_integral(n, n, theta) through the Bessel closed form, in floats."""
     return math.exp(
         theta
         - 0.5 * math.log(math.pi)
@@ -163,42 +164,52 @@ def suite_bessel(seed: int = 0) -> dict:
         _check("back_ratio_2_at_1", abs(base.rho[2] - 2.0 / 7.0) <= 1e-15, value=base.rho[2])
     )
 
-    # recursion vs quadrature for the diagonal and the combined integrals
+    # the diagonal and the combined integrals: I(n, m) is the integral of
+    # u^n (u+1)^m e^(-2 theta u), an exact rational at a binary theta.  Both
+    # identities are decided as Fraction equalities, I(n, n) against the K
+    # recurrence and I(n-1, n+1) against its two neighbours; the float route
+    # the engine takes is compared with the exact value
     ok_diag, ok_comb, worst_diag, worst_comb = True, True, 0.0, 0.0
     for theta in BESSEL_THETAS:
-        bess = sf.bessel_K_half(theta, 12)
+        t, bess = Fraction(theta), sf.bessel_K_half(theta, 12)
+        y = _k_polynomials(t, 10)
+        diag, routed = [], []
         for n in range(0, 11):
-            direct = _poly_integral(n, n, theta)
-            routed = _poly_integral_from_bessel(n, theta, bess)
-            rel = abs(direct - routed) / direct
+            exact = sf.weighted_integral(n, n, t)
+            diag.append(exact)
+            routed.append(_poly_integral_from_bessel(n, theta, bess))
+            rel = float(abs(Fraction(routed[n]) - exact) / exact)
             worst_diag = max(worst_diag, rel)
-            if rel > 1e-8:
+            if exact != math.factorial(n) * y[n] / (2 * t) ** (n + 1) or rel > 1e-8:
                 ok_diag = False
         for n in range(1, 11):
-            direct = _poly_integral(n - 1, n + 1, theta)
-            routed = (n + theta) / n * _poly_integral_from_bessel(n, theta, bess) + (
-                0.5 * _poly_integral_from_bessel(n - 1, theta, bess)
-            )
-            rel = abs(direct - routed) / direct
+            exact = sf.weighted_integral(n - 1, n + 1, t)
+            float_route = (n + theta) / n * routed[n] + 0.5 * routed[n - 1]
+            rel = float(abs(Fraction(float_route) - exact) / exact)
             worst_comb = max(worst_comb, rel)
-            if rel > 1e-8:
+            if exact != (n + t) / n * diag[n] + diag[n - 1] / 2 or rel > 1e-8:
                 ok_comb = False
     checks.append(_check("diagonal_integral_identity", ok_diag, worst_rel=worst_diag))
     checks.append(_check("combined_integral_recurrence", ok_comb, worst_rel=worst_comb))
 
-    # closed form vs quadrature of the defining integral
+    # closed form vs the defining integral, expanded exactly: with an Exp(1)
+    # prior psi(n) = e^(-theta0) (theta0 theta1)^n / ((n-1)! n!) I(n-1, n+1)
+    # at theta = (theta0 + theta1)/2.  The reference is off by at most about
+    # 3 ulp: one correctly rounded quotient, one libm exp and their product
     ok_psi, worst_psi = True, 0.0
     for theta in BESSEL_THETAS:
-        seq = engine.expected_posterior_exponential(theta, theta, 20)
+        t, seq = Fraction(theta), engine.expected_posterior_exponential(theta, theta, 20)
+        scale = math.exp(-theta)
         for n in range(1, 21):
-            quad, _ = engine.expected_posterior_quadrature(
-                fam.exponential(), pr.ExpPrior(1), theta, theta, n, tol=1e-12
+            rational = t ** (2 * n) * sf.weighted_integral(n - 1, n + 1, t) / (
+                math.factorial(n - 1) * math.factorial(n)
             )
-            rel = abs(seq.value(n) - quad) / quad
+            reference = float(rational) * scale
+            rel = abs(seq.value(n) - reference) / reference
             worst_psi = max(worst_psi, rel)
             if rel > 1e-8:
                 ok_psi = False
-    checks.append(_check("closed_form_vs_quadrature", ok_psi, worst_rel=worst_psi))
+    checks.append(_check("closed_form_vs_exact_integral", ok_psi, worst_rel=worst_psi))
 
     # analytic bracket and the log-concavity bound on the grid; for tiny
     # theta at large n the strict lower gap is ~2e-16 relative and falls

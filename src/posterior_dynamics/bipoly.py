@@ -6,8 +6,9 @@ t-coefficients of m^i.  Rows carry no trailing zeros and the list no
 trailing empty rows, so equal polynomials are equal lists.
 
 ``positive_roots`` is the one real-root isolator of the package: Sturm
-counts over ``Fraction`` on the square-free part, then exact bisection
-until each root's interval rounds to a single float.
+counts on the square-free part, from a primitive pseudo-remainder
+sequence over the integers, then exact bisection until each root's
+interval rounds to a single float.
 
 ``certify_logconcavity_polynomials`` rebuilds the discriminant identity
 E = A^2 - B^2 C from the three source polynomials, checks every row of E
@@ -110,25 +111,43 @@ EXPECTED_MINIMA = {
 }
 
 
-def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a divided by b (b nonzero, no trailing zeros)."""
-    a, quotient = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division over the integers: (q, r) with |lc b|^k a = q b + r,
+    deg r < deg b, for the k reduction steps taken (b nonzero, no trailing
+    zeros).  The scale is positive, so r is a positive multiple of the
+    remainder of a by b and q one of the quotient."""
+    a, lead = list(a), b[-1]
+    scale, sign = abs(lead), 1 if lead > 0 else -1
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        shift = len(a) - len(b)
-        quotient[shift] = q = a[-1] / b[-1]
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
+        shift, c = len(a) - len(b), sign * a[-1]
+        quotient = [scale * x for x in quotient]
+        quotient[shift] += c
+        a = [scale * x for x in a]
+        for i, d in enumerate(b):
+            a[shift + i] -= c * d
         a.pop()
         while a and a[-1] == 0:
             a.pop()
     return quotient, a
 
 
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    """p, p', then negated remainders; the last element is gcd(p, p')."""
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by the gcd of its coefficients."""
+    g = math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then negated remainders; the last element is gcd(p, p').
+
+    Over the integers: each remainder is a pseudo-remainder, negated and
+    made primitive, so every element is a positive multiple of the chain
+    built over ``Fraction`` and has the same signs everywhere.
+    """
     chain = [p, poly_derivative(p)]
     while chain[-1]:
-        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+        chain.append(_primitive([-c for c in _pdivmod(chain[-2], chain[-1])[1]]))
     chain.pop()
     return chain
 
@@ -165,11 +184,11 @@ def positive_roots(row: Sequence[Coeff]) -> list[float]:
         p.pop()
     if not _sign_changes(p):
         return []
-    chain = _sturm_chain(p)
+    # a positive multiple with integer coefficients has the same roots
+    scale = math.lcm(*(c.denominator for c in p))
+    chain = _sturm_chain([int(c * scale) for c in p])
     if len(chain[-1]) > 1:
-        chain = _sturm_chain(_divmod(p, chain[-1])[0])
-    # positive multiples with integer coefficients have the same signs
-    chain = [[int(c * m) for c in f] for f in chain for m in [math.lcm(*(c.denominator for c in f))]]
+        chain = _sturm_chain(_primitive(_pdivmod(chain[0], chain[-1])[0]))
     q = chain[0]
 
     def changes(k: int, e: int) -> int:

@@ -155,6 +155,25 @@ def bessel_K_half(theta: float, n_max: int) -> BesselHalfSeq:
     return BesselHalfSeq(theta, tuple(log_k), tuple(rho))
 
 
+def weighted_integral(n: int, m: int, theta: Real) -> Fraction:
+    """The integral of u^n (u + 1)^m e^(-2 theta u) over u > 0, exactly.
+
+    Term by term in the binomial expansion of (u + 1)^m it is
+    sum_j C(m, j) (n + j)! / (2 theta)^(n + j + 1), a finite rational sum:
+    theta is taken as Fraction(theta), which every float is exactly.
+    """
+    two_theta = 2 * Fraction(theta)
+    if not two_theta > 0:
+        raise SpecialFnDomainError(f"theta={theta} must be > 0")
+    # over the common denominator p^(n+m+1), with 2 theta = p / q
+    p, q = two_theta.numerator, two_theta.denominator
+    total = sum(
+        math.comb(m, j) * math.factorial(n + j) * q ** (n + j + 1) * p ** (m - j)
+        for j in range(m + 1)
+    )
+    return Fraction(total, p ** (n + m + 1))
+
+
 def segura_bracket(n: int, theta: float) -> tuple[float, float]:
     """Analytic bracket (lower, upper) for rho_n = K_{n-1/2}/K_{n+1/2}.
 

@@ -120,10 +120,11 @@ def test_criterion_04_oracle_equivalence():
 
 
 def test_criterion_05_growth_law():
-    n = 1000
-    exact = F(n + 1) * math.comb(2 * n, n) * F(1, 4**n)
-    ratio = float(exact) / (math.sqrt(n) / math.sqrt(math.pi))
-    part1 = 0.999 <= ratio <= 1.002
+    # the fair-coin part is the audit's verdict from the proven envelope of
+    # C(2n, n), decided exactly; its ratio detail is only printed
+    suite = audit.run_suite("asymptotics", seed=42)
+    fair = next(c for c in suite["checks"] if c["name"] == "fair_coin_ratio_1000")
+    part1, ratio = fair["pass"], fair["ratio"]
 
     t0, t1 = 0.5, 0.75
     mid, affinity = fam.bhattacharyya_reduction(fam.bernoulli(), t0, t1)
@@ -140,7 +141,8 @@ def test_criterion_05_growth_law():
     report(
         5,
         part1 and part2,
-        f"fair-coin ratio at n=1000 is {ratio:.6f} in [0.999,1.002]; off-diagonal "
+        f"fair-coin ratio at n=1000 is {ratio:.6f}, certified by the exact envelope "
+        f"of C(2n, n); off-diagonal "
         f"normalized log sequence: step {step:.2e} < 1e-3, limit gap {gap:.2e} < 5e-3",
     )
 

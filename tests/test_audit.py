@@ -1,0 +1,43 @@
+"""Structural guards on the audit suites: what they run and how many checks
+they report.  Neither is a timing test."""
+
+import pytest
+
+from posterior_dynamics import audit, engine, quadrature
+from posterior_dynamics import families as fam
+from posterior_dynamics import priors as pr
+
+# checks per suite, in SUITES order; the benchmark's audit results count them
+CHECK_COUNTS = {
+    "turan": 13, "bessel": 13, "logconcavity": 7, "orders": 10, "positivity": 16,
+    "asymptotics": 10,
+}
+
+
+def test_bessel_suite_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Bessel suite ran a quadrature")
+
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    monkeypatch.setattr(engine, "expected_posterior_quadrature", refuse)
+    report = audit.run_suite("bessel", seed=42)
+    assert report["pass"]
+    names = [c["name"] for c in report["checks"]]
+    assert "closed_form_vs_exact_integral" in names
+    assert "closed_form_vs_quadrature" not in names
+
+
+def test_quadrature_guard_is_live(monkeypatch):
+    # the patched name is the one the exponential oracle reaches
+    monkeypatch.setattr(quadrature, "integrate", lambda *a, **k: pytest.fail("reached"))
+    with pytest.raises(pytest.fail.Exception, match="reached"):
+        engine.expected_posterior_quadrature(fam.exponential(), pr.ExpPrior(1), 1.0, 1.0, 3)
+
+
+def test_audit_all_check_counts():
+    report = audit.run_suite("all", seed=11)
+    counts = {s["suite"]: len(s["checks"]) for s in report["suites"]}
+    assert counts == CHECK_COUNTS
+    assert list(counts) == list(audit.SUITES)
+    assert sum(counts.values()) == 69
+    assert report["pass"]

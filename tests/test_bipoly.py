@@ -1,14 +1,16 @@
 """Exact polynomial rows and the positivity certificate."""
 
+import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from posterior_dynamics import bipoly
+from posterior_dynamics import bipoly, diagnostics, figures, specialfn
 from posterior_dynamics.bipoly import CertificationError, poly_mul, poly_sub, positive_on_halfline
 
 
@@ -177,3 +179,98 @@ class TestPositiveOnHalfline:
     @example([])
     def test_matches_mpmath_roots(self, coeffs):
         assert positive_on_halfline(coeffs) == oracle_positive(coeffs)
+
+
+def fraction_chain(p):
+    """The Sturm chain over Fraction by Euclidean division: p, p', then the
+    negated remainders, ending at gcd(p, p')."""
+    chain = [[Fraction(c) for c in p], [Fraction(c) for c in bipoly.poly_derivative(p)]]
+    while chain[-1]:
+        a, b = list(chain[-2]), chain[-1]
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        chain.append([-c for c in a])
+    chain.pop()
+    return chain
+
+
+def is_positive_multiple(f, g) -> bool:
+    """f = c g for some rational c > 0."""
+    ratios = {Fraction(a) / b for a, b in zip(f, g) if b}
+    zeros_match = all((a == 0) == (b == 0) for a, b in zip(f, g))
+    return len(f) == len(g) and zeros_match and len(ratios) == 1 and ratios.pop() > 0
+
+
+def integer_row(row):
+    """A positive integer multiple of a row with rational coefficients."""
+    scale = math.lcm(*(Fraction(c).denominator for c in row))
+    return [int(Fraction(c) * scale) for c in row]
+
+
+def turan_rows():
+    return [row for n in range(2, 21) for row in specialfn.turan_polynomials(n)]
+
+
+def normal_cubics(monkeypatch):
+    """The slope and curvature cubics the diagnostics isolate roots of, for
+    the bundled normal scenarios and a few more normal cases."""
+    rows = []
+    cases = [
+        (float(s.theta0), float(s.theta1), s.family.sigma)
+        for s in map(figures.bundled_scenario, figures.BUNDLED) if s.family.kind == "normal"
+    ]
+    assert cases
+    cases += [(0.0, 0.0, 100.0), (-2.0, 2.0, 1.0), (0.1, 0.4, 2.0), (0.7, 0.3, 100.0)]
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "positive_roots", lambda row: rows.append(list(row)) or [])
+        for theta0, theta1, sigma in cases:
+            diagnostics.normal_critical_points(theta0, theta1, sigma)
+            diagnostics.normal_log_convex_prefix_end(0.5 * (theta0 + theta1), sigma)
+    return rows
+
+
+def roots_from_fraction_chain(monkeypatch, row):
+    """positive_roots with the Sturm chain built over Fraction instead."""
+    with monkeypatch.context() as m:
+        m.setattr(bipoly, "_sturm_chain",
+                  lambda p: [integer_row(f) for f in fraction_chain(p)])
+        return bipoly.positive_roots(row)
+
+
+class TestIntegerSturmChain:
+    def check(self, monkeypatch, row):
+        p = integer_row(row)
+        while p and p[-1] == 0:
+            p.pop()
+        if len(p) > 1:
+            chain, reference = bipoly._sturm_chain(p), fraction_chain(p)
+            assert len(chain) == len(reference)
+            assert all(map(is_positive_multiple, chain, reference))
+        assert bipoly.positive_roots(row) == roots_from_fraction_chain(monkeypatch, row)
+
+    def test_turan_rows(self, monkeypatch):
+        for row in turan_rows():
+            self.check(monkeypatch, row)
+
+    def test_normal_cubics(self, monkeypatch):
+        cubics = normal_cubics(monkeypatch)
+        assert len(cubics) >= 10
+        for row in cubics:
+            self.check(monkeypatch, row)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=9),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+    @example([2, -3, 1], [-1, 1])  # (t - 1)^2 (t - 2): a repeated root
+    @example([-20, 24, -9, 1], [-20, 24, -9, 1])  # every root repeated
+    @example([0], [1])
+    def test_drawn_integer_rows(self, monkeypatch, row, factor):
+        # times a drawn factor, so repeated roots and a nontrivial gcd(p, p') occur
+        self.check(monkeypatch, row)
+        product = poly_mul([row], [factor])
+        self.check(monkeypatch, product[0] if product else [0])

@@ -1,5 +1,5 @@
 """Legendre rows and ratios, the Turan polynomials, binomial-square sums,
-half-integer Bessel K."""
+half-integer Bessel K and its exact weighted integrals."""
 
 import math
 from fractions import Fraction as F
@@ -312,3 +312,53 @@ class TestLogconcavityRatio:
             sf.logconcavity_ratio_from_bessel(1, 1.0, 0.5)
         with pytest.raises(sf.SpecialFnDomainError):
             sf.logconcavity_ratio_from_bessel(3, 1.0, 1.5)
+
+
+# binary rationals, and 0.1 as the float it is
+EXACT_THETAS = (F(1, 8), F(1, 2), F(1), F(2), F(0.1))
+
+
+def bessel_sum(n, theta):
+    """DLMF 10.49.12: k_n / (sqrt(pi / (2 theta)) e^-theta), term by term."""
+    return sum(
+        F(math.factorial(n + k), math.factorial(k) * math.factorial(n - k)) / (2 * theta) ** k
+        for k in range(n + 1)
+    )
+
+
+class TestWeightedIntegral:
+    @pytest.mark.parametrize("n, m, theta", [
+        (0, 0, 0.5), (3, 5, 1.0), (10, 10, 2.0), (0, 7, 0.1), (6, 0, 0.125), (9, 11, 0.5),
+        (20, 25, 0.1), (29, 31, 2.0),
+    ])
+    def test_against_40_digit_quadrature(self, n, m, theta):
+        exact = sf.weighted_integral(n, m, theta)
+        with mp.workdps(40):
+            ref = mp.quad(lambda u: u**n * (u + 1) ** m * mp.exp(-2 * mp.mpf(theta) * u),
+                          [0, mp.inf])
+            assert abs(mp.mpf(exact.numerator) / exact.denominator - ref) <= 1e-35 * ref
+
+    def test_float_theta_is_its_binary_rational(self):
+        assert sf.weighted_integral(4, 6, 0.1) == sf.weighted_integral(4, 6, F(0.1))
+        assert sf.weighted_integral(0, 0, F(3, 2)) == F(1, 3)
+
+    @pytest.mark.parametrize("theta", EXACT_THETAS, ids=str)
+    def test_diagonal_identity(self, theta):
+        # I(n, n) = n! / (2 theta)^(n+1) y_n, y_n from the audit's K recurrence
+        y = audit._k_polynomials(theta, 30)
+        for n in range(31):
+            assert y[n] == bessel_sum(n, theta)
+            want = math.factorial(n) * y[n] / (2 * theta) ** (n + 1)
+            assert sf.weighted_integral(n, n, theta) == want
+
+    @pytest.mark.parametrize("theta", EXACT_THETAS, ids=str)
+    def test_combined_recurrence(self, theta):
+        diag = [sf.weighted_integral(n, n, theta) for n in range(31)]
+        for n in range(1, 31):
+            want = (n + theta) / n * diag[n] + diag[n - 1] / 2
+            assert sf.weighted_integral(n - 1, n + 1, theta) == want
+
+    def test_domain(self):
+        for theta in (0, -0.5):
+            with pytest.raises(sf.SpecialFnDomainError):
+                sf.weighted_integral(1, 1, theta)
