@@ -40,16 +40,14 @@ def _resolve_scenario(token: str):
     raise ScenarioError(f"no such scenario file or bundled name: {token!r}")
 
 
-def cmd_psi(args: argparse.Namespace) -> int:
+def _emit(scenarios, out: str) -> int:
+    """Write the outputs of each scenario, drawn from the iterable
+    ``scenarios`` inside the error mapping, then print their paths."""
     try:
-        scenario = _resolve_scenario(args.scenario)
+        batches = [fig.emit_scenario_files(s, out) for s in scenarios]
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    if args.mode:
-        scenario = dataclasses.replace(scenario, numeric_mode=args.mode)
-    try:
-        written = fig.emit_scenario_files(scenario, args.out)
     except (pr.UnsupportedConjugacyError, pr.ImpossibleObservationError, DomainError,
             QuadratureError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -57,9 +55,18 @@ def cmd_psi(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    for path in written:
-        print(path)
+    for batch in batches:
+        for path in batch:
+            print(path)
     return EXIT_OK
+
+
+def cmd_psi(args: argparse.Namespace) -> int:
+    def scenarios():
+        scenario = _resolve_scenario(args.scenario)
+        yield dataclasses.replace(scenario, numeric_mode=args.mode) if args.mode else scenario
+
+    return _emit(scenarios(), args.out)
 
 
 def _print_suite_table(report: dict) -> None:
@@ -93,16 +100,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     names = ("figure1", "figure2", "figure3") if args.which == "all" else (f"figure{args.which}",)
-    try:
-        scenarios = [fig.bundled_scenario(name) for name in names]
-        batches = [fig.emit_scenario_files(s, args.out) for s in scenarios]
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for batch in batches:
-        for path in batch:
-            print(path)
-    return EXIT_OK
+    return _emit(map(fig.bundled_scenario, names), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

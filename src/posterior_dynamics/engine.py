@@ -557,10 +557,14 @@ def expected_posterior_quadrature(
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
     if family.kind == BERNOULLI and isinstance(prior, (DiscreteAtoms, Uniform01, Beta)):
-        # exact checks before the float kernel: 1 + 10^-20 must not round to 1.0
-        family.require_theta(theta0, closure=True)
-        family.require_theta(theta1, closure=True)
-        if isinstance(prior, DiscreteAtoms):
+        # exact checks before the float kernel: 1 + 10^-20 must not round to
+        # 1.0; only an atom prior can hold a sure coin, 0 or 1
+        atoms = isinstance(prior, DiscreteAtoms)
+        family.require_theta(theta0, closure=atoms)
+        family.require_theta(theta1, closure=atoms)
+        if atoms:
+            if not prior.is_atom(theta0):
+                raise DomainError(f"theta0={theta0} must be an atom of the prior")
             log_pi0 = math.log(float(prior.weight_of(theta0)))
         else:
             log_pi0 = pr.prior_log_density(prior, theta0)

@@ -7,16 +7,18 @@ atomic (write to a temp name, then rename) and byte-deterministic: CSV
 floats carry 17 significant digits, JSON floats are written as json
 writes them, rationals as canonical "p/q" up to a size cap.
 
-Each emitter returns its file as a list of strings, the per-n rows joined
-into blocks of at most ``BLOCK_ROWS`` rows, so a long sequence is never
-held as one list of per-row strings next to its joined text.  Inside a
-block, each sub-block of at most ``SUB_ROWS`` rows is formatted by one
-``%`` call: the row template repeated once per row, applied to one tuple
-of the rows' interleaved fields, so the per-row cost is the C float
-formatting alone.  Sub-blocks stay small because one ``%`` over a whole
-2,048-row block, though faster still, raised the peak RSS of a
-50,000-row run (35 to 40-43 MB): its output buffer grows and reallocates
-as it fills.
+The per-n rows of all three files come from one writer, ``_rows``: a row
+template and one column per field.  It returns the rows joined into
+blocks of at most ``BLOCK_ROWS`` rows, so a long sequence is never held
+as one list of per-row strings next to its joined text.  Inside a block,
+each sub-block of at most ``SUB_ROWS`` rows is formatted by one ``%``
+call: the row template repeated once per row, applied to one tuple of
+the rows' interleaved fields, so the per-row cost is the C formatting
+alone.  Sub-blocks stay small because one ``%`` over a whole 2,048-row
+block, though faster still, raised the peak RSS of a 50,000-row run (35
+to 40-43 MB): its output buffer grows and reallocates as it fills.  The
+blocks stay too: returning the 64-row strings themselves, one list item
+each, raised the long-horizon benchmark's peak RSS from 34.9 to 35.6 MB.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from functools import partial
 from importlib import resources
-from itertools import repeat
 from typing import Sequence
 
 from . import diagnostics as dg
@@ -56,31 +58,26 @@ def atomic_write(path: str, parts: list[str]) -> None:
     os.replace(tmp, path)
 
 
-def _joined_blocks(count: int, sep: str, rows) -> list[str]:
-    """``sep.join`` of rows 0..count-1 as a list of blocks of at most
-    ``BLOCK_ROWS`` rows, where ``rows(lo, hi)`` formats the sub-block of
-    rows lo..hi-1 (at most ``SUB_ROWS``, hi <= count) as one string of
-    rows joined by ``sep``."""
+def _rows(row: str, sep: str, count: int, columns) -> list[str]:
+    """``sep.join`` of rows 0..count-1 of the ``%`` template ``row``, as a
+    list of blocks of at most ``BLOCK_ROWS`` rows.  Each column gives one
+    field per row: a sequence, sliced ``[lo:hi]``, or a function ``(lo,
+    hi) -> list``.  Each sub-block of at most ``SUB_ROWS`` rows is one
+    ``%`` call on the template repeated once per row."""
+    width, whole = len(columns), sep.join([row] * SUB_ROWS)
     parts = []
     for lo in range(0, count, BLOCK_ROWS):
         if lo:
             parts.append(sep)
-        hi = min(lo + BLOCK_ROWS, count)
-        parts.append(sep.join([rows(a, min(a + SUB_ROWS, hi)) for a in range(lo, hi, SUB_ROWS)]))
+        hi, subs = min(lo + BLOCK_ROWS, count), []
+        for a in range(lo, hi, SUB_ROWS):
+            b = min(a + SUB_ROWS, hi)
+            fields = [0] * (width * (b - a))
+            for i, column in enumerate(columns):
+                fields[i::width] = column(a, b) if callable(column) else column[a:b]
+            subs.append((whole if b - a == SUB_ROWS else sep.join([row] * (b - a))) % tuple(fields))
+        parts.append(sep.join(subs))
     return parts
-
-
-def _rows_format(row: str, sep: str, width: int):
-    """A function that formats a list of interleaved fields, ``width`` per
-    row and at most ``SUB_ROWS`` rows, as the rows joined by ``sep``, with
-    one ``%`` call on the template ``row`` repeated once per row."""
-    whole = sep.join([row] * SUB_ROWS)
-
-    def fmt(fields: list) -> str:
-        count = len(fields) // width
-        return (whole if count == SUB_ROWS else sep.join([row] * count)) % tuple(fields)
-
-    return fmt
 
 
 def _flags(marks, count: int) -> bytearray:
@@ -96,18 +93,9 @@ def sequence_csv(seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport) -
     values, logs = seq.float_values(), seq.log_values
     modes = _flags(report.modes, len(values))
     violations = _flags(report.logconcavity_violations, len(values))
-    fmt = _rows_format("%d,%.17g,%.17g,%d,%d\n", "", 5)
-
-    def rows(lo: int, hi: int) -> str:
-        fields = [0] * (5 * (hi - lo))
-        fields[0::5] = range(lo + 1, hi + 1)
-        fields[1::5] = values[lo:hi]
-        fields[2::5] = logs[lo:hi]
-        fields[3::5] = modes[lo:hi]
-        fields[4::5] = violations[lo:hi]
-        return fmt(fields)
-
-    return ["n,psi,log_psi,is_mode,lc_violation\n", *_joined_blocks(len(values), "", rows)]
+    rows = _rows("%d,%.17g,%.17g,%d,%d\n", "", len(values),
+                 [range(1, len(values) + 1), values, logs, modes, violations])
+    return ["n,psi,log_psi,is_mode,lc_violation\n", *rows]
 
 
 def sequence_report(
@@ -127,49 +115,37 @@ def render_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_float(x: float) -> str:
-    """A float as json.dumps writes it."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-_JSON_ROW = '    {\n      "log_psi": %s,\n      "n": %d,\n      "psi": %s%s\n    }'
-_JSON_RATIONAL = ',\n      "psi_rational": "%s"'
-# the row of two finite floats and no rational: repr is what json writes
-_JSON_FLOAT_ROW = '    {\n      "log_psi": %r,\n      "n": %d,\n      "psi": %r\n    }'
-
-
 def sequence_json(
     scenario: Scenario, seq: ExpectedPosteriorSequence, report: dg.DiagnosticsReport
 ) -> list[str]:
     """The bytes of ``render_json`` on the report with a sorted-last "values"
-    list of {"log_psi", "n", "psi"[, "psi_rational"]} rows, written from row
-    templates instead of through json's pure-Python indent encoder.  A
-    sub-block of finite floats without rationals is one ``%`` call; one
-    that holds a non-finite float or a rational is written row by row."""
+    list of {"log_psi", "n", "psi"[, "psi_rational"]} rows, written from one
+    row template instead of through json's pure-Python indent encoder: each
+    float as json writes it (``%s`` of a finite float is its repr, and
+    ``json.dumps`` writes the others), and the psi_rational member, or
+    nothing, as the last field."""
     head = render_json(sequence_report(scenario, seq, report))
     values, logs = seq.float_values(), seq.log_values
     rationals = seq.rational_strings() if seq.representation == REPR_RATIONAL else None
-    fmt = _rows_format(_JSON_FLOAT_ROW, ",\n", 3)
     isfinite = math.isfinite
 
-    def rows(lo: int, hi: int) -> str:
-        vs, lvs = values[lo:hi], logs[lo:hi]
-        rats = rationals[lo:hi] if rationals else None
-        # a sum is finite only if every term is (an overflow just falls back)
-        if not (rats and any(rats)) and isfinite(sum(lvs)) and isfinite(sum(vs)):
-            fields = [0] * (3 * (hi - lo))
-            fields[0::3] = lvs
-            fields[1::3] = range(lo + 1, hi + 1)
-            fields[2::3] = vs
-            return fmt(fields)
-        return ",\n".join([
-            _JSON_ROW % (_json_float(lv), n, _json_float(v), _JSON_RATIONAL % rat if rat else "")
-            for n, v, lv, rat in zip(range(lo + 1, hi + 1), vs, lvs, rats or repeat(None))
-        ])
+    def floats(column: list[float], lo: int, hi: int) -> list:
+        part = column[lo:hi]
+        if isfinite(sum(part)):  # so is every value, and %s writes its repr
+            return part
+        return [x if isfinite(x) else json.dumps(x) for x in part]
 
+    def psi_rational(lo: int, hi: int) -> list[str]:
+        if rationals is None:
+            return [""] * (hi - lo)
+        return [f',\n      "psi_rational": "{r}"' if r else "" for r in rationals[lo:hi]]
+
+    row = '    {\n      "log_psi": %s,\n      "n": %d,\n      "psi": %s%s\n    }'
+    columns = [partial(floats, logs), range(1, len(values) + 1), partial(floats, values),
+               psi_rational]
     return [
         head[: -len("\n}\n")] + ',\n  "values": [\n',
-        *_joined_blocks(len(values), ",\n", rows),
+        *_rows(row, ",\n", len(values), columns),
         "\n  ]\n}\n",
     ]
 
@@ -242,15 +218,8 @@ def polyline_svg(
         )
     head = "\n".join(parts) + '\n<polyline points="'
 
-    fmt = _rows_format("%.2f,%.2f", " ", 2)
-
-    def points(lo: int, hi: int) -> str:
-        fields = [0] * (2 * (hi - lo))
-        fields[0::2] = px(xs[lo:hi])
-        fields[1::2] = py(ys[lo:hi])
-        return fmt(fields)
-
-    blocks = _joined_blocks(len(xs), " ", points)
+    blocks = _rows("%.2f,%.2f", " ", len(xs),
+                   [lambda lo, hi: px(xs[lo:hi]), lambda lo, hi: py(ys[lo:hi])])
     parts = ['" fill="none" stroke="#1f77b4" stroke-width="1.5"/>']
     mark_xs = px([mx for mx, _, _ in marks])
     mark_ys = py([my for _, my, _ in marks])
@@ -290,13 +259,9 @@ def emit_scenario_files(scenario: Scenario, outdir: str) -> list[str]:
     os.makedirs(outdir, exist_ok=True)
     written = []
     base = os.path.join(outdir, scenario.name)
-    if "csv" in scenario.outputs:
-        atomic_write(base + ".csv", sequence_csv(seq, report))
-        written.append(base + ".csv")
-    if "json" in scenario.outputs:
-        atomic_write(base + ".json", sequence_json(scenario, seq, report))
-        written.append(base + ".json")
-    if "svg" in scenario.outputs:
-        atomic_write(base + ".svg", sequence_svg(seq, report))
-        written.append(base + ".svg")
+    for kind, emit in (("csv", sequence_csv), ("json", partial(sequence_json, scenario)),
+                       ("svg", sequence_svg)):
+        if kind in scenario.outputs:
+            atomic_write(f"{base}.{kind}", emit(seq, report))
+            written.append(f"{base}.{kind}")
     return written

@@ -111,6 +111,8 @@ def load_scenario(path: str) -> Scenario:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return scenario_from_json(obj, name=os.path.splitext(os.path.basename(path))[0])
 
 

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 from fractions import Fraction as F
 
 import pytest
 
 from posterior_dynamics import cli
+from posterior_dynamics import diagnostics as dg
 from posterior_dynamics import figures as fig
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.scenario import (
@@ -234,6 +236,50 @@ class TestCliCommands:
         report = json.loads((tmp_path / "beta71.json").read_text())
         violations = report["diagnostics"]["logconcavity_violations"]
         assert set(violations) & {2, 3, 4}
+
+    def test_psi_directory_path_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        path.mkdir()
+        out = tmp_path / "out"
+        assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("io error:")
+        assert not out.exists()
+
+    def test_psi_non_utf8_file_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        text = json.dumps(minimal_scenario(name="café"), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "out"
+        assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_figures_numeric_failure_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        def fail(scenario):
+            raise DomainError(f"no route for {scenario.name}")
+
+        monkeypatch.setattr(fig, "run_scenario", fail)
+        out = tmp_path / "out"
+        assert cli.main(["figures", "1", "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: no route for figure1\n"
+        assert not out.exists()
+
+    def test_figures_reads_bundled_scenarios_over_files(self, tmp_path, monkeypatch, capsys):
+        """A file named like a bundled scenario does not shadow it, and no
+        scenario file is loaded."""
+        def fail(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "figure1").write_text("not a scenario")
+        monkeypatch.setattr(cli, "load_scenario", fail)
+        assert cli.main(["figures", "1", "--out", "out"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.split() == [
+            os.path.join("out", f"figure1.{kind}") for kind in ("csv", "json", "svg")]
+        scenario = fig.bundled_scenario("figure1")
+        seq = run_scenario(scenario)
+        expected = fig.sequence_csv(seq, dg.analyze(seq, prior=scenario.prior))
+        assert (tmp_path / "out" / "figure1.csv").read_text() == "".join(expected)
 
 
 class TestDeterminism:

@@ -602,12 +602,20 @@ class TestBetaRoute:
             assert seq.representation == engine.REPR_FLOAT
 
 
+SURE_COINS = pr.atoms((F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(1), F(1, 4)))
+
+
 class TestQuadratureOracleBernoulli:
     """The oracle's finite sum and the float sequence routes share one kernel."""
 
     @pytest.mark.parametrize("route,prior,theta0,theta1", [
         (engine.expected_posterior_discrete, FIGURE1_PRIOR, F(1, 2), F(13, 20)),
         (engine.expected_posterior_beta, pr.Beta(7, 1), F(3, 4), F(9, 10)),
+        # sure coins are parameters of an atom prior
+        (engine.expected_posterior_discrete, SURE_COINS, F(0), F(1, 2)),
+        (engine.expected_posterior_discrete, SURE_COINS, F(1), F(1)),
+        (engine.expected_posterior_discrete, SURE_COINS, F(1), F(0)),
+        (engine.expected_posterior_discrete, SURE_COINS, F(1, 2), F(1)),
     ])
     def test_oracle_value_is_identical(self, route, prior, theta0, theta1):
         seq = route(prior, theta0, theta1, 40, mode="float")
@@ -642,6 +650,28 @@ class TestFloatBernoulliDomain:
     def test_quadrature_oracle(self, prior, theta0, theta1):
         with pytest.raises(DomainError):
             engine.expected_posterior_quadrature(fam.bernoulli(), prior, theta0, theta1, 5)
+
+    @pytest.mark.parametrize("route,prior", [
+        (lambda _, *args: engine.expected_posterior_uniform(*args), pr.Uniform01()),
+        (engine.expected_posterior_beta, pr.Beta(7, 1)),
+    ], ids=["uniform", "beta"])
+    @pytest.mark.parametrize("theta0,theta1", [
+        (F(0), F(1, 2)), (F(1), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1)),
+    ])
+    def test_quadrature_oracle_refuses_sure_coins_off_atom_priors(
+        self, route, prior, theta0, theta1
+    ):
+        """A sure coin is no parameter of the uniform or Beta prior: the
+        oracle refuses it as the sequence route does."""
+        with pytest.raises(DomainError):
+            route(prior, theta0, theta1, 5)
+        with pytest.raises(DomainError):
+            engine.expected_posterior_quadrature(fam.bernoulli(), prior, theta0, theta1, 5)
+
+    def test_quadrature_oracle_theta0_must_be_an_atom(self):
+        with pytest.raises(DomainError, match="atom"):
+            engine.expected_posterior_quadrature(fam.bernoulli(), FIGURE1_PRIOR, F(1, 3),
+                                                 F(1, 2), 5)
 
 
 @st.composite
