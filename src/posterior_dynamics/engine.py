@@ -136,6 +136,11 @@ class ExpectedPosteriorSequence:
         return [v.canonical_str() if isinstance(v, ExactValue) else None for v in self.values]
 
 
+def _rational(*values) -> bool:
+    """Whether every value is exact (int or Fraction), so a route may run exact."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
 def _resolve_exact(mode: str, exact_ok: bool, requirement: str) -> bool:
     """Whether a Bernoulli route runs exact: ``auto`` picks exact when the
     inputs allow it, ``exact`` is honoured or refused, never downgraded."""
@@ -176,14 +181,6 @@ def _bernoulli_float_log(
 # ---------------------------------------------------------------------------
 
 
-def _bernoulli_rational_inputs(prior: DiscreteAtoms, theta0, theta1) -> bool:
-    return (
-        prior.is_rational()
-        and isinstance(theta0, (int, Fraction))
-        and isinstance(theta1, (int, Fraction))
-    )
-
-
 def expected_posterior_discrete(
     prior: DiscreteAtoms,
     theta0: Real,
@@ -202,17 +199,9 @@ def expected_posterior_discrete(
     produce but no atom can raises ImpossibleObservationError in both.
     """
     family = fam.bernoulli()
-    prior.validate_for(family)
-    if not prior.is_atom(theta0):
-        raise DomainError(f"theta0={theta0} must be an atom of the prior")
-    if not 0 <= theta1 <= 1:
-        raise DomainError(f"theta1={theta1} outside [0, 1]")
-    if horizon < 1:
-        raise DomainError(f"horizon={horizon} must be >= 1")
-    if _resolve_exact(
-        mode, _bernoulli_rational_inputs(prior, theta0, theta1),
-        "rational atoms, weights, theta0, theta1",
-    ):
+    pr.require_inputs(family, prior, theta0, theta1, horizon)
+    exact_ok = _rational(theta0, theta1, *prior.thetas)
+    if _resolve_exact(mode, exact_ok, "rational atoms, weights, theta0, theta1"):
         values = _discrete_exact_values(prior, theta0, theta1, horizon)
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     t0w = math.log(float(prior.weight_of(theta0)))
@@ -348,12 +337,8 @@ def expected_posterior_uniform(
     Legendre-polynomial recursion in log space, O(1) per step.
     """
     family = fam.bernoulli()
-    family.require_theta(theta0)
-    family.require_theta(theta1)
-    if horizon < 1:
-        raise DomainError(f"horizon={horizon} must be >= 1")
-    rational = isinstance(theta0, (int, Fraction)) and isinstance(theta1, (int, Fraction))
-    if _resolve_exact(mode, rational, "rational theta0, theta1"):
+    pr.require_inputs(family, Uniform01(), theta0, theta1, horizon)
+    if _resolve_exact(mode, _rational(theta0, theta1), "rational theta0, theta1"):
         y = Fraction(theta0) * Fraction(theta1)
         z = (1 - Fraction(theta0)) * (1 - Fraction(theta1))
         values = binomial_square_sum(y, z, horizon)
@@ -423,11 +408,8 @@ def expected_posterior_normal(
     theta0: float, theta1: float, sigma: float, horizon: int
 ) -> ExpectedPosteriorSequence:
     """Normal(theta, sigma^2) observations, standard normal prior on theta."""
-    if horizon < 1:
-        raise DomainError(f"horizon={horizon} must be >= 1")
     family = fam.normal(sigma)
-    family.require_theta(theta0)
-    family.require_theta(theta1)
+    pr.require_inputs(family, StdNormal(), theta0, theta1, horizon)
     t0, t1 = float(theta0), float(theta1)
     logs = _normal_logs(t0, t1, sigma, range(1, horizon + 1))
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_NORMAL, log_values=logs)
@@ -450,13 +432,10 @@ def expected_posterior_exponential(
     A general prior rate rescales through (t0, t1, x) -> (rate*t0, rate*t1, x/rate),
     which multiplies the posterior density by rate.
     """
-    if horizon < 1:
-        raise DomainError(f"horizon={horizon} must be >= 1")
-    family = fam.exponential()
-    family.require_theta(theta0)
-    family.require_theta(theta1)
     if not 0 < rate < math.inf:
         raise DomainError(f"rate={rate} must be finite and > 0")
+    family = fam.exponential()
+    pr.require_inputs(family, ExpPrior(rate), theta0, theta1, horizon)
     t0, t1 = float(theta0) * rate, float(theta1) * rate
     mid = 0.5 * (t0 + t1)
     bess = bessel_K_half(mid, horizon)
@@ -486,20 +465,11 @@ def expected_posterior_beta(
 ) -> ExpectedPosteriorSequence:
     """Bernoulli observations with a Beta(a, b) prior; exact for integer a, b."""
     family = fam.bernoulli()
-    family.require_theta(theta0)
-    family.require_theta(theta1)
-    if horizon < 1:
-        raise DomainError(f"horizon={horizon} must be >= 1")
-    integer_shape = (
-        isinstance(prior.a, (int, Fraction))
-        and isinstance(prior.b, (int, Fraction))
-        and Fraction(prior.a).denominator == 1
-        and Fraction(prior.b).denominator == 1
-    )
-    rational = isinstance(theta0, (int, Fraction)) and isinstance(theta1, (int, Fraction))
-    if _resolve_exact(
-        mode, integer_shape and rational, "integer Beta shapes and rational thetas"
-    ):
+    pr.require_inputs(family, prior, theta0, theta1, horizon)
+    # the shapes' types decide: a float shape such as 7.0 runs the float sum
+    shapes = (prior.a, prior.b)
+    exact_ok = _rational(theta0, theta1, *shapes) and all(s.denominator == 1 for s in shapes)
+    if _resolve_exact(mode, exact_ok, "integer Beta shapes and rational thetas"):
         a_int, b_int = int(prior.a), int(prior.b)
         t0, t1 = Fraction(theta0), Fraction(theta1)
         # 1/B(a,b) = (a+b-1)! / ((a-1)! (b-1)!) for integer shapes
@@ -554,20 +524,11 @@ def expected_posterior_quadrature(
     when the tolerance is not reached, and UnsupportedConjugacyError for
     pairings with no prior-predictive route.
     """
-    if n < 1:
-        raise DomainError(f"n={n} must be >= 1")
+    # exact checks before the float kernels: 1 + 10^-20 must not round to 1.0
+    pr.require_inputs(family, prior, theta0, theta1, n)
     if family.kind == BERNOULLI and isinstance(prior, (DiscreteAtoms, Uniform01, Beta)):
-        # exact checks before the float kernel: 1 + 10^-20 must not round to
-        # 1.0; only an atom prior can hold a sure coin, 0 or 1
-        atoms = isinstance(prior, DiscreteAtoms)
-        family.require_theta(theta0, closure=atoms)
-        family.require_theta(theta1, closure=atoms)
-        if atoms:
-            if not prior.is_atom(theta0):
-                raise DomainError(f"theta0={theta0} must be an atom of the prior")
-            log_pi0 = math.log(float(prior.weight_of(theta0)))
-        else:
-            log_pi0 = pr.prior_log_density(prior, theta0)
+        log_pi0 = (math.log(float(prior.weight_of(theta0))) if isinstance(prior, DiscreteAtoms)
+                   else pr.prior_log_density(prior, theta0))
         log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
         log_psi = _bernoulli_float_log(float(theta0), float(theta1), n, log_pi0, log_marginal)
         return math.exp(log_psi), 0.0
@@ -608,12 +569,9 @@ def expected_posterior_bruteforce(
     """
     if n > BRUTEFORCE_CAP:
         raise DomainError(f"n={n} exceeds the brute-force cap of {BRUTEFORCE_CAP}")
-    if n < 1:
-        raise DomainError(f"n={n} must be >= 1")
-    if not _bernoulli_rational_inputs(prior, theta0, theta1):
+    pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, n)
+    if not _rational(theta0, theta1, *prior.thetas):
         raise DomainError("brute force requires rational atoms, weights, thetas")
-    if not prior.is_atom(theta0):
-        raise DomainError(f"theta0={theta0} must be an atom of the prior")
     # every sequence probability over denom^n and every weight over wdenom,
     # so each sequence adds gen·w0·p0 / marginal to denom^n psi(n)
     thetas = [Fraction(t) for t in prior.thetas]

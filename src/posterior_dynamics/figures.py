@@ -23,6 +23,7 @@ each, raised the long-horizon benchmark's peak RSS from 34.9 to 35.6 MB.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -51,11 +52,17 @@ def bundled_scenario(name: str) -> Scenario:
 
 def atomic_write(path: str, parts: list[str]) -> None:
     """Write the concatenation of ``parts`` (a list, never a bare str) to
-    ``path`` through a temp name and a rename."""
+    ``path`` through a temp name and a rename; the temp file does not
+    outlive a failed write or rename."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(parts)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _rows(row: str, sep: str, count: int, columns) -> list[str]:

@@ -103,14 +103,12 @@ def posterior_law(
     C(n, k) T / scale(n).  A generating parameter goes through
     ``binomial_pmf_exact``, apart from the masses.
     """
-    if not prior.is_atom(theta0):
-        raise DomainError(f"theta0={theta0} must be an atom of the prior")
-    if n < 1:
-        raise DomainError(f"n={n} must be >= 1")
+    gen_theta = None if under is None else Fraction(under)
+    # the prior predictive draws from the atoms: theta0 stands in for theta1
+    pr.require_inputs(fam.bernoulli(), prior, theta0, theta0 if under is None else gen_theta, n)
     form = prior.integer_form
     scale = form.scale(n)
     i0 = prior.thetas.index(theta0)
-    gen_theta = None if under is None else Fraction(under)
     pairs = []
     for k in range(n + 1):
         masses = form.masses(n, k)
@@ -141,8 +139,9 @@ def expected_update_factor(mean_theta: Real, theta0: Real, theta1: Real) -> Real
     y = Fraction(mean_theta) if not isinstance(mean_theta, float) else mean_theta
     if not 0 < y < 1:
         raise DomainError(f"mean parameter {mean_theta} outside (0, 1)")
-    t0, t1 = theta0, theta1
-    return t0 * t1 / y + (1 - t0) * (1 - t1) / (1 - y)
+    for theta in (theta0, theta1):
+        fam.bernoulli().require_theta(theta, closure=True)
+    return theta0 * theta1 / y + (1 - theta0) * (1 - theta1) / (1 - y)
 
 
 def one_step_expected_posterior(
@@ -165,8 +164,7 @@ def check_prior_criterion(
     mean lies weakly between theta0 and theta1 (expected <= prior weight,
     equality iff the mean hits theta0 or theta1), "ge" otherwise.
     """
-    if not prior.is_atom(theta0):
-        raise DomainError(f"theta0={theta0} must be an atom of the prior")
+    pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, 1)
     prior_state = pr.posterior_given_suffstat(prior, 0, 0)
     expected = one_step_expected_posterior(prior_state, theta0, theta1)
     mean = prior.mean()

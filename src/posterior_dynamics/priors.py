@@ -8,7 +8,7 @@ of successes u_n.
 
 Atom locations may sit on the boundary of the Bernoulli parameter interval
 (0 or 1): a coin known to always land heads is a legitimate hypothesis.
-Other families require interior atoms.
+Other families require interior atoms; ``require_inputs`` holds the rule.
 """
 
 from __future__ import annotations
@@ -79,9 +79,6 @@ class DiscreteAtoms:
 
     def is_atom(self, theta: Real) -> bool:
         return any(t == theta for t, _ in self.atoms)
-
-    def is_rational(self) -> bool:
-        return all(isinstance(t, (int, Fraction)) for t in self.thetas)
 
     def validate_for(self, family: FamilySpec) -> None:
         closure = family.kind == BERNOULLI
@@ -181,6 +178,22 @@ class ExpPrior:
 
 
 Prior = Union[DiscreteAtoms, Uniform01, Beta, StdNormal, ExpPrior]
+
+
+def require_inputs(family: FamilySpec, prior: Prior, theta0: Real, theta1: Real,
+                   horizon: int) -> None:
+    """The gate of every psi entry point: DomainError unless horizon >= 1 and
+    theta0, theta1 lie in the family's open interval; under an atom prior
+    theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins."""
+    if horizon < 1:
+        raise DomainError(f"horizon={horizon} must be >= 1")
+    atom_prior = isinstance(prior, DiscreteAtoms)
+    if atom_prior:
+        prior.validate_for(family)
+        if not prior.is_atom(theta0):
+            raise DomainError(f"theta0={theta0} must be an atom of the prior")
+    for theta in (theta0, theta1):
+        family.require_theta(theta, closure=atom_prior and family.kind == BERNOULLI)
 
 
 def atoms(*pairs: tuple[Real, Real]) -> DiscreteAtoms:

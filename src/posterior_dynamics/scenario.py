@@ -63,14 +63,7 @@ class Scenario:
         for out in self.outputs:
             if out not in ("csv", "json", "svg"):
                 raise ScenarioError(f"unknown output kind {out!r}")
-        if isinstance(self.prior, DiscreteAtoms):
-            self.prior.validate_for(self.family)
-            if not self.prior.is_atom(self.theta0):
-                raise ScenarioError(f"theta0={self.theta0} must be an atom of the prior")
-        # a Bernoulli atom prior may hold a sure coin, theta 0 or 1
-        closure = isinstance(self.prior, DiscreteAtoms) and self.family.kind == BERNOULLI
-        self.family.require_theta(self.theta0, closure=closure)
-        self.family.require_theta(self.theta1, closure=closure)
+        pr.require_inputs(self.family, self.prior, self.theta0, self.theta1, self.horizon)
 
 
 def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:

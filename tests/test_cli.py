@@ -245,6 +245,16 @@ class TestCliCommands:
         assert capsys.readouterr().err.startswith("io error:")
         assert not out.exists()
 
+    def test_failed_rename_is_io_error_and_leaves_no_temp_file(self, tmp_path, capsys):
+        """An output path that is a directory fails the rename: exit 4, and
+        the temp file written beside it is removed."""
+        out = tmp_path / "out"
+        (out / "figure1.csv").mkdir(parents=True)
+        assert cli.main(["figures", "1", "--out", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("io error:")
+        assert sorted(p.name for p in out.iterdir()) == ["figure1.csv"]
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_psi_non_utf8_file_is_schema_error(self, tmp_path, capsys):
         path = tmp_path / "scn.json"
         text = json.dumps(minimal_scenario(name="café"), ensure_ascii=False)

@@ -311,3 +311,12 @@ def test_any_polyline_matches_oracle(ys, data):
     idx = data.draw(st.lists(st.integers(0, len(ys) - 1), max_size=4))
     marks = [(xs[i], ys[i], f"n={i + 1}") for i in idx]
     assert "".join(figures.polyline_svg(xs, ys, marks)) == oracle_polyline(xs, ys, marks)
+
+
+def test_failed_write_leaves_neither_file(tmp_path):
+    """A part that is not a str fails the write after the temp file is open:
+    the error propagates and neither the temp file nor the target exists."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(TypeError):
+        figures.atomic_write(str(path), ["n,psi\n", 5])
+    assert list(tmp_path.iterdir()) == []
