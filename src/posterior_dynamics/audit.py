@@ -150,7 +150,9 @@ def _poly_integral_from_bessel(n: int, theta: float, bess: sf.BesselHalfSeq) -> 
 
 def suite_bessel(seed: int = 0) -> dict:
     checks = []
-    base = sf.bessel_K_half(1.0, 3)
+    # one table per bracket theta: a longer recursion repeats a shorter one bit for bit
+    tables = {theta: sf.bessel_K_half(theta, BRACKET_MAX_N) for theta in BRACKET_THETAS}
+    base = tables[1.0]
     k_half = math.exp(base.log_k[0])
     expected = math.sqrt(math.pi / 2.0) * math.exp(-1.0)
     checks.append(
@@ -171,7 +173,7 @@ def suite_bessel(seed: int = 0) -> dict:
     # the engine takes is compared with the exact value
     ok_diag, ok_comb, worst_diag, worst_comb = True, True, 0.0, 0.0
     for theta in BESSEL_THETAS:
-        t, bess = Fraction(theta), sf.bessel_K_half(theta, 12)
+        t, bess = Fraction(theta), tables[theta]
         y = _k_polynomials(t, 10)
         diag, routed = [], []
         for n in range(0, 11):
@@ -215,8 +217,7 @@ def suite_bessel(seed: int = 0) -> dict:
     # theta at large n the strict lower gap is ~2e-16 relative and falls
     # below float64 resolution, so equality is tolerated at the ulp level
     ok_bracket, ok_bound, ok_range, ok_strict = True, True, True, True
-    for theta in BRACKET_THETAS:
-        bess = sf.bessel_K_half(theta, BRACKET_MAX_N)
+    for theta, bess in tables.items():
         for n in range(2, BRACKET_MAX_N + 1):
             rho = bess.rho[n]
             lower, upper = sf.segura_bracket(n, theta)
@@ -247,7 +248,7 @@ def suite_bessel(seed: int = 0) -> dict:
     ok_ident, worst_ident = True, 0.0
     for theta in (0.5, 1.0, 2.0):
         seq = engine.expected_posterior_exponential(theta, theta, 30)
-        bess = sf.bessel_K_half(theta, 30)
+        bess = tables[theta]
         for n in range(2, 30):
             lhs = seq.value(n - 1) * seq.value(n + 1) / seq.value(n) ** 2
             rhs = sf.logconcavity_ratio_from_bessel(n, theta, bess.rho[n])
@@ -260,7 +261,7 @@ def suite_bessel(seed: int = 0) -> dict:
     # growth once the order passes theta
     ok_growth = True
     for theta in (0.5, 5.0, 20.0):
-        seq = sf.bessel_K_half(theta, 60)
+        seq = tables[theta]
         for n in range(math.ceil(theta), 60):
             if not seq.log_k[n + 1] > seq.log_k[n]:
                 ok_growth = False
@@ -491,8 +492,8 @@ def suite_orders(seed: int = 42) -> dict:
         _check(
             "worked_example",
             orders.lr_dominates(own, marg) and not orders.lr_dominates(marg, own),
-            own=[[str(v), str(p)] for v, p in zip(own.support, own.probs)],
-            marginal=[[str(v), str(p)] for v, p in zip(marg.support, marg.probs)],
+            own=own.to_json(),
+            marginal=marg.to_json(),
         )
     )
     return _finish("orders", checks)

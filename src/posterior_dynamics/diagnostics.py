@@ -70,26 +70,22 @@ def _steps_of(seq, what: str, min_horizon: int) -> list[int]:
     return _step_signs(seq)
 
 
-def _extrema(steps: list[int], sign: int) -> list[int]:
-    """The mode convention on sign * value, read off the steps as they are:
-    sign 1 finds modes (a rise into n, no rise out), -1 minima (a fall
-    into n, no fall out)."""
-    if sign > 0:
-        out = [1] if steps[0] <= 0 else []
-        return out + [i + 1 for i in range(1, len(steps)) if steps[i - 1] > 0 >= steps[i]]
-    out = [1] if steps[0] >= 0 else []
-    return out + [i + 1 for i in range(1, len(steps)) if steps[i - 1] < 0 <= steps[i]]
+def _extrema(steps: list[int]) -> list[int]:
+    """The mode convention read off the steps: a rise into n, no rise out.
+    The minima are the modes of the mirrored steps."""
+    out = [1] if steps[0] <= 0 else []
+    return out + [i + 1 for i in range(1, len(steps)) if steps[i - 1] > 0 >= steps[i]]
 
 
 def detect_modes(seq) -> list[int]:
     """Indices (1-based) of local maxima under the documented convention."""
-    return _extrema(_steps_of(seq, "mode detection", 3), 1)
+    return _extrema(_steps_of(seq, "mode detection", 3))
 
 
 def detect_minima(seq) -> list[int]:
     """Local minima: the mode convention applied to the mirrored sequence
     (strict fall into n, weak rise out; left boundary counts; right never)."""
-    return _extrema(_steps_of(seq, "minimum detection", 3), -1)
+    return _extrema([-s for s in _steps_of(seq, "minimum detection", 3)])
 
 
 def logconcavity_scan(seq) -> list[int]:
@@ -172,7 +168,7 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
     interior mode.  The step signs are computed once for all three step
     verdicts."""
     steps = _steps_of(seq, "mode detection", 3)
-    modes, minima = _extrema(steps, 1), _extrema(steps, -1)
+    modes, minima = _extrema(steps), _extrema([-s for s in steps])
     violations = logconcavity_scan(seq)
     decrease = _decrease_start(steps)
     report = DiagnosticsReport(modes, minima, violations, decrease)
@@ -256,8 +252,7 @@ def normal_log_convex_prefix_end(theta: float, sigma: float) -> float:
     (s^2 - 2n^2)(2n + s) - 4 theta^2 s (n + s)^2.  Divided by (n + s)^2 it
     strictly decreases for n > 0, so it has at most one positive root.
     """
-    if not 0 < sigma < math.inf:
-        raise DomainError(f"sigma={sigma} must be finite and > 0")
+    fam.require_sigma(sigma)
     th2, s = Fraction(theta) ** 2, Fraction(sigma) ** 2
     curvature = [s**3 - 4 * th2 * s**3, 2 * s**2 - 8 * th2 * s**2, -2 * s - 4 * th2 * s, -4]
     return max(positive_roots(curvature), default=0.0)
@@ -274,8 +269,7 @@ def normal_critical_points(theta0: float, theta1: float, sigma: float) -> list[t
     rounded root; a root where it is zero touches without crossing and is
     no extremum.  On the diagonal every coefficient is positive: no roots.
     """
-    if not 0 < sigma < math.inf:
-        raise DomainError(f"sigma={sigma} must be finite and > 0")
+    fam.require_sigma(sigma)
     t0, t1, s = Fraction(theta0), Fraction(theta1), Fraction(sigma) ** 2
     th2, aff = ((t0 + t1) / 2) ** 2, -((t0 - t1) ** 2) / (4 * s)
     slope = [th2 * s**2 + aff * s**3, s + th2 * s + 5 * aff * s**2, 2 + 8 * aff * s, 4 * aff]

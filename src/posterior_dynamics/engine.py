@@ -168,9 +168,7 @@ def _bernoulli_float_log(
         lmarg = log_marginal(n, k)
         if lmarg == NEG_INF:
             if lp1 > NEG_INF:
-                raise ImpossibleObservationError(
-                    f"impossible observation under prior support: u_{n}={k}"
-                )
+                raise ImpossibleObservationError.at(n, k)
             continue
         terms.append(log_pi0 + lp0 + lp1 - lmarg)
     return logsumexp(terms)
@@ -270,9 +268,7 @@ class _AtomIntegers:
                     nums.append(x[k])
                     dens.append(mass)
                 elif (self.a1 or k == 0) and (self.b1 or k == n):  # theta1 can generate u_n = k
-                    raise ImpossibleObservationError(
-                        f"impossible observation under prior support: u_{n}={k}"
-                    )
+                    raise ImpossibleObservationError.at(n, k)
             yield nums, dens
 
     def direct_terms(self, n: int) -> tuple[list[int], list[int]]:
@@ -383,8 +379,7 @@ def _normal_logs(theta0: float, theta1: float, sigma: float, ns) -> list[float]:
         + (mid^2 - theta0^2) / 2 - n (theta0 - theta1)^2 / (4s),
     s = sigma^2, mid = (theta0 + theta1) / 2; the terms free of n are
     computed once, each rounded as in the formula."""
-    if not 0 < sigma < math.inf:
-        raise DomainError(f"sigma={sigma} must be finite and > 0")
+    fam.require_sigma(sigma)
     log = math.log
     mid = 0.5 * (theta0 + theta1)
     sig2 = sigma * sigma
@@ -432,8 +427,7 @@ def expected_posterior_exponential(
     A general prior rate rescales through (t0, t1, x) -> (rate*t0, rate*t1, x/rate),
     which multiplies the posterior density by rate.
     """
-    if not 0 < rate < math.inf:
-        raise DomainError(f"rate={rate} must be finite and > 0")
+    fam.require_sigma(rate, "rate")
     family = fam.exponential()
     pr.require_inputs(family, ExpPrior(rate), theta0, theta1, horizon)
     t0, t1 = float(theta0) * rate, float(theta1) * rate
@@ -526,7 +520,7 @@ def expected_posterior_quadrature(
     """
     # exact checks before the float kernels: 1 + 10^-20 must not round to 1.0
     pr.require_inputs(family, prior, theta0, theta1, n)
-    if family.kind == BERNOULLI and isinstance(prior, (DiscreteAtoms, Uniform01, Beta)):
+    if family.kind == BERNOULLI:  # the marginal refuses a prior it cannot take
         log_pi0 = (math.log(float(prior.weight_of(theta0))) if isinstance(prior, DiscreteAtoms)
                    else pr.prior_log_density(prior, theta0))
         log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
@@ -537,9 +531,7 @@ def expected_posterior_quadrature(
     elif family.kind == EXPONENTIAL and isinstance(prior, ExpPrior):
         integrate, support_lo = integrate_half_line, 0.0
     else:
-        raise UnsupportedConjugacyError(
-            f"unsupported conjugacy: {family.kind} with {type(prior).__name__}"
-        )
+        raise UnsupportedConjugacyError.of(family, prior)
     log_pi0 = pr.prior_log_density(prior, theta0)
 
     def integrand(u: float) -> float:
@@ -567,9 +559,9 @@ def expected_posterior_bruteforce(
     routes agreeing is the sufficiency collapse under test.  Capped at
     n <= 14 by the enumeration budget.
     """
+    pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, n)
     if n > BRUTEFORCE_CAP:
         raise DomainError(f"n={n} exceeds the brute-force cap of {BRUTEFORCE_CAP}")
-    pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, n)
     if not _rational(theta0, theta1, *prior.thetas):
         raise DomainError("brute force requires rational atoms, weights, thetas")
     # every sequence probability over denom^n and every weight over wdenom,

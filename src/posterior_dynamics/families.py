@@ -52,6 +52,13 @@ class DomainError(ValueError):
     """A parameter or observation lies outside its legal domain."""
 
 
+def require_sigma(sigma, name: str = "sigma") -> None:
+    """DomainError unless a scale is a finite number > 0: the normal
+    family's sigma, or (as ``name="rate"``) the exponential prior's rate."""
+    if sigma is None or not 0 < sigma < math.inf:
+        raise DomainError(f"{name}={sigma} must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One of the three supported families; sigma is set iff kind == normal."""
@@ -63,8 +70,7 @@ class FamilySpec:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown family kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == NORMAL:
-            if self.sigma is None or not 0 < self.sigma < math.inf:
-                raise DomainError("normal family requires a finite sigma > 0")
+            require_sigma(self.sigma)
         elif self.sigma is not None:
             raise DomainError(f"sigma is only meaningful for the normal family, not {self.kind}")
 

@@ -51,6 +51,10 @@ class FiniteLaw:
         items = sorted((v, p) for v, p in grouped.items() if p != 0)
         return cls(tuple(v for v, _ in items), tuple(p for _, p in items))
 
+    def to_json(self) -> list[list[str]]:
+        """[[value, prob], ...] as strings, in support order."""
+        return [[str(v), str(p)] for v, p in zip(self.support, self.probs)]
+
 
 def lr_dominates(law_hi: FiniteLaw, law_lo: FiniteLaw) -> bool:
     """True iff law_hi dominates law_lo in the likelihood-ratio order.
@@ -119,9 +123,7 @@ def posterior_law(
             gen = fam.binomial_pmf_exact(gen_theta, n, k)
         if total == 0:
             if gen != 0:
-                raise pr.ImpossibleObservationError(
-                    f"impossible observation under prior support: u_{n}={k}"
-                )
+                raise pr.ImpossibleObservationError.at(n, k)
             continue
         pairs.append((Fraction(masses[i0], total), gen))
     return FiniteLaw.from_pairs(pairs)
@@ -145,11 +147,11 @@ def expected_update_factor(mean_theta: Real, theta0: Real, theta1: Real) -> Real
 
 
 def one_step_expected_posterior(
-    posterior: PosteriorVector, theta0: Real, theta1: Real
+    posterior: PosteriorVector | DiscreteAtoms, theta0: Real, theta1: Real
 ) -> Real:
-    """Expectation, under theta1, of the next-step theta0-posterior given
-    the current state: current weight times the update factor at the
-    posterior-mean parameter.  Exact for exact posteriors."""
+    """Expectation, under theta1, of the next-step theta0-posterior given the
+    current state (a posterior, or the prior): current weight times the update
+    factor at the posterior-mean parameter.  Exact for exact posteriors."""
     q0 = posterior.weight_of(theta0)
     mean = pr.mean_parameter(posterior)
     return q0 * expected_update_factor(mean, theta0, theta1)
@@ -165,8 +167,7 @@ def check_prior_criterion(
     equality iff the mean hits theta0 or theta1), "ge" otherwise.
     """
     pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, 1)
-    prior_state = pr.posterior_given_suffstat(prior, 0, 0)
-    expected = one_step_expected_posterior(prior_state, theta0, theta1)
+    expected = one_step_expected_posterior(prior, theta0, theta1)
     mean = prior.mean()
     lo, hi = min(theta0, theta1), max(theta0, theta1)
     direction = "le" if lo <= mean <= hi else "ge"
@@ -230,13 +231,7 @@ def find_lr_reversal(seed: int) -> dict | None:
                         "theta0": str(theta0),
                         "generating_theta": str(middle),
                         "n": n,
-                        "generated_law": [
-                            [str(v), str(p)]
-                            for v, p in zip(generated_law.support, generated_law.probs)
-                        ],
-                        "marginal_law": [
-                            [str(v), str(p)]
-                            for v, p in zip(marginal_law.support, marginal_law.probs)
-                        ],
+                        "generated_law": generated_law.to_json(),
+                        "marginal_law": marginal_law.to_json(),
                     }
     return None

@@ -35,9 +35,18 @@ class PriorError(ValueError):
 class ImpossibleObservationError(ValueError):
     """Observation has zero probability under every atom of the prior."""
 
+    @classmethod
+    def at(cls, n: int, k: int) -> ImpossibleObservationError:
+        """The error for u_n = k, a count that no atom can produce."""
+        return cls(f"impossible observation under prior support: u_{n}={k}")
+
 
 class UnsupportedConjugacyError(ValueError):
     """No closed-form prior predictive for this (family, prior) pairing."""
+
+    @classmethod
+    def of(cls, family: FamilySpec, prior) -> UnsupportedConjugacyError:
+        return cls(f"unsupported conjugacy: {family.kind} with {type(prior).__name__}")
 
 
 @dataclass(frozen=True)
@@ -182,11 +191,11 @@ Prior = Union[DiscreteAtoms, Uniform01, Beta, StdNormal, ExpPrior]
 
 def require_inputs(family: FamilySpec, prior: Prior, theta0: Real, theta1: Real,
                    horizon: int) -> None:
-    """The gate of every psi entry point: DomainError unless horizon >= 1 and
-    theta0, theta1 lie in the family's open interval; under an atom prior
-    theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins."""
-    if horizon < 1:
-        raise DomainError(f"horizon={horizon} must be >= 1")
+    """The gate of every psi entry point: DomainError unless the horizon is an
+    int >= 1, not a bool, and theta0, theta1 lie in the family's open interval;
+    under an atom prior theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins."""
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise DomainError(f"horizon={horizon!r} must be an int >= 1")
     atom_prior = isinstance(prior, DiscreteAtoms)
     if atom_prior:
         prior.validate_for(family)
@@ -245,7 +254,7 @@ def posterior_given_suffstat(prior: DiscreteAtoms, n: int, k: int) -> PosteriorV
     n = 0 gives back the prior.  Each weight is an integer mass of the
     prior's ``integer_form`` over the integer total, so the common scale of
     the masses and the binomial coefficient C(n, k) never enter."""
-    if n < 0 or not isinstance(k, int):
+    if not (isinstance(n, int) and isinstance(k, int)) or n < 0:
         raise DomainError(f"need an integer count k of successes in n >= 0 trials: n={n}, k={k!r}")
     form = prior.integer_form
     if not 0 <= k <= n:
@@ -253,7 +262,7 @@ def posterior_given_suffstat(prior: DiscreteAtoms, n: int, k: int) -> PosteriorV
     masses = form.masses(n, k)
     total = sum(masses)
     if total == 0:
-        raise ImpossibleObservationError(f"impossible observation under prior support: u_{n}={k}")
+        raise ImpossibleObservationError.at(n, k)
     return PosteriorVector(prior.thetas, tuple(Fraction(m, total) for m in masses))
 
 
@@ -276,8 +285,7 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
     """
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
-    if isinstance(prior, DiscreteAtoms):
-        prior.validate_for(family)
+    if isinstance(prior, DiscreteAtoms):  # the density checks each atom
         density = fam.suff_stat_log_density
         return logsumexp([lw + density(family, t, n, u) for t, lw in prior.log_weights])
     if family.kind == BERNOULLI and isinstance(prior, Uniform01):
@@ -313,9 +321,7 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
         if uf <= 0:
             return NEG_INF
         return math.log(lam) + math.log(n) + (n - 1) * math.log(uf) - (n + 1) * math.log(uf + lam)
-    raise UnsupportedConjugacyError(
-        f"unsupported conjugacy: {family.kind} with {type(prior).__name__}"
-    )
+    raise UnsupportedConjugacyError.of(family, prior)
 
 
 def beta_marginal_pmf_exact(a: int, b: int, n: int, k: int) -> Fraction:

@@ -54,6 +54,7 @@ class Scenario:
     def __post_init__(self):
         if self.numeric_mode not in engine.NUMERIC_MODES:
             raise ScenarioError(f"numeric_mode {self.numeric_mode!r} not in exact/float/auto")
+        pr.require_inputs(self.family, self.prior, self.theta0, self.theta1, self.horizon)
         if self.horizon < 3:
             raise ScenarioError(f"horizon={self.horizon} must be >= 3 for diagnostics")
         if self.name in ("", ".", "..") or os.path.isabs(self.name) or any(
@@ -63,7 +64,6 @@ class Scenario:
         for out in self.outputs:
             if out not in ("csv", "json", "svg"):
                 raise ScenarioError(f"unknown output kind {out!r}")
-        pr.require_inputs(self.family, self.prior, self.theta0, self.theta1, self.horizon)
 
 
 def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
@@ -73,9 +73,6 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
     missing = {"family", "prior", "theta0", "theta1", "horizon"} - set(obj)
     if missing:
         raise ScenarioError(f"scenario missing fields: {sorted(missing)}")
-    horizon = obj["horizon"]
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise ScenarioError(f"horizon must be an integer, got {horizon!r}")
     name = obj.get("name", name)
     if not isinstance(name, str):
         raise ScenarioError(f"name must be a string, got {name!r}")
@@ -88,7 +85,7 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
             prior=pr.prior_from_json(obj["prior"]),
             theta0=pr.rational_from_json(obj["theta0"]),
             theta1=pr.rational_from_json(obj["theta1"]),
-            horizon=horizon,
+            horizon=obj["horizon"],
             numeric_mode=obj.get("numeric_mode", "auto"),
             outputs=tuple(outputs),
             name=name,
@@ -130,9 +127,7 @@ def run_scenario(scenario: Scenario) -> engine.ExpectedPosteriorSequence:
         return engine.expected_posterior_discrete(prior, t0, t1, horizon, mode=mode)
     if family.kind == BERNOULLI and isinstance(prior, Beta):
         return engine.expected_posterior_beta(prior, t0, t1, horizon, mode=mode)
-    raise pr.UnsupportedConjugacyError(
-        f"unsupported conjugacy: {family.kind} with {type(prior).__name__}"
-    )
+    raise pr.UnsupportedConjugacyError.of(family, prior)
 
 
 def scenario_to_json(scenario: Scenario) -> dict:

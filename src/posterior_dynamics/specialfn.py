@@ -15,13 +15,10 @@ from fractions import Fraction
 from typing import Union
 
 from .bipoly import poly_mul, poly_sub
+from .families import DomainError
 from .util import ExactValue
 
 Real = Union[int, float, Fraction]
-
-
-class SpecialFnDomainError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +34,7 @@ def legendre_ratios(n: int, x: float) -> list[float]:
     P_k is positive and r_k >= 1, so the forward recursion is stable.
     """
     if x < 1.0:
-        raise SpecialFnDomainError(f"x={x} < 1; supported domain is |x| >= 1")
+        raise DomainError(f"x={x} < 1; supported domain is |x| >= 1")
     if n < 1:
         return []
     r = x
@@ -52,7 +49,7 @@ def legendre_shifted(n: int) -> list[int]:
     """Integer coefficients of P_n(1 + 2s) in s, ascending: C(n, k) C(n+k, k).
     The first is P_n(1) = 1; the last over 2^n is the x^n coefficient of P_n."""
     if n < 0:
-        raise SpecialFnDomainError(f"degree n={n} must be >= 0")
+        raise DomainError(f"degree n={n} must be >= 0")
     return [math.comb(n, k) * math.comb(n + k, k) for k in range(n + 1)]
 
 
@@ -70,7 +67,7 @@ def turan_polynomials(n: int) -> tuple[list[int], list[int]]:
     there A_n >= 0 is R_n = P_{n-1} P_{n+1} / P_n^2 <= ``turan_bound(n)``, B_n > 0
     is R_n > 1, and R_n -> ``turan_limit(n)`` as x -> inf."""
     if n < 1:
-        raise SpecialFnDomainError(f"n={n} must be >= 1")
+        raise DomainError(f"n={n} must be >= 1")
     prev, cur, nxt = ([legendre_shifted(k)] for k in (n - 1, n, n + 1))
     square, straddle = poly_mul(cur, cur), poly_mul(prev, nxt)
     a = poly_sub(poly_mul([[(n + 1) ** 2]], square), poly_mul([[n * (n + 2)]], straddle))
@@ -92,7 +89,7 @@ def binomial_square_sum(y: Real, z: Real, n_max: int) -> list:
     y = Fraction(y)
     z = Fraction(z)
     if y < 0 or z < 0 or (y == 0 and z == 0):
-        raise SpecialFnDomainError("binomial_square_sum needs y, z >= 0, not both 0")
+        raise DomainError("binomial_square_sum needs y, z >= 0, not both 0")
     # with D = q s, Y = p s and Z = r q, S_n = (n+1) Q_n / D^n where
     # Q_n = sum_k C(n,k)^2 Y^k Z^(n-k) is an integer obeying the Legendre
     # recurrence in homogeneous form (the division by n is exact):
@@ -139,9 +136,9 @@ def bessel_K_half(theta: float, n_max: int) -> BesselHalfSeq:
     value is K_{1/2}(theta) = sqrt(pi/(2 theta)) exp(-theta).
     """
     if not theta > 0:
-        raise SpecialFnDomainError(f"theta={theta} must be > 0")
+        raise DomainError(f"theta={theta} must be > 0")
     if n_max < 0:
-        raise SpecialFnDomainError(f"n_max={n_max} must be >= 0")
+        raise DomainError(f"n_max={n_max} must be >= 0")
     log = math.log
     last_log_k = 0.5 * (log(math.pi) - log(2.0) - log(theta)) - theta
     last_rho = 1.0
@@ -164,7 +161,7 @@ def weighted_integral(n: int, m: int, theta: Real) -> Fraction:
     """
     two_theta = 2 * Fraction(theta)
     if not two_theta > 0:
-        raise SpecialFnDomainError(f"theta={theta} must be > 0")
+        raise DomainError(f"theta={theta} must be > 0")
     # over the common denominator p^(n+m+1), with 2 theta = p / q
     p, q = two_theta.numerator, two_theta.denominator
     total = sum(
@@ -180,9 +177,9 @@ def segura_bracket(n: int, theta: float) -> tuple[float, float]:
     Lower: theta / (n + 1/2 + sqrt((n - 3/2)^2 + theta^2)); upper: theta.
     """
     if n < 2:
-        raise SpecialFnDomainError(f"n={n} must be >= 2")
+        raise DomainError(f"n={n} must be >= 2")
     if not theta > 0:
-        raise SpecialFnDomainError(f"theta={theta} must be > 0")
+        raise DomainError(f"theta={theta} must be > 0")
     lower = theta / (n + 0.5 + math.sqrt((n - 1.5) ** 2 + theta * theta))
     return lower, theta
 
@@ -196,11 +193,11 @@ def logconcavity_ratio_from_bessel(n: int, theta: float, rho: float) -> float:
                          (n+1) (n + theta + theta rho)^2
     """
     if n < 2:
-        raise SpecialFnDomainError(f"n={n} must be >= 2")
+        raise DomainError(f"n={n} must be >= 2")
     if not theta > 0:
-        raise SpecialFnDomainError(f"theta={theta} must be > 0")
+        raise DomainError(f"theta={theta} must be > 0")
     if rho < 0 or rho > theta:
-        raise SpecialFnDomainError(f"rho={rho} outside [0, theta={theta}]")
+        raise DomainError(f"rho={rho} outside [0, theta={theta}]")
     first = (2.0 * n * n + 3.0 * n + 1.0) / theta + 2.0 * n + 1.0 + theta + (n + 1.0 + theta) * rho
     second = theta - (n - theta) * rho
     return n * first * second / ((n + 1.0) * (n + theta + theta * rho) ** 2)

@@ -1,9 +1,11 @@
-"""One domain rule for every psi entry point.
+"""One domain rule for every psi entry point, and one text per refusal.
 
 The same bad inputs go through the scenario loader, the five sequence
 routes, both oracles and the order checks.  Each is refused with
 ``DomainError`` (``ScenarioError`` from the scenario loader), while sure
-coins stay legal atoms of a Bernoulli atom prior.
+coins stay legal atoms of a Bernoulli atom prior.  An unsupported pairing,
+and a count that no atom can produce, read the same from every entry point
+that meets them.
 """
 
 import math
@@ -15,7 +17,7 @@ from posterior_dynamics import engine, orders
 from posterior_dynamics import families as fam
 from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
-from posterior_dynamics.scenario import ScenarioError, scenario_from_json
+from posterior_dynamics.scenario import Scenario, ScenarioError, run_scenario, scenario_from_json
 
 BERN, NORM, EXP = fam.bernoulli(), fam.normal(1.0), fam.exponential()
 ATOMS = pr.atoms((0, F(1, 4)), (F(1, 2), F(1, 2)), (1, F(1, 4)))
@@ -42,6 +44,9 @@ BAD_INPUTS = [
     ("exp-theta1=-1/2", EXP, EXPPRIOR, 1.0, -0.5, N),
     ("exp-n=0", EXP, EXPPRIOR, 1.0, 2.0, 0),
 ]
+# the horizon is an int, and a bool is not one: each n=0 case again with 2.5 and True
+BAD_INPUTS += [(f"{name[:-1]}{bad}", *case, bad) for name, *case, n in BAD_INPUTS if n == 0
+               for bad in (2.5, True)]
 
 
 def _scenario(family, prior, theta0, theta1, n):
@@ -106,3 +111,49 @@ def test_every_entry_point_is_exercised():
 @pytest.mark.parametrize("entry", [e for e, spec in ENTRIES.items() if isinstance(ATOMS, spec[0])])
 def test_sure_coins_stay_legal_under_an_atom_prior(entry, theta0, theta1):
     ENTRIES[entry][3](BERN, ATOMS, theta0, theta1, N)
+
+
+def test_posterior_given_suffstat_refuses_a_non_int_count_of_trials():
+    with pytest.raises(DomainError):
+        pr.posterior_given_suffstat(ATOMS, 2.5, 1)
+
+
+def test_a_scenario_built_directly_refuses_horizon_zero_through_the_gate():
+    with pytest.raises(DomainError, match="horizon=0"):
+        Scenario(BERN, ATOMS, F(1, 2), F(1, 2), 0)
+
+
+def _refusal_text(call) -> tuple[type, str]:
+    with pytest.raises((pr.UnsupportedConjugacyError, pr.ImpossibleObservationError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("family,prior,theta0,theta1", [
+    (BERN, STDNORMAL, F(1, 2), F(3, 4)),
+    (BERN, EXPPRIOR, F(1, 2), F(3, 4)),
+    (NORM, UNIFORM, 0.5, 2.0),
+    (EXP, STDNORMAL, 1.0, 2.0),
+], ids=["bernoulli-stdnormal", "bernoulli-exp", "normal-uniform", "exponential-stdnormal"])
+def test_an_unsupported_pairing_reads_the_same_everywhere(family, prior, theta0, theta1):
+    texts = {
+        _refusal_text(lambda: run_scenario(Scenario(family, prior, theta0, theta1, N))),
+        _refusal_text(lambda: engine.expected_posterior_quadrature(
+            family, prior, theta0, theta1, N)),
+        _refusal_text(lambda: pr.marginal_suffstat_logpmf(family, prior, N, 0)),
+    }
+    text = f"unsupported conjugacy: {family.kind} with {type(prior).__name__}"
+    assert texts == {(pr.UnsupportedConjugacyError, text)}
+
+
+def test_a_count_no_atom_can_produce_reads_the_same_everywhere():
+    """Two sure coins cannot produce one success in two trials; a fair coin can."""
+    sure = pr.atoms((0, F(1, 2)), (1, F(1, 2)))
+    texts = {
+        _refusal_text(lambda: engine.expected_posterior_discrete(sure, 1, F(1, 2), 2, "exact")),
+        _refusal_text(lambda: engine.expected_posterior_discrete(sure, 1, F(1, 2), 2, "float")),
+        _refusal_text(lambda: orders.posterior_law(sure, 1, 2, under=F(1, 2))),
+        _refusal_text(lambda: pr.posterior_given_suffstat(sure, 2, 1)),
+    }
+    assert texts == {(pr.ImpossibleObservationError,
+                      "impossible observation under prior support: u_2=1")}

@@ -1,0 +1,33 @@
+"""Each rule has one owner: a refusal's text is written in one module of
+src/, and only ``families`` defines a domain error, so two copies of a rule
+cannot drift apart."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "posterior_dynamics"
+MODULES = sorted(SRC.glob("*.py"))
+
+MESSAGES = (
+    "unsupported conjugacy",
+    "impossible observation under prior support: u_",
+    "must be finite and > 0",
+)
+
+
+@pytest.mark.parametrize("message", MESSAGES)
+def test_each_refusal_text_is_written_in_one_module(message):
+    owners = [path.name for path in MODULES if message in path.read_text(encoding="utf-8")]
+    assert len(owners) == 1, owners
+
+
+def test_only_families_defines_a_domain_error():
+    owners = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("DomainError")
+    }
+    assert owners == {"families.py"}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from posterior_dynamics import audit, bipoly
 from posterior_dynamics import specialfn as sf
 from posterior_dynamics.bipoly import poly_eval
+from posterior_dynamics.families import DomainError
 from posterior_dynamics.quadrature import integrate_half_line
 from posterior_dynamics.util import logsumexp
 
@@ -53,7 +54,7 @@ class TestLegendre:
                 assert at(n, -x) == (-1) ** n * at(n, x)
 
     def test_inside_unit_interval_rejected(self):
-        with pytest.raises(sf.SpecialFnDomainError):
+        with pytest.raises(DomainError):
             sf.legendre_ratios(3, 0.5)
 
     def test_large_degree_large_argument_stays_finite(self):
@@ -90,7 +91,7 @@ class TestLegendre:
             assert sf.legendre_shifted(n) == row
 
     def test_domain(self):
-        with pytest.raises(sf.SpecialFnDomainError):
+        with pytest.raises(DomainError):
             sf.legendre_shifted(-1)
 
 
@@ -116,7 +117,7 @@ class TestTuranRatio:
             assert abs(ratio / sf.turan_limit(n) - 1) < F(1, 10**8)
 
     def test_domain(self):
-        with pytest.raises(sf.SpecialFnDomainError):
+        with pytest.raises(DomainError):
             sf.turan_polynomials(0)
 
 
@@ -233,7 +234,7 @@ class TestBinomialSquareSum:
             )
 
     def test_domain(self):
-        with pytest.raises(sf.SpecialFnDomainError):
+        with pytest.raises(DomainError):
             sf.binomial_square_sum(F(0), F(0), 3)
 
 
@@ -270,7 +271,7 @@ class TestBesselHalf:
                 assert 0.0 < seq.rho[n] <= theta
 
     def test_domain(self):
-        with pytest.raises(sf.SpecialFnDomainError):
+        with pytest.raises(DomainError):
             sf.bessel_K_half(0.0, 5)
 
 
@@ -308,9 +309,9 @@ class TestLogconcavityRatio:
                 assert sf.logconcavity_ratio_from_bessel(n, theta, lower) < 1.0
 
     def test_domain(self):
-        with pytest.raises(sf.SpecialFnDomainError):
+        with pytest.raises(DomainError):
             sf.logconcavity_ratio_from_bessel(1, 1.0, 0.5)
-        with pytest.raises(sf.SpecialFnDomainError):
+        with pytest.raises(DomainError):
             sf.logconcavity_ratio_from_bessel(3, 1.0, 1.5)
 
 
@@ -360,5 +361,5 @@ class TestWeightedIntegral:
 
     def test_domain(self):
         for theta in (0, -0.5):
-            with pytest.raises(sf.SpecialFnDomainError):
+            with pytest.raises(DomainError):
                 sf.weighted_integral(1, 1, theta)
