@@ -21,7 +21,6 @@ from . import specialfn as sf
 from .bipoly import certify_logconcavity_polynomials
 from .bipoly import poly_eval, poly_mul, poly_sub, positive_on_halfline, positive_roots
 
-SUITES = ("turan", "bessel", "logconcavity", "orders", "positivity", "asymptotics")
 SUITE_ALIASES = {"appendix_a4": "positivity"}
 
 
@@ -150,8 +149,10 @@ def _poly_integral_from_bessel(n: int, theta: float, bess: sf.BesselHalfSeq) -> 
 
 def suite_bessel(seed: int = 0) -> dict:
     checks = []
-    # one table per bracket theta: a longer recursion repeats a shorter one bit for bit
+    # one K table per bracket theta and one diagonal psi per Bessel theta: a longer
+    # recursion or sequence repeats a shorter one bit for bit
     tables = {theta: sf.bessel_K_half(theta, BRACKET_MAX_N) for theta in BRACKET_THETAS}
+    diagonals = {t: engine.expected_posterior_exponential(t, t, 30) for t in BESSEL_THETAS}
     base = tables[1.0]
     k_half = math.exp(base.log_k[0])
     expected = math.sqrt(math.pi / 2.0) * math.exp(-1.0)
@@ -200,7 +201,7 @@ def suite_bessel(seed: int = 0) -> dict:
     # 3 ulp: one correctly rounded quotient, one libm exp and their product
     ok_psi, worst_psi = True, 0.0
     for theta in BESSEL_THETAS:
-        t, seq = Fraction(theta), engine.expected_posterior_exponential(theta, theta, 20)
+        t, seq = Fraction(theta), diagonals[theta]
         scale = math.exp(-theta)
         for n in range(1, 21):
             rational = t ** (2 * n) * sf.weighted_integral(n - 1, n + 1, t) / (
@@ -246,8 +247,7 @@ def suite_bessel(seed: int = 0) -> dict:
 
     # cross-module identity: ratio of sequence values equals the expression
     ok_ident, worst_ident = True, 0.0
-    for theta in (0.5, 1.0, 2.0):
-        seq = engine.expected_posterior_exponential(theta, theta, 30)
+    for theta, seq in diagonals.items():
         bess = tables[theta]
         for n in range(2, 30):
             lhs = seq.value(n - 1) * seq.value(n + 1) / seq.value(n) ** 2
@@ -623,6 +623,7 @@ _SUITE_FNS = {
     "positivity": suite_positivity,
     "asymptotics": suite_asymptotics,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, seed: int = 42) -> dict:

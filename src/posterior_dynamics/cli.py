@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    posterior-dynamics psi <scenario.json> [--mode exact|float|auto] [--out DIR]
+    posterior-dynamics psi <scenario.json> [--mode auto|exact|float] [--out DIR]
     posterior-dynamics audit <suite> [--seed N] [--out DIR]
     posterior-dynamics figures <1|2|3|all> [--out DIR]
 
@@ -19,6 +19,7 @@ import os
 import sys
 
 from . import audit as audit_mod
+from . import engine
 from . import figures as fig
 from . import priors as pr
 from .families import DomainError
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_psi = sub.add_parser("psi", help="run one scenario file and emit its outputs")
     p_psi.add_argument("scenario", help="scenario JSON path or bundled name")
-    p_psi.add_argument("--mode", choices=("exact", "float", "auto"), default=None)
+    p_psi.add_argument("--mode", choices=engine.NUMERIC_MODES, default=None)
     p_psi.add_argument("--out", default=".", help="output directory")
     p_psi.set_defaults(fn=cmd_psi)
 

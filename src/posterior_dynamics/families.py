@@ -83,26 +83,6 @@ class FamilySpec:
             bounds = f"({float(lo)}, {float(hi)})"
             raise DomainError(f"theta={theta} outside {kind}{bounds} for the {self.kind} family")
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == NORMAL:
-            out["sigma"] = self.sigma
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FamilySpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise DomainError("family object must carry a 'kind' field")
-        kind = obj["kind"]
-        if kind == NORMAL:
-            if "sigma" not in obj:
-                raise DomainError("normal family requires a 'sigma' field")
-            return cls(NORMAL, float(obj["sigma"]))
-        extra = set(obj) - {"kind"}
-        if extra:
-            raise DomainError(f"unexpected family fields {sorted(extra)} for kind {kind!r}")
-        return cls(kind)
-
 
 def bernoulli() -> FamilySpec:
     return FamilySpec(BERNOULLI)

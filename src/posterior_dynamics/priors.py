@@ -29,7 +29,7 @@ _lgamma = math.lgamma
 
 
 class PriorError(ValueError):
-    """Malformed prior: weights, atom domain, or schema problems."""
+    """Malformed prior: its weights, atoms, shapes or rate."""
 
 
 class ImpossibleObservationError(ValueError):
@@ -334,76 +334,3 @@ def beta_marginal_pmf_exact(a: int, b: int, n: int, k: int) -> Fraction:
     return Fraction(
         math.comb(k + a - 1, k) * math.comb(n - k + b - 1, n - k), math.comb(n + a + b - 1, n)
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON schema
-# ---------------------------------------------------------------------------
-
-
-def rational_from_json(value) -> Real:
-    """Accept "p/q" strings, integers, and floats; keep rationals exact."""
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PriorError(f"cannot parse rational {value!r}") from exc
-    if isinstance(value, bool):
-        raise PriorError(f"cannot parse rational {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return value
-    raise PriorError(f"cannot parse rational {value!r}")
-
-
-def rational_to_json(value: Real):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return f"{value}/1"
-    return value
-
-
-def prior_from_json(obj: dict) -> Prior:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise PriorError("prior object must carry a 'type' field")
-    kind = obj["type"]
-    if kind == "atoms":
-        pairs = []
-        for entry in obj.get("atoms", []):
-            theta = rational_from_json(entry["theta"])
-            weight = rational_from_json(entry["weight"])
-            if not isinstance(weight, Fraction):
-                raise PriorError("atom weights must be exact rationals")
-            pairs.append((theta, weight))
-        return DiscreteAtoms(tuple(pairs))
-    if kind == "uniform01":
-        return Uniform01()
-    if kind == "beta":
-        return Beta(rational_from_json(obj["a"]), rational_from_json(obj["b"]))
-    if kind == "stdnormal":
-        return StdNormal()
-    if kind == "exp":
-        return ExpPrior(rational_from_json(obj.get("lambda", 1)))
-    raise PriorError(f"unknown prior type {kind!r}")
-
-
-def prior_to_json(prior: Prior) -> dict:
-    if isinstance(prior, DiscreteAtoms):
-        return {
-            "type": "atoms",
-            "atoms": [
-                {"theta": rational_to_json(t), "weight": rational_to_json(w)}
-                for t, w in prior.atoms
-            ],
-        }
-    if isinstance(prior, Uniform01):
-        return {"type": "uniform01"}
-    if isinstance(prior, Beta):
-        return {"type": "beta", "a": rational_to_json(prior.a), "b": rational_to_json(prior.b)}
-    if isinstance(prior, StdNormal):
-        return {"type": "stdnormal"}
-    if isinstance(prior, ExpPrior):
-        return {"type": "exp", "lambda": rational_to_json(prior.rate)}
-    raise PriorError(f"cannot serialize prior {prior!r}")

@@ -138,9 +138,7 @@ def integrate(
         segments.append((mid, hi, *_gk15(f, mid, hi)))
 
 
-def integrate_half_line(
-    f: Callable[[float], float], tol: float = 1e-10, rel_tol: float = 1e-13
-) -> tuple[float, float]:
+def integrate_half_line(f: Callable[[float], float], tol: float = 1e-10) -> tuple[float, float]:
     """Integral of f over (0, inf) via u = t/(1-t)."""
 
     def g(t: float) -> float:
@@ -149,12 +147,10 @@ def integrate_half_line(
             return 0.0
         return f(t / om) / (om * om)
 
-    return integrate(g, 0.0, 1.0, tol=tol, rel_tol=rel_tol)
+    return integrate(g, 0.0, 1.0, tol=tol)
 
 
-def integrate_real_line(
-    f: Callable[[float], float], tol: float = 1e-10, rel_tol: float = 1e-13
-) -> tuple[float, float]:
+def integrate_real_line(f: Callable[[float], float], tol: float = 1e-10) -> tuple[float, float]:
     """Integral of f over (-inf, inf) via u = t/(1-t^2)."""
 
     def g(t: float) -> float:
@@ -163,4 +159,4 @@ def integrate_real_line(
             return 0.0
         return f(t / om) * (1.0 + t * t) / (om * om)
 
-    return integrate(g, -1.0, 1.0, tol=tol, rel_tol=rel_tol)
+    return integrate(g, -1.0, 1.0, tol=tol)

@@ -13,6 +13,7 @@ from posterior_dynamics import figures as fig
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.scenario import (
     ScenarioError,
+    family_from_json,
     run_scenario,
     scenario_from_json,
 )
@@ -83,6 +84,38 @@ class TestScenarioSchema:
 
         with pytest.raises(ScenarioError, match=r"broken\.json:1:"):
             load_scenario(str(path))
+
+
+STDNORMAL = {"type": "stdnormal"}
+# one malformed input each: an unknown field at any level, a bool where a
+# number goes, a name no file can have
+SCHEMA_FAULTS = {
+    "sigma-true": minimal_scenario(family={"kind": "normal", "sigma": True}, prior=STDNORMAL),
+    "normal-family-extra-field": minimal_scenario(
+        family={"kind": "normal", "sigma": 1, "x": 1}, prior=STDNORMAL),
+    "prior-extra-field": minimal_scenario(prior={"type": "uniform01", "a": 1}),
+    "atom-extra-field": minimal_scenario(
+        prior={"type": "atoms", "atoms": [{"theta": "1/2", "weight": "1/1", "x": 1}]}),
+    "numeric_mod": minimal_scenario(numeric_mod="float"),
+    "nul-name": minimal_scenario(name="a\0b"),
+}
+
+
+@pytest.mark.parametrize("payload", SCHEMA_FAULTS.values(), ids=SCHEMA_FAULTS)
+def test_a_schema_fault_is_refused_with_exit_2_and_writes_nothing(tmp_path, payload):
+    with pytest.raises(ScenarioError):
+        scenario_from_json(payload)
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma,want", [(2, 2.0), (2.5, 2.5), ("5/2", 2.5)])
+def test_sigma_is_read_like_every_other_number(sigma, want):
+    family = family_from_json({"kind": "normal", "sigma": sigma})
+    assert type(family.sigma) is float and family.sigma == want
 
 
 class TestBundledScenarios:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from posterior_dynamics import families as fam
+from posterior_dynamics import scenario as sc
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.quadrature import integrate_half_line, integrate_real_line
 
@@ -213,16 +214,16 @@ class TestSuffStatDensity:
 class TestSerialization:
     def test_round_trip(self):
         for family in ALL_FAMILIES:
-            assert fam.FamilySpec.from_json(family.to_json()) == family
+            assert sc.family_from_json(sc.family_to_json(family)) == family
 
     def test_sigma_required_iff_normal(self):
         with pytest.raises(DomainError):
-            fam.FamilySpec.from_json({"kind": "normal"})
+            sc.family_from_json({"kind": "normal"})
         with pytest.raises(DomainError):
-            fam.FamilySpec.from_json({"kind": "bernoulli", "sigma": 2.0})
+            sc.family_from_json({"kind": "bernoulli", "sigma": 2.0})
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
-            fam.FamilySpec.from_json({"kind": "cauchy"})
+            sc.family_from_json({"kind": "cauchy"})
         with pytest.raises(DomainError, match="unknown family kind 'poisson'"):
-            fam.FamilySpec.from_json({"kind": "poisson"})
+            sc.family_from_json({"kind": "poisson"})

@@ -16,6 +16,7 @@ import pytest
 from posterior_dynamics import engine, orders
 from posterior_dynamics import families as fam
 from posterior_dynamics import priors as pr
+from posterior_dynamics import scenario as sc
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.scenario import Scenario, ScenarioError, run_scenario, scenario_from_json
 
@@ -51,8 +52,8 @@ BAD_INPUTS += [(f"{name[:-1]}{bad}", *case, bad) for name, *case, n in BAD_INPUT
 
 def _scenario(family, prior, theta0, theta1, n):
     return scenario_from_json({
-        "family": family.to_json(), "prior": pr.prior_to_json(prior),
-        "theta0": pr.rational_to_json(theta0), "theta1": pr.rational_to_json(theta1),
+        "family": sc.family_to_json(family), "prior": sc.prior_to_json(prior),
+        "theta0": sc.rational_to_json(theta0), "theta1": sc.rational_to_json(theta1),
         "horizon": n,
     })
 

@@ -9,6 +9,7 @@ import pytest
 
 from posterior_dynamics import families as fam
 from posterior_dynamics import priors as pr
+from posterior_dynamics import scenario as sc
 
 
 BERN = fam.bernoulli()
@@ -200,21 +201,21 @@ class TestJson:
                 {"theta": "17/20", "weight": "900/5001"},
             ],
         }
-        prior = pr.prior_from_json(obj)
+        prior = sc.prior_from_json(obj)
         assert isinstance(prior, pr.DiscreteAtoms)
         assert prior.weights == (F(4100, 5001), F(1, 5001), F(900, 5001))
-        assert pr.prior_from_json(pr.prior_to_json(prior)) == prior
+        assert sc.prior_from_json(sc.prior_to_json(prior)) == prior
 
     def test_named_round_trips(self):
         for prior in (pr.Uniform01(), pr.Beta(F(7), F(1)), pr.StdNormal(), pr.ExpPrior(F(2))):
-            assert pr.prior_from_json(pr.prior_to_json(prior)) == prior
+            assert sc.prior_from_json(sc.prior_to_json(prior)) == prior
 
     def test_bad_weight_rejected(self):
         with pytest.raises(pr.PriorError):
-            pr.prior_from_json(
+            sc.prior_from_json(
                 {"type": "atoms", "atoms": [{"theta": "1/2", "weight": 0.5}]}
             )
 
     def test_unknown_type(self):
-        with pytest.raises(pr.PriorError):
-            pr.prior_from_json({"type": "cauchy"})
+        with pytest.raises(sc.ScenarioError):
+            sc.prior_from_json({"type": "cauchy"})

@@ -1,6 +1,6 @@
 """Each rule has one owner: a refusal's text is written in one module of
-src/, and only ``families`` defines a domain error, so two copies of a rule
-cannot drift apart."""
+src/, only ``families`` defines a domain error, and only ``scenario`` reads
+or writes the scenario JSON, so two copies of a rule cannot drift apart."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,7 @@ MESSAGES = (
     "unsupported conjugacy",
     "impossible observation under prior support: u_",
     "must be finite and > 0",
+    "cannot parse rational",
 )
 
 
@@ -31,3 +32,13 @@ def test_only_families_defines_a_domain_error():
         if isinstance(node, ast.ClassDef) and node.name.endswith("DomainError")
     }
     assert owners == {"families.py"}
+
+
+def test_only_scenario_defines_json_readers_and_writers():
+    owners = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name.endswith(("_from_json", "_to_json"))
+    }
+    assert owners == {"scenario.py"}
