@@ -40,7 +40,7 @@ from .priors import (
     UnsupportedConjugacyError,
 )
 from .quadrature import integrate_half_line, integrate_real_line
-from .specialfn import bessel_K_half, binomial_square_sum, legendre_ratios
+from .specialfn import bessel_K_half, binomial_square_sum, legendre_ratios, log_legendre_integral
 from .util import (
     CANONICAL_RATIONAL_BITS,
     ENCLOSURE_BITS,
@@ -366,6 +366,21 @@ def _uniform_float_logs(theta0: float, theta1: float, horizon: int) -> list[floa
         log_p += math.log(ratio)
         logs.append(n * log_gap + math.log(n + 1) + log_p)
     return logs
+
+
+def log_expected_posterior_uniform(theta0: Real, theta1: Real, n: int) -> float:
+    """log psi(n) of the uniform prior at one n, with no sequence built:
+    psi(n) = (n+1) w^n J_n(c), y = theta0 theta1, z = (1-theta0)(1-theta1),
+    w = (sqrt y + sqrt z)^2, c = 4 sqrt(yz)/w; ``specialfn.log_legendre_integral``
+    bounds J_n's trapezoid sum within 2^-60 relative before rounding.  Near the diagonal
+    log w = log1p(-d^2), d = (theta0 - theta1)/(sqrt(theta0(1-theta1)) + sqrt(theta1(1-theta0)))."""
+    pr.require_inputs(fam.bernoulli(), Uniform01(), theta0, theta1, n)
+    t0, t1 = float(theta0), float(theta1)
+    root_y, root_z = math.sqrt(t0 * t1), math.sqrt((1.0 - t0) * (1.0 - t1))
+    d = (t0 - t1) / (math.sqrt(t0 * (1.0 - t1)) + math.sqrt(t1 * (1.0 - t0)))
+    log_w = math.log1p(-d * d) if d * d < 0.5 else 2.0 * math.log(root_y + root_z)
+    c = min(1.0, 4.0 * root_y * root_z / math.exp(log_w))
+    return n * log_w + math.log(n + 1) + log_legendre_integral(n, c)[0]
 
 
 # ---------------------------------------------------------------------------

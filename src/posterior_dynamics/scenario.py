@@ -24,6 +24,7 @@ exact inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -124,9 +125,14 @@ def rational_to_json(value: Real):
 
 
 def family_from_json(obj) -> FamilySpec:
-    """FamilySpec holds the rule that sigma comes with the normal kind only."""
+    """FamilySpec holds the rule that sigma comes with the normal kind only;
+    a sigma past the float range reaches it as the infinity it rounds to."""
     kind, *sigma = _fields(obj, "family", ("kind",), ("sigma",))
-    return FamilySpec(kind, *(float(rational_from_json(s)) for s in sigma))
+    sigma = [rational_from_json(s) for s in sigma]
+    try:
+        return FamilySpec(kind, *map(float, sigma))
+    except OverflowError:
+        return FamilySpec(kind, math.inf if sigma[0] > 0 else -math.inf)
 
 
 def family_to_json(family: FamilySpec) -> dict:

@@ -1,6 +1,6 @@
 """Legendre polynomials, the Turan-type polynomials of their scaled-ratio
 bound, half-integer Bessel K, and the bivariate binomial-square sum that ties
-them to Bernoulli expected posteriors.
+them to Bernoulli expected posteriors, with its integral form J_n(c) for one n.
 
 Legendre values overflow float64 near degree 300 for large x, so the float
 route carries ratios P_k/P_{k-1}; the Turan audit works on the exact integer
@@ -10,6 +10,7 @@ coefficients of P_n in s = (x - 1)/2, where x >= 1 is s >= 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -109,6 +110,34 @@ def binomial_square_sum(y: Real, z: Real, n_max: int) -> list:
         g = math.gcd(num, den)
         out.append(ExactValue(num // g, den // g))
     return out
+
+
+def log_legendre_integral(n: int, c: float) -> tuple[float, int]:
+    """(log J_n(c), M) for n >= 1, 0 <= c <= 1: J_n(c) = 2F1(-n, 1/2; 1; c) is
+    (1/pi) int_0^pi (1 - c sin^2(phi/2))^n dphi, the mean of (1 - b + b cos phi)^n, b = c/2,
+    taken as T_M = (1/M) sum_{j<M} (1 - c sin^2(pi j/M))^n.  Its Fourier coefficients are
+    >= 0, none past n, so 0 <= T_M - J_n <= B = 2 (1 + b (cosh tau - 1))^n e^(-M tau) /
+    (1 - e^(-M tau)) for every tau > 0.  M <= n + 1 is the first with B <= 2^-60 L at
+    tau = asinh(M/(n b)), L = min(2/3, 4/(3 pi sqrt(n c))) <= J_n by (1 - x)^n >= 1 - n x
+    and sin t <= t.  Below n c = 2^-60, log J_n = -n c/2 to rounding (M = 0)."""
+    if not 0.0 <= c <= 1.0:
+        raise DomainError(f"c={c} outside [0, 1]")
+    if n * c < 2.0**-60:
+        return -0.5 * n * c, 0
+    target = -math.log(max(1.5, 0.75 * math.pi * math.sqrt(n * c))) - 60.0 * math.log(2.0)
+
+    def log_bound(m: int) -> float:
+        s = 2.0 * m / (n * c)  # sinh tau, and cosh tau - 1 = s^2 / (1 + cosh tau)
+        tau = math.asinh(s)
+        return (n * math.log1p(0.5 * c * s * (s / (1.0 + math.hypot(1.0, s)))) - m * tau
+                + math.log(2.0 / -math.expm1(-m * tau)))
+
+    m = bisect_left(range(1, n + 1), True, key=lambda k: log_bound(k) <= target) + 1
+    # nodes j and m - j agree, so all but the middle node of an even m count
+    # twice; sin^2 = 1 at c = 1 is the endpoint, where the integrand is 0
+    xs = (c * math.sin(math.pi * j / m) ** 2 for j in range(1, m // 2 + 1))
+    terms = [math.exp(n * math.log1p(-x)) if x < 1.0 else 0.0 for x in xs]
+    return math.log((1.0 + math.fsum(terms) + math.fsum(terms[:(m - 1) // 2])) / m), m
 
 
 # ---------------------------------------------------------------------------

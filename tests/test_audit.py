@@ -3,7 +3,7 @@ they report.  Neither is a timing test."""
 
 import pytest
 
-from posterior_dynamics import audit, engine, quadrature
+from posterior_dynamics import audit, engine, quadrature, specialfn
 from posterior_dynamics import families as fam
 from posterior_dynamics import priors as pr
 
@@ -32,6 +32,20 @@ def test_quadrature_guard_is_live(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate", lambda *a, **k: pytest.fail("reached"))
     with pytest.raises(pytest.fail.Exception, match="reached"):
         engine.expected_posterior_quadrature(fam.exponential(), pr.ExpPrior(1), 1.0, 1.0, 3)
+
+
+def test_asymptotics_suite_builds_no_float_uniform_sequence(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the asymptotics suite built a float uniform sequence")
+
+    monkeypatch.setattr(engine, "_uniform_float_logs", refuse)
+    monkeypatch.setattr(specialfn, "legendre_ratios", refuse)
+    report = audit.run_suite("asymptotics", seed=42)
+    assert report["pass"]
+    assert len(report["checks"]) == CHECK_COUNTS["asymptotics"]
+    # the patched names are the ones the float uniform route reaches
+    with pytest.raises(AssertionError, match="float uniform sequence"):
+        engine.expected_posterior_uniform(0.5, 0.75, 5, mode="float")
 
 
 def test_audit_all_check_counts():

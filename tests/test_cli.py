@@ -98,6 +98,8 @@ SCHEMA_FAULTS = {
         prior={"type": "atoms", "atoms": [{"theta": "1/2", "weight": "1/1", "x": 1}]}),
     "numeric_mod": minimal_scenario(numeric_mod="float"),
     "nul-name": minimal_scenario(name="a\0b"),
+    "sigma-401-digits": minimal_scenario(family={"kind": "normal", "sigma": 10**400},
+                                         prior=STDNORMAL),
 }
 
 
@@ -110,6 +112,16 @@ def test_a_schema_fault_is_refused_with_exit_2_and_writes_nothing(tmp_path, payl
     out = tmp_path / "out"
     assert cli.main(["psi", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma,shown", [
+    (10**400, "inf"), (-(10**400), "-inf"), ("1" + "0" * 400 + "/1", "inf"), (math.inf, "inf"),
+    (0, "0.0"), (-1, "-1.0"),
+])
+def test_a_sigma_past_the_float_range_is_refused_as_the_infinity_it_rounds_to(sigma, shown):
+    payload = minimal_scenario(family={"kind": "normal", "sigma": sigma}, prior=STDNORMAL)
+    with pytest.raises(ScenarioError, match=f"^sigma={shown} must be finite and > 0$"):
+        scenario_from_json(payload)
 
 
 @pytest.mark.parametrize("sigma,want", [(2, 2.0), (2.5, 2.5), ("5/2", 2.5)])

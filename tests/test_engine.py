@@ -19,6 +19,7 @@ from posterior_dynamics import families as fam
 from posterior_dynamics import figures
 from posterior_dynamics import orders
 from posterior_dynamics import priors as pr
+from posterior_dynamics import specialfn as sf
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.util import DeferredExactValue, ExactValue, tree_sum_fractions
 
@@ -359,6 +360,54 @@ class TestUniformRoute:
         )
         assert err == 0.0
         assert value == pytest.approx(9 / 8, abs=1e-12)
+
+
+def _uniform_reference(t0, t1, n):
+    """log psi(n) of the uniform prior at 40 digits from the binary thetas:
+    (n+1) w^n 2F1(-n, 1/2; 1; c), w = (sqrt y + sqrt z)^2, c = 4 sqrt(yz)/w."""
+    with mp.workdps(40):
+        th0, th1 = mp.mpf(t0), mp.mpf(t1)
+        y, z = th0 * th1, (1 - th0) * (1 - th1)
+        w = (mp.sqrt(y) + mp.sqrt(z)) ** 2
+        j = mp.hyp2f1(-n, mp.mpf(1) / 2, 1, 4 * mp.sqrt(y * z) / w)
+        return mp.log(n + 1) + n * mp.log(w) + mp.log(j)
+
+
+DIAGONAL_GRID = [(k / 10, k / 10) for k in range(1, 10)]
+
+
+class TestUniformValue:
+    """``log_expected_posterior_uniform``: one value from the integral J_n."""
+
+    @pytest.mark.parametrize("n", [1999, 2000, 10_000])
+    @pytest.mark.parametrize("t0,t1", DIAGONAL_GRID + [(0.5, 0.75), (0.75, 0.5)])
+    def test_matches_40_digit_mpmath(self, t0, t1, n):
+        want = _uniform_reference(t0, t1, n)
+        assert abs(engine.log_expected_posterior_uniform(t0, t1, n) / want - 1) <= 1e-13
+
+    @pytest.mark.parametrize("t0,t1", [(0.5, 0.75), (0.1, 0.1), (0.3, 0.7), (0.2, 0.45)])
+    def test_matches_exact_binomial_square_sums(self, t0, t1):
+        y, z = F(t0) * F(t1), (1 - F(t0)) * (1 - F(t1))
+        for n, exact in enumerate(sf.binomial_square_sum(y, z, 40), start=1):
+            got = engine.log_expected_posterior_uniform(t0, t1, n)
+            assert abs(math.exp(got) / float(exact.as_fraction()) - 1) <= 1e-14
+
+    def test_underflowing_y_gives_c_zero(self):
+        # theta0 theta1 = 1e-340 rounds to 0, so c = 0 and J_n = 1
+        assert engine.log_expected_posterior_uniform(1e-170, 1e-170, 10_000) == math.log(10_001)
+        got = engine.log_expected_posterior_uniform(1e-170, 3e-170, 10_000)
+        assert got == pytest.approx(float(_uniform_reference(1e-170, 3e-170, 10_000)), rel=1e-15)
+
+    def test_far_off_diagonal_stays_finite_in_log_space(self):
+        got = engine.log_expected_posterior_uniform(0.1, 0.9, 10_000)
+        assert got < math.log(1e-300)  # psi itself underflows to 0.0
+        assert abs(got / _uniform_reference(0.1, 0.9, 10_000) - 1) <= 1e-13
+
+    @pytest.mark.parametrize("t0,t1", DIAGONAL_GRID)
+    def test_float_sequence_agrees_at_ten_thousand(self, t0, t1):
+        # an independent check of the float Legendre route at n = 10^4
+        last = engine._uniform_float_logs(t0, t1, 10_000)[-1]
+        assert abs(math.expm1(last - engine.log_expected_posterior_uniform(t0, t1, 10_000))) <= 1e-9
 
 
 class TestNormalRoute:

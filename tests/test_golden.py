@@ -93,8 +93,8 @@ GOLDEN = {
     "uniform_offdiag.csv": "0a0d5ad27e817b9233e6e8f9b0a2e0bb478b089b0493c61d2132715e1eb1030c",
     "uniform_offdiag.json": "264492e5efe6758a2a289f4b93c6a79aefa60e47fe1d4b17fb8ce98ed236d42b",
     "uniform_offdiag.svg": "5ff6a3c1bcb8424514fa4b28872c63be9921affe67bedcee4cdbbb06f49b1d2b",
-    "audit_all.json": "8262fb08802a96f050fc39dde5838154db421f6c3dba46d07581b6d5ad49b27b",
-    "seed7/audit_all.json": "aeced63fa0d58ca9a1d2da00787b2e722ac84ccc133277ad575c11594a3ae80e",
+    "audit_all.json": "5c5c762513d5aefbf3db004aac1fe2166d260e1d6f5f11a12d35ce9300a2f5af",
+    "seed7/audit_all.json": "3efaf40eb56392acb384c8b0b292c0cff5363f3f2ee3279fc5b1cb919ff12a32",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
     "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",
 }

@@ -66,6 +66,8 @@ ENTRIES = {
                  lambda f, p, t0, t1, n: engine.expected_posterior_discrete(p, t0, t1, n)),
     "uniform": (pr.Uniform01, True, True,
                 lambda f, p, t0, t1, n: engine.expected_posterior_uniform(t0, t1, n)),
+    "uniform_value": (pr.Uniform01, True, True,
+                      lambda f, p, t0, t1, n: engine.log_expected_posterior_uniform(t0, t1, n)),
     "beta": (pr.Beta, True, True,
              lambda f, p, t0, t1, n: engine.expected_posterior_beta(p, t0, t1, n)),
     "normal": (pr.StdNormal, True, True,

@@ -238,6 +238,53 @@ class TestBinomialSquareSum:
             sf.binomial_square_sum(F(0), F(0), 3)
 
 
+# c = 4 theta (1 - theta) on the diagonal grid, and c = 2 sqrt 3 / (2 + sqrt 3) at (1/2, 3/4)
+INTEGRAL_CS = [4.0 * (k / 10) * (1.0 - k / 10) for k in range(1, 10)] + [
+    2.0 * math.sqrt(3.0) / (2.0 + math.sqrt(3.0))]
+
+
+class TestLegendreIntegral:
+    @pytest.mark.parametrize("n", [1999, 2000, 10_000])
+    @pytest.mark.parametrize("c", INTEGRAL_CS)
+    def test_matches_40_digit_hyp2f1(self, c, n):
+        log_j, m = sf.log_legendre_integral(n, c)
+        assert 1 <= m <= n + 1
+        with mp.workdps(40):
+            want = mp.hyp2f1(-n, mp.mpf(1) / 2, 1, mp.mpf(c))
+            assert abs(mp.exp(log_j) / want - 1) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 1000, 10_000])
+    def test_fair_coin_is_the_central_binomial(self, n):
+        # c = 1: J_n = C(2n, n) / 4^n, and the endpoint node is the zero of the integrand
+        log_j, m = sf.log_legendre_integral(n, 1.0)
+        assert m <= n + 1
+        assert abs(math.exp(log_j) / float(F(math.comb(2 * n, n), 4**n)) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_exact_binomial_square_sums(self, n):
+        # S_n(y, z) = (n+1) w^n J_n(c) over rationals whose w and c are rational
+        for (y, z), c in (((F(1, 4), F(1, 4)), 1.0), ((F(9, 100), F(49, 100)), 0.84),
+                          ((F(1, 25), F(16, 25)), 0.64)):
+            w = (F(math.isqrt(y.numerator), math.isqrt(y.denominator))
+                 + F(math.isqrt(z.numerator), math.isqrt(z.denominator))) ** 2
+            exact = sf.binomial_square_sum(y, z, n)[-1].as_fraction() / ((n + 1) * w**n)
+            log_j, m = sf.log_legendre_integral(n, c)
+            assert m <= n + 1
+            assert abs(math.exp(log_j) / float(exact) - 1) <= 1e-14
+
+    def test_small_c(self):
+        assert sf.log_legendre_integral(10_000, 0.0) == (0.0, 0)
+        # below n c = 2^-60 the series value; just above it, the sum agrees
+        assert sf.log_legendre_integral(10, 1e-310) == (-5e-310, 0)
+        log_j, m = sf.log_legendre_integral(10_000, 2.0**-60)
+        assert 1 <= m <= 3 and log_j == pytest.approx(-5000 * 2.0**-60, rel=1e-12)
+
+    def test_domain(self):
+        for c in (-0.1, 1.0 + 2**-52, math.nan):
+            with pytest.raises(DomainError):
+                sf.log_legendre_integral(10, c)
+
+
 class TestBesselHalf:
     def test_base_closed_form(self):
         seq = sf.bessel_K_half(1.0, 0)
