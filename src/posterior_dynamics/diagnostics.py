@@ -231,6 +231,8 @@ def _asymptote_parts(family: FamilySpec, prior: Prior, theta0, theta1, n: float)
             raise DomainError(f"prior density vanishes at theta={t0}")
         return 0.0, 0.5 * math.sqrt(fam.fisher_information(family, t0) / math.pi)
     mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
+    if affinity == 0.0:
+        raise DomainError(f"the affinity of theta0={t0} and theta1={t1} underflows to 0.0")
     lr = pr.prior_log_density(prior, t0) - pr.prior_log_density(prior, mid)
     if not math.isfinite(lr):
         raise DomainError("prior density vanishes at theta0 or the midpoint")

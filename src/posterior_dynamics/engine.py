@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from typing import Union
 
 from . import families as fam
@@ -202,7 +202,7 @@ def expected_posterior_discrete(
     if _resolve_exact(mode, exact_ok, "rational atoms, weights, theta0, theta1"):
         values = _discrete_exact_values(prior, theta0, theta1, horizon)
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
-    t0w = math.log(float(prior.weight_of(theta0)))
+    t0w = dict(prior.log_weights)[theta0]
     weighted = [(float(t), lw) for t, lw in prior.log_weights]
 
     def log_marginal(n: int, k: int) -> float:
@@ -329,8 +329,9 @@ def expected_posterior_uniform(
 
     The marginal of u_n is uniform on {0..n}, which collapses the sum to
     the bivariate binomial-square form S_n(theta0 theta1, (1-theta0)(1-theta1));
-    exact for rational parameters.  Float mode walks the equivalent
-    Legendre-polynomial recursion in log space, O(1) per step.
+    exact for rational parameters.  Float mode runs the exact route's
+    recurrence on the ratios Q_n/Q_{n-1} of S_n = (n+1) Q_n and sums their
+    logs, O(1) per step with no branch on the anti-diagonal.
     """
     family = fam.bernoulli()
     pr.require_inputs(family, Uniform01(), theta0, theta1, horizon)
@@ -344,28 +345,10 @@ def expected_posterior_uniform(
 
 
 def _uniform_float_logs(theta0: float, theta1: float, horizon: int) -> list[float]:
-    y = theta0 * theta1
-    z = (1.0 - theta0) * (1.0 - theta1)
-    logs = []
-    if math.isclose(y, z, rel_tol=1e-15):
-        # S_n(y, y) = y^n (n+1) C(2n, n)
-        log_y = math.log(y)
-        log_c = 0.0
-        log_n = 0.0  # log n: the step before's log(n + 1)
-        for n in range(1, horizon + 1):
-            log_n1 = math.log(n + 1)
-            log_c += math.log(2 * (2 * n - 1)) - log_n  # C(2n,n)/C(2n-2,n-1)
-            logs.append(n * log_y + log_n1 + log_c)
-            log_n = log_n1
-        return logs
-    hi, lo = max(y, z), min(y, z)
-    x = (hi + lo) / (hi - lo)
-    log_gap = math.log(hi - lo)
-    log_p = 0.0
-    for n, ratio in enumerate(legendre_ratios(horizon, x), start=1):
-        log_p += math.log(ratio)
-        logs.append(n * log_gap + math.log(n + 1) + log_p)
-    return logs
+    """log psi(n) = log(n + 1) + log q_1 + ... + log q_n over the Legendre ratios q_k."""
+    ratios = legendre_ratios(horizon, theta0 * theta1, (1.0 - theta0) * (1.0 - theta1))
+    log = math.log
+    return [log(n + 1) + log_q for n, log_q in enumerate(accumulate(map(log, ratios)), start=1)]
 
 
 def log_expected_posterior_uniform(theta0: Real, theta1: Real, n: int) -> float:
@@ -436,11 +419,14 @@ def expected_posterior_exponential(
     """Exp(theta) observations with an Exp(rate) prior on theta.
 
     The diagonal value is
-        theta^(n-1/2) / (2^(n+1/2) n! sqrt(pi)) [(n+theta) k_n + theta k_{n-1}]
-    at theta = (theta0+theta1)/2 with k_n the half-integer Bessel K values;
+        theta^(n-1/2) / (2^(n+1/2) n! sqrt(pi)) G_n k_n,  G_n = (n+theta) + theta rho_n,
+    at theta = (theta0+theta1)/2 with k_n = K_{n+1/2}(theta) and rho_n = k_{n-1}/k_n;
     off the diagonal it picks up exp(theta-theta0) (theta0 theta1/theta^2)^n.
     A general prior rate rescales through (t0, t1, x) -> (rate*t0, rate*t1, x/rate),
-    which multiplies the posterior density by rate.
+    which multiplies the posterior density by rate.  The diagonal log is taken at
+    n = 1 from the formula, then as a running sum of the O(1/n) steps
+        log1p((theta rho_n - 1)/(2n+2)) + log1p((1 + theta (rho_{n+1} - rho_n))/G_n),
+    so no large logs cancel; the off-diagonal and rate terms are added per n.
     """
     fam.require_sigma(rate, "rate")
     family = fam.exponential()
@@ -448,19 +434,19 @@ def expected_posterior_exponential(
     t0, t1 = float(theta0) * rate, float(theta1) * rate
     mid = 0.5 * (t0 + t1)
     bess = bessel_K_half(mid, horizon)
-    log = math.log
-    log_rate = log(rate)
-    log_mid, log_2, half_log_pi, shift = log(mid), log(2.0), 0.5 * log(math.pi), mid - t0
-    log_off = log(t0 * t1) - 2.0 * log_mid if t0 != t1 else 0.0
-    logs = []
-    log_fact = 0.0  # log n!
-    for n, log_k, rho in zip(range(1, horizon + 1), bess.log_k[1:], bess.rho[1:]):
-        log_fact += log(n)
-        # the diagonal value, then the off-diagonal factor and the rate
-        logs.append(
-            (n - 0.5) * log_mid - (n + 0.5) * log_2 - log_fact - half_log_pi + log_k
-            + log((n + mid) + mid * rho) + shift + n * log_off + log_rate
-        )
+    rho, log, log1p = bess.rho, math.log, math.log1p
+    # log(theta0 theta1/theta^2) = log1p(-gap^2), whose argument loses digits as gap^2 -> 1
+    gap = (t0 - t1) / (t0 + t1)
+    log_off = log1p(-gap * gap) if gap * gap < 0.5 else log(t0) + log(t1) - 2.0 * log(mid)
+    shift = mid - t0 + log(rate)
+    g = (1.0 + mid) + mid * rho[1]
+    diag = 0.5 * log(mid) - 1.5 * log(2.0) - 0.5 * log(math.pi) + bess.log_k[1] + log(g)
+    logs = [diag + shift + log_off]
+    for n in range(1, horizon):
+        diag += log1p((mid * rho[n] - 1.0) / (2 * n + 2)) + log1p(
+            (1.0 + mid * (rho[n + 1] - rho[n])) / g)
+        g = (n + 1 + mid) + mid * rho[n + 1]
+        logs.append(diag + shift + (n + 1) * log_off)
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXP_BESSEL, log_values=logs)
 
 

@@ -28,6 +28,14 @@ Real = Union[int, float, Fraction]
 _lgamma = math.lgamma
 
 
+def _positive_float(value: Real, what: str) -> float:
+    """float(value) of a value > 0; DomainError where it rounds to 0.0, which has no log."""
+    f = float(value)
+    if f == 0.0:
+        raise DomainError(f"{what} {value} rounds to 0.0 as a float")
+    return f
+
+
 class PriorError(ValueError):
     """Malformed prior: its weights, atoms, shapes or rate."""
 
@@ -97,7 +105,7 @@ class DiscreteAtoms:
     @cached_property
     def log_weights(self) -> tuple[tuple[Real, float], ...]:
         """((theta, log weight), ...), the weights as float logs."""
-        return tuple((t, math.log(float(w))) for t, w in self.atoms)
+        return tuple((t, math.log(_positive_float(w, "weight"))) for t, w in self.atoms)
 
     def mean(self) -> Real:
         return sum(t * w for t, w in self.atoms)
@@ -162,7 +170,7 @@ class Beta:
     def float_shape(self) -> tuple[float, float, float]:
         """(a, b, log B(a, b)) as floats, kept on the instance like
         ``DiscreteAtoms.integer_form``."""
-        a, b = float(self.a), float(self.b)
+        a, b = (_positive_float(x, "Beta shape") for x in (self.a, self.b))
         return a, b, _lgamma(a) + _lgamma(b) - _lgamma(a + b)
 
     @cached_property

@@ -107,14 +107,22 @@ def _list(value, what: str) -> list:
 
 def rational_from_json(value) -> Real:
     """The one number reader: a "p/q" string or an int becomes an exact
-    Fraction and a float stays a float; a bool or anything else is refused."""
+    Fraction and a float stays a float; a number past the float range is the
+    infinity it rounds to, which each value rule then refuses as it refuses
+    any infinity.  A bool or anything else is refused."""
     if isinstance(value, float):
         return value
     if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
-            return Fraction(value)
+            exact = Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            try:
+                float(exact)
+            except OverflowError:
+                return math.inf if exact > 0 else -math.inf
+            return exact
     raise ScenarioError(f"cannot parse rational {value!r}")
 
 
@@ -125,14 +133,9 @@ def rational_to_json(value: Real):
 
 
 def family_from_json(obj) -> FamilySpec:
-    """FamilySpec holds the rule that sigma comes with the normal kind only;
-    a sigma past the float range reaches it as the infinity it rounds to."""
+    """FamilySpec holds the rule that sigma comes with the normal kind only."""
     kind, *sigma = _fields(obj, "family", ("kind",), ("sigma",))
-    sigma = [rational_from_json(s) for s in sigma]
-    try:
-        return FamilySpec(kind, *map(float, sigma))
-    except OverflowError:
-        return FamilySpec(kind, math.inf if sigma[0] > 0 else -math.inf)
+    return FamilySpec(kind, *(float(rational_from_json(s)) for s in sigma))
 
 
 def family_to_json(family: FamilySpec) -> dict:

@@ -2,9 +2,11 @@
 bound, half-integer Bessel K, and the bivariate binomial-square sum that ties
 them to Bernoulli expected posteriors, with its integral form J_n(c) for one n.
 
-Legendre values overflow float64 near degree 300 for large x, so the float
-route carries ratios P_k/P_{k-1}; the Turan audit works on the exact integer
-coefficients of P_n in s = (x - 1)/2, where x >= 1 is s >= 0.
+The binomial-square sums obey the homogeneous Legendre recurrence, which
+``binomial_square_sum`` runs on exact integers and ``legendre_ratios`` on the
+float ratios of consecutive terms, which neither overflow nor cancel; the
+Turan audit works on the exact integer coefficients of P_n in s = (x - 1)/2,
+where x >= 1 is s >= 0.
 """
 
 from __future__ import annotations
@@ -27,22 +29,19 @@ Real = Union[int, float, Fraction]
 # ---------------------------------------------------------------------------
 
 
-def legendre_ratios(n: int, x: float) -> list[float]:
-    """[r_1, ..., r_n] with r_k = P_k(x)/P_{k-1}(x), for x >= 1.
-
-    Three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} rewritten
-    on ratios: r_{k+1} = ((2k+1) x - k / r_k) / (k+1).  For x >= 1 every
-    P_k is positive and r_k >= 1, so the forward recursion is stable.
-    """
-    if x < 1.0:
-        raise DomainError(f"x={x} < 1; supported domain is |x| >= 1")
-    if n < 1:
-        return []
-    r = x
-    ratios = [r]
-    for k in range(1, n):
-        r = ((2 * k + 1) * x - k / r) / (k + 1)
-        ratios.append(r)
+def legendre_ratios(n: int, y: float, z: float) -> list[float]:
+    """[q_1, ..., q_n], q_k = Q_k/Q_{k-1} with Q_k = sum_j C(k,j)^2 y^j z^(k-j), y, z >= 0
+    not both 0: the homogeneous Legendre recurrence k Q_k = (2k-1) s Q_{k-1} - (k-1) d^2 Q_{k-2},
+    s = y + z, d = z - y, on ratios.  The q_k rise from q_1 = s to (sqrt y + sqrt z)^2 <= 2s,
+    so the subtracted term is at most (k-1) s and the forward recursion is stable.  At
+    y = (x-1)/2, z = (x+1)/2 it gives P_k(x)/P_{k-1}(x); at y = z, C(2k,k)/C(2k-2,k-1) y."""
+    if not (y >= 0.0 and z >= 0.0 and y + z > 0.0):
+        raise DomainError(f"y={y}, z={z}: need y, z >= 0, not both 0")
+    s, d2 = y + z, (z - y) * (z - y)
+    q, ratios = s, [s][:n]
+    for k in range(2, n + 1):
+        q = ((2 * k - 1) * s - (k - 1) * d2 / q) / k
+        ratios.append(q)
     return ratios
 
 

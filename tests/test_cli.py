@@ -124,6 +124,62 @@ def test_a_sigma_past_the_float_range_is_refused_as_the_infinity_it_rounds_to(si
         scenario_from_json(payload)
 
 
+BIG, TINY = 10**400, "1/1" + "0" * 400
+EXP_FAMILY, UNIFORM = {"kind": "exponential"}, {"type": "uniform01"}
+TINY_ATOM = {"type": "atoms", "atoms": [{"theta": "1/2", "weight": TINY},
+                                        {"theta": "3/4", "weight": "9" * 400 + "/1" + "0" * 400}]}
+
+
+def exp_scenario(rate, theta0=1):
+    return minimal_scenario(family=EXP_FAMILY, prior={"type": "exp", "lambda": rate},
+                            theta0=theta0, theta1=1)
+
+
+# a number past the float range reads as the infinity it rounds to, which its
+# value rule refuses (exit 2); one a float route would take the log of 0.0 of
+# is a numeric failure (exit 3); neither ends in a traceback
+FLOAT_RANGE = {
+    "lambda-big": (exp_scenario(BIG), cli.EXIT_SCHEMA, "requires a finite rate > 0"),
+    "lambda-tiny": (exp_scenario(TINY), cli.EXIT_NUMERIC, "rate=0.0 must be finite and > 0"),
+    "sigma-big": (minimal_scenario(family={"kind": "normal", "sigma": BIG}, prior=STDNORMAL),
+                  cli.EXIT_SCHEMA, "sigma=inf must be finite and > 0"),
+    "sigma-tiny": (minimal_scenario(family={"kind": "normal", "sigma": TINY}, prior=STDNORMAL),
+                   cli.EXIT_SCHEMA, "sigma=0.0 must be finite and > 0"),
+    "beta-shape-big": (minimal_scenario(prior={"type": "beta", "a": BIG, "b": 1}),
+                       cli.EXIT_SCHEMA, "requires finite a > 0 and b > 0"),
+    "beta-shape-tiny-auto": (minimal_scenario(prior={"type": "beta", "a": TINY, "b": 1}),
+                             cli.EXIT_NUMERIC, "rounds to 0.0 as a float"),
+    "beta-shape-tiny-float": (
+        minimal_scenario(prior={"type": "beta", "a": TINY, "b": 1}, numeric_mode="float"),
+        cli.EXIT_NUMERIC, "rounds to 0.0 as a float"),
+    "normal-theta0-big": (
+        minimal_scenario(family={"kind": "normal", "sigma": 1}, prior=STDNORMAL, theta0=BIG),
+        cli.EXIT_SCHEMA, "theta=inf outside"),
+    "atom-weight-tiny-float": (minimal_scenario(prior=TINY_ATOM, numeric_mode="float"),
+                               cli.EXIT_NUMERIC, "rounds to 0.0 as a float"),
+    "exp-theta0-1e300": (exp_scenario(1, theta0=1e300), cli.EXIT_NUMERIC,
+                         "affinity of theta0=1e+300 and theta1=1.0 underflows to 0.0"),
+}
+
+
+@pytest.mark.parametrize("payload,code,message", FLOAT_RANGE.values(), ids=FLOAT_RANGE)
+def test_a_number_out_of_float_range_is_refused_in_one_line(tmp_path, capsys, payload, code,
+                                                            message):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main(["psi", str(path), "--out", str(out)]) == code
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_a_weight_below_the_float_range_runs_in_exact_mode(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(minimal_scenario(prior=TINY_ATOM, numeric_mode="exact")))
+    assert cli.main(["psi", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("sigma,want", [(2, 2.0), (2.5, 2.5), ("5/2", 2.5)])
 def test_sigma_is_read_like_every_other_number(sigma, want):
     family = family_from_json({"kind": "normal", "sigma": sigma})

@@ -81,20 +81,20 @@ GOLDEN = {
     "beta_float.json": "d45c7a1dfead682b6b2c2cd371f1372a87340384f7d0c345dea8369315dd99fc",
     "beta_exact.csv": "de6589d7fdeeec37c170a78f32086c46b8dba81a8f8c45adae55d1fefa4bb33c",
     "beta_exact.json": "ba18506e1d2cd32b9953c1e121689ab94e665c7e943e6d8b9702514f06951bbe",
-    "exp_diagonal.csv": "d9a1dccbd97c9b274deefd4bcd315acfbc075bbdedcbdf653fac2e68cdefba78",
-    "exp_diagonal.json": "858efa4033d3262c95745e863c2c42bf16a9672f372273c3d0fe10c96ee526d8",
+    "exp_diagonal.csv": "0281fe29bbdef1e9c194d10eea17cbda45dd82f7368dbc7a34aeb147ac0fa372",
+    "exp_diagonal.json": "f6f845574276dc6c476fb9a3ca4d784f7f9064b331360f8944150f44ffbf1e3f",
     "exp_diagonal.svg": "cc61a308cf9da4b39c8070551b2400828cf7e819d1d87d3d47e42ae1860c5bd5",
-    "exp_offdiag.csv": "8034cedc86c010fc25a8a9d4ec98e8796ee8ae95d79a2395a3ac1906b4db11bb",
-    "exp_offdiag.json": "45364960e8d1b5eb6fdefaa86713dd4f0e720082e21b9701c987dc1b470457a5",
+    "exp_offdiag.csv": "17d0c67db81c976e9ec5ebd46034a7ba7db117ed708933f31c85a0006d2a5036",
+    "exp_offdiag.json": "a1ad7d0e0423c79c353e8d10efc586e1b2bf83be09d8da4834f584820274b377",
     "exp_offdiag.svg": "7451006a85b440e7e854828c442d89075da036ba288aaa4fa0f987a78f86b163",
-    "uniform_diagonal.csv": "364f4ffe43b0bd89b15426af63515e570c987f540980f8efbd9229d66cf84a31",
-    "uniform_diagonal.json": "ce9f9e322879561c9034e1a7fc5937e94f2c447684b1e0f2d869be66514100e1",
+    "uniform_diagonal.csv": "cd9dc64d525de8637aba25e49069e7cb510ffb7b30b53570ddc3190a592191e2",
+    "uniform_diagonal.json": "8a9c61cc05bb490b9efe43e2796008d6239b8cdefa7406f0b2cd3851faf350c8",
     "uniform_diagonal.svg": "d2dc447610b2c1ca0960a313e73484c0dc8a899bef080b043ac9c86b35ab05a4",
-    "uniform_offdiag.csv": "0a0d5ad27e817b9233e6e8f9b0a2e0bb478b089b0493c61d2132715e1eb1030c",
-    "uniform_offdiag.json": "264492e5efe6758a2a289f4b93c6a79aefa60e47fe1d4b17fb8ce98ed236d42b",
+    "uniform_offdiag.csv": "ebfa0c9359edc1c21db279fa4bda6a1821e384b6cab777ea48a19c0316d00832",
+    "uniform_offdiag.json": "82fff31c249c69e3f3885cd221b94f513141519dbc7ef1de6b2e2509c07e3b75",
     "uniform_offdiag.svg": "5ff6a3c1bcb8424514fa4b28872c63be9921affe67bedcee4cdbbb06f49b1d2b",
-    "audit_all.json": "5c5c762513d5aefbf3db004aac1fe2166d260e1d6f5f11a12d35ce9300a2f5af",
-    "seed7/audit_all.json": "3efaf40eb56392acb384c8b0b292c0cff5363f3f2ee3279fc5b1cb919ff12a32",
+    "audit_all.json": "f5336088cbc2fc8110ba6806a02db339ed4d4d1dbc58e1fc131f22f7d429f118",
+    "seed7/audit_all.json": "393cd3039d18bfa8b32a12685e8f3c506086c05544db49287015aa76ab977896",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
     "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",
 }

@@ -30,6 +30,11 @@ def at(n, x):
     return poly_eval(sf.legendre_shifted(n), (F(x) - 1) / 2)
 
 
+def legendre_ratios_at(n, x):
+    """P_k(x)/P_(k-1)(x) for k = 1..n: the ratio recurrence at y = (x-1)/2, z = (x+1)/2."""
+    return sf.legendre_ratios(n, (x - 1) / 2, (x + 1) / 2)
+
+
 def ratio_at_sqrt3(n):
     """R_n(sqrt 3) = P_{n-1} P_{n+1} / P_n^2, simplified by sympy."""
     p = [in_x(sf.legendre_shifted(k)) for k in (n - 1, n, n + 1)]
@@ -40,7 +45,7 @@ class TestLegendre:
     def test_value_at_one(self):
         for n in range(51):
             assert sf.legendre_shifted(n)[0] == 1
-        assert sf.legendre_ratios(50, 1.0) == [1.0] * 50
+        assert legendre_ratios_at(50, 1.0) == [1.0] * 50
 
     def test_values_at_sqrt3(self):
         # (3x^2-1)/2 and (5x^3-3x)/2 at sqrt 3, exactly
@@ -55,10 +60,12 @@ class TestLegendre:
 
     def test_inside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
-            sf.legendre_ratios(3, 0.5)
+            legendre_ratios_at(3, 0.5)
+        with pytest.raises(DomainError):
+            sf.legendre_ratios(3, 0.0, 0.0)
 
     def test_large_degree_large_argument_stays_finite(self):
-        log_abs = math.fsum(map(math.log, sf.legendre_ratios(300, 1e6)))
+        log_abs = math.fsum(map(math.log, legendre_ratios_at(300, 1e6)))
         assert math.isfinite(log_abs)
         assert log_abs > 4000.0  # way past float overflow in raw form
 
@@ -72,7 +79,7 @@ class TestLegendre:
         for x in (F(3, 2), F(2), F(10)):
             direct = (35 * x**4 - 30 * x**2 + 3) / 8
             assert at(4, x) == direct
-            assert math.prod(sf.legendre_ratios(4, float(x))) == pytest.approx(
+            assert math.prod(legendre_ratios_at(4, float(x))) == pytest.approx(
                 float(direct), rel=1e-13
             )
 
@@ -214,15 +221,12 @@ class TestBinomialSquareSum:
             assert values[n - 1] == (n + 1) * F(1, 2) ** n
 
     def test_legendre_connection(self):
-        # S_n(y,z) = (y-z)^n (n+1) P_n((y+z)/(y-z)) for y > z, with
-        # log P_n = sum of log r_k over the Legendre ratios
-        y, z = 0.5, 0.2
+        # S_n(y,z) = (n+1) q_1 ... q_n over the homogeneous Legendre ratios,
+        # which is (y-z)^n (n+1) P_n((y+z)/(y-z)) for y > z
         exact = sf.binomial_square_sum(F(1, 2), F(1, 5), 30)
-        ratios = sf.legendre_ratios(30, (y + z) / (y - z))
+        ratios = sf.legendre_ratios(30, 0.5, 0.2)
         for n in range(1, 31):
-            via_legendre = (
-                n * math.log(y - z) + math.log(n + 1) + math.fsum(map(math.log, ratios[:n]))
-            )
+            via_legendre = math.log(n + 1) + math.fsum(map(math.log, ratios[:n]))
             assert float(exact[n - 1]) == pytest.approx(math.exp(via_legendre), rel=1e-11)
 
     def test_float_route_matches_exact(self):
