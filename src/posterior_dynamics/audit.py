@@ -371,113 +371,113 @@ def suite_logconcavity(seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the per-scenario checks of suite_orders, in report order
+ORDER_CHECKS = ("martingale_exact", "submartingale_exact", "own_law_dominates_marginal",
+                "direction_criterion", "expected_above_prior", "one_step_identity",
+                "two_sided_symmetry", "extreme_atom_dominance")
+
+
+def _order_verdicts(prior: pr.DiscreteAtoms, theta0, theta1, horizon: int,
+                    state: tuple[int, int]) -> dict[str, bool]:
+    """One scenario's verdicts on every check of ORDER_CHECKS but
+    two_sided_symmetry, behind one gate of its inputs.
+
+    Each check reads one table of the prior's integer masses,
+    rows[n][k][j] = M_j(n, k) = W_j a_j^k b_j^(n-k) with theta_j = a_j/D and
+    total T(n, k), up to the largest n a check asks for: the horizon, the
+    three steps of the dominance checks and the successors of ``state``.
+    """
+    pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, horizon)
+    form = prior.integer_form
+    atoms, d = form.atoms, form.denom
+    n_state, k_state = state
+    top = max(horizon, 3, n_state + 1)
+    rows = [[form.masses(n, k) for k in range(n + 1)] for n in range(top + 1)]
+    totals = [list(map(sum, row)) for row in rows]
+
+    # martingale / submartingale over every reachable state (T > 0) before
+    # the horizon.  Atom j weighs M_j/T there, M_j a_j/T_up after a success
+    # and M_j b_j/T_dn after a failure, and a missing successor (T = 0, so
+    # its masses are 0) weighs 0 over 1; both sides are scaled by D T T_up T_dn
+    ok_martingale = ok_submartingale = True
+    for n in range(horizon):
+        for k, now in enumerate(rows[n]):
+            t = totals[n][k]
+            if not t:
+                continue
+            up, dn = rows[n + 1][k + 1], rows[n + 1][k]
+            t_up, t_dn = totals[n + 1][k + 1] or 1, totals[n + 1][k] or 1
+            s = sum(a * m for (_, a, _), m in zip(atoms, now))  # D T times the mean parameter
+            for (_, a, b), m, m_up, m_dn in zip(atoms, now, up, dn):
+                scaled_now = d * m * t_up * t_dn
+                # expectation under the prior predictive: exact martingale
+                if s * m_up * t_dn + (d * t - s) * m_dn * t_up != scaled_now:
+                    ok_martingale = False
+                # expectation under the atom itself: submartingale
+                if (a * m_up * t_dn + b * m_dn * t_up) * t < scaled_now:
+                    ok_submartingale = False
+
+    # likelihood-ratio dominance of each atom's own-parameter law over the
+    # marginal law, and of the lowest atom's marginal law over its law under
+    # the highest atom, on the integer points of orders.posterior_law
+    thetas = prior.thetas
+    low, high = thetas.index(min(thetas)), thetas.index(max(thetas))
+    own = all(orders._lr_holds(orders._law_points(rows[n], i, (a, b)),
+                               orders._law_points(rows[n], i, None))
+              for i, (_, a, b) in enumerate(atoms) for n in (1, 2, 3))
+    extreme = all(orders._lr_holds(orders._law_points(rows[n], low, None),
+                                   orders._law_points(rows[n], low, atoms[high][1:]))
+                  for n in (1, 2))
+
+    # one-observation expected posterior and its direction; the
+    # own-parameter expectation never falls below the prior weight
+    pi0, mean = prior.weight_of(theta0), prior.mean()
+    expected, direction = orders._prior_criterion(prior, theta0, theta1)
+    ok_direction = ((expected <= pi0 if direction == "le" else expected >= pi0)
+                    and (expected == pi0) == (mean == theta0 or mean == theta1)
+                    and expected >= 0)
+    own_expected, _ = orders._prior_criterion(prior, theta0, theta0)
+    ok_eup = own_expected >= pi0 and not (
+        len(thetas) > 1 and mean != theta0 and own_expected == pi0)
+
+    # one-step identity vs direct enumeration at ``state``, if reachable
+    ok_onestep = True
+    i0, t = thetas.index(theta0), totals[n_state][k_state]
+    if t:
+        now = rows[n_state][k_state]
+        up, dn = rows[n_state + 1][k_state + 1], rows[n_state + 1][k_state]
+        mean_now = Fraction(sum(a * m for (_, a, _), m in zip(atoms, now)), d * t)
+        predicted = Fraction(now[i0], t) * orders._update_factor(mean_now, theta0, theta1)
+        t1 = Fraction(theta1)
+        direct = (t1 * Fraction(up[i0], totals[n_state + 1][k_state + 1])
+                  + (1 - t1) * Fraction(dn[i0], totals[n_state + 1][k_state]))
+        ok_onestep = predicted == direct
+
+    return {"martingale_exact": ok_martingale, "submartingale_exact": ok_submartingale,
+            "own_law_dominates_marginal": own, "direction_criterion": ok_direction,
+            "expected_above_prior": ok_eup, "one_step_identity": ok_onestep,
+            "extreme_atom_dominance": extreme}
+
+
 def suite_orders(seed: int = 42) -> dict:
-    checks = []
     F = Fraction
     rng = random.Random(seed)
 
     n_scenarios = 20
-    ok_martingale = ok_submartingale = ok_lr = ok_direction = ok_symmetry = True
-    ok_eup = ok_onestep = ok_mlrp = True
+    passed = dict.fromkeys(ORDER_CHECKS, True)
     for _ in range(n_scenarios):
         prior = orders.random_rational_scenario(rng, max_atoms=4)
-        thetas = prior.thetas
         horizon = rng.randint(2, 8)
-        theta0 = rng.choice(thetas)
-        theta1 = rng.choice(thetas)
-
-        # martingale / submartingale over every reachable state; a state
-        # the prior cannot reach has no posterior and is left out
-        posts = {}
-        for n in range(0, horizon + 1):
-            for k in range(0, n + 1):
-                try:
-                    posts[n, k] = pr.posterior_given_suffstat(prior, n, k)
-                except pr.ImpossibleObservationError:
-                    pass
-        for (n, k), post in posts.items():
-            if n == horizon:
-                continue
-            succ_prob = pr.mean_parameter(post)
-            # a successor is missing exactly when its step has chance zero
-            up, dn = posts.get((n + 1, k + 1)), posts.get((n + 1, k))
-            for theta in thetas:
-                q_now = post.weight_of(theta)
-                q_up = up.weight_of(theta) if up is not None else 0
-                q_dn = dn.weight_of(theta) if dn is not None else 0
-                # expectation under the prior predictive: exact martingale
-                if succ_prob * q_up + (1 - succ_prob) * q_dn != q_now:
-                    ok_martingale = False
-                # expectation under the atom itself: submartingale
-                t = F(theta)
-                if t * q_up + (1 - t) * q_dn < q_now:
-                    ok_submartingale = False
-
-        # likelihood-ratio dominance of the own-parameter law
-        for theta in thetas:
-            for n in (1, 2, 3):
-                own = orders.posterior_law(prior, theta, n, under=theta)
-                marg = orders.posterior_law(prior, theta, n, under=None)
-                if not orders.lr_dominates(own, marg):
-                    ok_lr = False
-
-        # one-observation expected posterior and its direction
-        expected, direction = orders.check_prior_criterion(prior, theta0, theta1)
-        pi0 = prior.weight_of(theta0)
-        if direction == "le" and not expected <= pi0:
-            ok_direction = False
-        if direction == "ge" and not expected >= pi0:
-            ok_direction = False
-        mean = prior.mean()
-        if (expected == pi0) != (mean == theta0 or mean == theta1):
-            ok_direction = False
-        if not expected >= 0:
-            ok_direction = False
-
-        # own-parameter expectation never falls below the prior weight
-        own_expected, _ = orders.check_prior_criterion(prior, theta0, theta0)
-        if own_expected < pi0:
-            ok_eup = False
-        if len(thetas) > 1 and mean != theta0 and own_expected == pi0:
-            ok_eup = False
-
-        # one-step identity vs direct enumeration at a random state
+        theta0, theta1 = rng.choice(prior.thetas), rng.choice(prior.thetas)
         n_state = rng.randint(0, 6)
-        k_state = rng.randint(0, n_state) if n_state else 0
-        try:
-            post = pr.posterior_given_suffstat(prior, n_state, k_state)
-        except pr.ImpossibleObservationError:
-            post = None
-        if post is not None:
-            predicted = orders.one_step_expected_posterior(post, theta0, theta1)
-            t1f = F(theta1)
-            up = pr.posterior_given_suffstat(prior, n_state + 1, k_state + 1)
-            dn = pr.posterior_given_suffstat(prior, n_state + 1, k_state)
-            direct = t1f * up.weight_of(theta0) + (1 - t1f) * dn.weight_of(theta0)
-            if predicted != direct:
-                ok_onestep = False
-
-        # two-sided symmetry
-        lhs, rhs, equal = orders.symmetry_check(prior, theta0, theta1, rng.randint(1, 8))
-        if not equal:
-            ok_symmetry = False
-
-        # extreme-atom dominance direction
-        low, high = min(thetas), max(thetas)
-        for n in (1, 2):
-            marg = orders.posterior_law(prior, low, n, under=None)
-            far = orders.posterior_law(prior, low, n, under=high)
-            if not orders.lr_dominates(marg, far):
-                ok_mlrp = False
-
-    checks.append(_check("martingale_exact", ok_martingale, scenarios=n_scenarios))
-    checks.append(_check("submartingale_exact", ok_submartingale, scenarios=n_scenarios))
-    checks.append(_check("own_law_dominates_marginal", ok_lr, scenarios=n_scenarios))
-    checks.append(_check("direction_criterion", ok_direction, scenarios=n_scenarios))
-    checks.append(_check("expected_above_prior", ok_eup, scenarios=n_scenarios))
-    checks.append(_check("one_step_identity", ok_onestep, scenarios=n_scenarios))
-    checks.append(_check("two_sided_symmetry", ok_symmetry, scenarios=n_scenarios))
-    checks.append(_check("extreme_atom_dominance", ok_mlrp, scenarios=n_scenarios))
+        state = (n_state, rng.randint(0, n_state) if n_state else 0)
+        verdicts = _order_verdicts(prior, theta0, theta1, horizon, state)
+        # two-sided symmetry, on the exact atom route it checks
+        _, _, verdicts["two_sided_symmetry"] = orders.symmetry_check(
+            prior, theta0, theta1, rng.randint(1, 8))
+        for name, ok in verdicts.items():
+            passed[name] = passed[name] and ok
+    checks = [_check(name, passed[name], scenarios=n_scenarios) for name in ORDER_CHECKS]
 
     witness = orders.find_lr_reversal(seed)
     checks.append(

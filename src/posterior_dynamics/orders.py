@@ -57,41 +57,74 @@ class FiniteLaw:
 
 
 def lr_dominates(law_hi: FiniteLaw, law_lo: FiniteLaw) -> bool:
-    """True iff law_hi dominates law_lo in the likelihood-ratio order.
+    """True iff law_hi dominates law_lo in the likelihood-ratio order:
+    ``_lr_holds`` on the laws' integer points, each probability over the
+    common denominator of its law."""
+    return _lr_holds(_integer_points(law_hi), _integer_points(law_lo))
 
-    On the union support (missing points carry probability zero) the
-    condition is P_hi(t') P_lo(t) >= P_hi(t) P_lo(t') for every pair
-    t' > t; equivalent to the set form on finite supports.  With
-    P_hi(v) = a/b and P_lo(v) = c/d, b and d positive, put h(v) = a d and
-    l(v) = c b: the products compare as h(t') l(t) against h(t) l(t'),
-    since both sides carry the same positive factor b b' d d'.  A point
-    with h = l = 0 meets the condition with every other point; at the
-    rest it says that h/l, taken in [0, inf], never decreases, so each
-    point is compared with the one before it.  Both supports increase, so
-    one merge walks the union in order, without hashing a ``Fraction``.
+
+def _integer_points(law: FiniteLaw) -> list[tuple[int, int, int]]:
+    scale = math.lcm(*(p.denominator for p in law.probs))
+    return [(v.numerator, v.denominator, p.numerator * (scale // p.denominator))
+            for v, p in zip(law.support, law.probs)]
+
+
+def _lr_holds(hi: list[tuple[int, int, int]], lo: list[tuple[int, int, int]]) -> bool:
+    """The likelihood-ratio rule on integer points: ``hi`` dominates ``lo``.
+
+    Each law is a list of points (num, den, weight), den > 0, at the value
+    num/den, its weights its probabilities times one positive constant; the
+    weights of a value given twice add up.  On the union support (a missing
+    point weighs zero) the condition is P_hi(t') P_lo(t) >= P_hi(t) P_lo(t')
+    for every pair t' > t; equivalent to the set form on finite supports.
+    With h and l the two weights at a point, the constants cancel from both
+    sides.  A point with h = l = 0 meets the condition with every other
+    point; at the rest it says that h/l, taken in [0, inf], never
+    decreases, so each point is compared with the one before it.  Every
+    value goes over the common denominator of all, so the union is walked
+    in order of integer numerators.
     """
-    hs, ls = law_hi.support, law_lo.support
-    zero = Fraction(0)
-    i = j = 0
+    den = math.lcm(*(d for _, d, _ in hi), *(d for _, d, _ in lo))
+    union: dict[int, list[int]] = {}
+    for side, points in enumerate((hi, lo)):
+        for num, d, weight in points:
+            union.setdefault(num * (den // d), [0, 0])[side] += weight
     h_prev = l_prev = 0
-    while i < len(hs) or j < len(ls):
-        if j == len(ls) or (i < len(hs) and hs[i] < ls[j]):
-            p, q = law_hi.probs[i], zero
-            i += 1
-        elif i == len(hs) or ls[j] < hs[i]:
-            p, q = zero, law_lo.probs[j]
-            j += 1
-        else:
-            p, q = law_hi.probs[i], law_lo.probs[j]
-            i += 1
-            j += 1
-        h, l = p.numerator * q.denominator, q.numerator * p.denominator
+    for value in sorted(union):
+        h, l = union[value]
         if h == 0 and l == 0:
             continue
         if h * l_prev < h_prev * l:
             return False
         h_prev, l_prev = h, l
     return True
+
+
+def _law_points(
+    row: list[list[int]], i0: int, gen: tuple[int, int] | None
+) -> list[tuple[int, int, int]]:
+    """The law of the theta0-posterior after n = len(row) - 1 observations,
+    as the integer points ``_lr_holds`` reads: one per count u_n = k that
+    the law weighs.
+
+    ``row[k]`` holds the prior's integer masses M_j of u_n = k and T is
+    their total; the theta0-posterior there is M_0/T (index ``i0``).  The
+    weight is C(n, k) T under the prior predictive (``gen`` None) and
+    C(n, k) a^k b^(n-k) under the generating parameter a/(a + b) (``gen``
+    = (a, b)).  A count that the generating parameter can produce but no
+    atom can raises ImpossibleObservationError.
+    """
+    n = len(row) - 1
+    points = []
+    for k, masses in enumerate(row):
+        total = sum(masses)
+        weight = math.comb(n, k) * (total if gen is None else gen[0] ** k * gen[1] ** (n - k))
+        if total == 0:
+            if weight:
+                raise pr.ImpossibleObservationError.at(n, k)
+        elif weight:
+            points.append((masses[i0], total, weight))
+    return points
 
 
 def posterior_law(
@@ -101,32 +134,21 @@ def posterior_law(
 
     ``under`` selects the generating parameter; None means the prior
     predictive (marginal) law.  Built by exact enumeration over the
-    sufficient statistic, which carries the full distribution: with the
-    prior's integer masses M_j of u_n = k and their total T, the
-    theta0-posterior is M_0/T and the prior-predictive probability is
-    C(n, k) T / scale(n).  A generating parameter goes through
-    ``binomial_pmf_exact``, apart from the masses.
+    sufficient statistic, which carries the full distribution: the integer
+    points of ``_law_points`` over the prior's integer masses, each weight
+    divided by their total.
     """
     gen_theta = None if under is None else Fraction(under)
     # the prior predictive draws from the atoms: theta0 stands in for theta1
     pr.require_inputs(fam.bernoulli(), prior, theta0, theta0 if under is None else gen_theta, n)
     form = prior.integer_form
-    scale = form.scale(n)
-    i0 = prior.thetas.index(theta0)
-    pairs = []
-    for k in range(n + 1):
-        masses = form.masses(n, k)
-        total = sum(masses)
-        if gen_theta is None:
-            gen = Fraction(math.comb(n, k) * total, scale)
-        else:
-            gen = fam.binomial_pmf_exact(gen_theta, n, k)
-        if total == 0:
-            if gen != 0:
-                raise pr.ImpossibleObservationError.at(n, k)
-            continue
-        pairs.append((Fraction(masses[i0], total), gen))
-    return FiniteLaw.from_pairs(pairs)
+    gen = None if gen_theta is None else (
+        gen_theta.numerator, gen_theta.denominator - gen_theta.numerator)
+    row = [form.masses(n, k) for k in range(n + 1)]
+    points = _law_points(row, prior.thetas.index(theta0), gen)
+    total = sum(weight for _, _, weight in points)
+    return FiniteLaw.from_pairs((Fraction(mass, t), Fraction(weight, total))
+                                for mass, t, weight in points)
 
 
 def expected_update_factor(mean_theta: Real, theta0: Real, theta1: Real) -> Real:
@@ -143,6 +165,11 @@ def expected_update_factor(mean_theta: Real, theta0: Real, theta1: Real) -> Real
         raise DomainError(f"mean parameter {mean_theta} outside (0, 1)")
     for theta in (theta0, theta1):
         fam.bernoulli().require_theta(theta, closure=True)
+    return _update_factor(y, theta0, theta1)
+
+
+def _update_factor(y: Real, theta0: Real, theta1: Real) -> Real:
+    """V(y) past the checks of ``expected_update_factor``."""
     return theta0 * theta1 / y + (1 - theta0) * (1 - theta1) / (1 - y)
 
 
@@ -167,11 +194,19 @@ def check_prior_criterion(
     equality iff the mean hits theta0 or theta1), "ge" otherwise.
     """
     pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, 1)
-    expected = one_step_expected_posterior(prior, theta0, theta1)
+    return _prior_criterion(prior, theta0, theta1, expected_update_factor)
+
+
+def _prior_criterion(
+    prior: DiscreteAtoms, theta0: Real, theta1: Real, factor=_update_factor
+) -> tuple[Real, str]:
+    """``check_prior_criterion`` past its gate, with ``factor`` as V.  The
+    default skips V's checks, for a caller that has already gated its
+    inputs and whose prior mean lies inside (0, 1)."""
     mean = prior.mean()
+    expected = prior.weight_of(theta0) * factor(mean, theta0, theta1)
     lo, hi = min(theta0, theta1), max(theta0, theta1)
-    direction = "le" if lo <= mean <= hi else "ge"
-    return expected, direction
+    return expected, "le" if lo <= mean <= hi else "ge"
 
 
 def symmetry_check(

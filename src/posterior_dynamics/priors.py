@@ -138,11 +138,8 @@ class AtomIntegerForm:
     def masses(self, n: int, k: int) -> list[int]:
         """w_j a_j^k b_j^(n-k) for each atom: its prior weight times the
         chance of one sequence with k successes in n trials, times
-        ``scale(n)``."""
+        wdenom denom^n."""
         return [w * a**k * b ** (n - k) for w, a, b in self.atoms]
-
-    def scale(self, n: int) -> int:
-        return self.wdenom * self.denom**n
 
     def over(self, denom: int) -> AtomIntegerForm:
         """The same prior over ``denom``, a multiple of ``self.denom``."""
@@ -192,6 +189,13 @@ class ExpPrior:
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise PriorError("exponential prior requires a finite rate > 0")
+        # the routes read the rate as a float: one whose float is 0.0, or
+        # that has none, is refused here, by the rule of sigma
+        try:
+            rate = float(self.rate)
+        except OverflowError:
+            rate = math.inf
+        fam.require_sigma(rate, "rate")
 
 
 Prior = Union[DiscreteAtoms, Uniform01, Beta, StdNormal, ExpPrior]

@@ -1,9 +1,12 @@
-"""Structural guards on the audit suites: what they run and how many checks
-they report.  Neither is a timing test."""
+"""Structural guards on the audit suites: what they run, how many checks
+they report and how often the orders suite gates its inputs.  None is a
+timing test."""
+
+from collections import Counter
 
 import pytest
 
-from posterior_dynamics import audit, engine, quadrature, specialfn
+from posterior_dynamics import audit, engine, orders, quadrature, specialfn
 from posterior_dynamics import families as fam
 from posterior_dynamics import priors as pr
 
@@ -55,3 +58,25 @@ def test_audit_all_check_counts():
     assert list(counts) == list(audit.SUITES)
     assert sum(counts.values()) == 69
     assert report["pass"]
+
+
+@pytest.mark.parametrize("seed", [7, 11, 42])
+def test_orders_suite_gates_each_scenario_once(monkeypatch, seed):
+    """The scenario loop gates its inputs once per scenario and builds no
+    posterior_law: the laws left are the reversal search's and the worked
+    example's, and the other gates are theirs and those of the two exact
+    routes of each symmetry check.  Before the loop read one mass table per
+    scenario it made about 530 gate calls and 450 law builds per seed."""
+    calls = Counter()
+    for module, attr in ((pr, "require_inputs"), (orders, "posterior_law")):
+        inner = getattr(module, attr)
+        monkeypatch.setattr(module, attr,
+                            lambda *a, inner=inner, attr=attr, **k: calls.update([attr])
+                            or inner(*a, **k))
+    orders.find_lr_reversal(seed)
+    search = calls["posterior_law"]
+    calls.clear()
+    report = audit.suite_orders(seed)
+    scenarios = report["checks"][0]["scenarios"]
+    assert calls["posterior_law"] == search + 2
+    assert calls["require_inputs"] == 3 * scenarios + calls["posterior_law"] < 100

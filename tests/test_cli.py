@@ -140,7 +140,7 @@ def exp_scenario(rate, theta0=1):
 # is a numeric failure (exit 3); neither ends in a traceback
 FLOAT_RANGE = {
     "lambda-big": (exp_scenario(BIG), cli.EXIT_SCHEMA, "requires a finite rate > 0"),
-    "lambda-tiny": (exp_scenario(TINY), cli.EXIT_NUMERIC, "rate=0.0 must be finite and > 0"),
+    "lambda-tiny": (exp_scenario(TINY), cli.EXIT_SCHEMA, "rate=0.0 must be finite and > 0"),
     "sigma-big": (minimal_scenario(family={"kind": "normal", "sigma": BIG}, prior=STDNORMAL),
                   cli.EXIT_SCHEMA, "sigma=inf must be finite and > 0"),
     "sigma-tiny": (minimal_scenario(family={"kind": "normal", "sigma": TINY}, prior=STDNORMAL),

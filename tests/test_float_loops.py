@@ -227,3 +227,20 @@ def test_bessel_K_half_bits(theta, n_max):
     got = sf.bessel_K_half(theta, n_max)
     log_k, rho = earlier_bessel_K_half(theta, n_max)
     assert bits(got.log_k) == bits(log_k) and bits(got.rho) == bits(rho)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.5])
+def test_bessel_back_ratios_match_the_exact_recurrence(theta):
+    """rho_n = k_(n-1)/k_n of the exponential route against
+    rho_(n+1) = 1/((2n+1)/theta + rho_n) run in Fractions from rho_0 = 1.
+
+    Each float step rounds (2n+1)/theta, the sum and the reciprocal, at
+    most 3u relative (u = 2^-53), and passes on the error of rho_n times
+    rho_n rho_(n+1) <= 0.6 at these thetas: the recurrence contracts, so
+    the error stays below 3u/(1 - 0.6) < 8u at every n."""
+    rho = sf.bessel_K_half(theta, 200).rho
+    t, exact = F(theta), F(1)
+    for n in range(201):
+        if n:
+            exact = 1 / ((2 * n - 1) / t + exact)
+        assert abs(F(rho[n]) - exact) <= 8 * exact / 2**53, n

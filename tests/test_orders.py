@@ -4,10 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posterior_dynamics import orders
+from posterior_dynamics import audit, orders
 from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.orders import FiniteLaw
@@ -226,3 +226,133 @@ class TestReversalSearch:
         gen = orders.posterior_law(prior, theta0, n, under=middle)
         assert not orders.lr_dominates(marg, gen)
         assert orders.lr_dominates(gen, marg)
+
+
+# ---------------------------------------------------------------------------
+# audit orders: the integer-mass verdicts against their Fraction definitions
+# ---------------------------------------------------------------------------
+
+
+def fraction_verdicts(prior, theta0, theta1, horizon, state):
+    """The scenario checks of ``audit.suite_orders`` as it decided them on
+    Fractions: Bayes' rule by ``posterior_given_suffstat`` at every state,
+    ``lr_dominates`` on ``posterior_law`` laws and the gated one-step entry
+    points."""
+    thetas = prior.thetas
+    posts = {}
+    for n in range(horizon + 1):
+        for k in range(n + 1):
+            try:
+                posts[n, k] = pr.posterior_given_suffstat(prior, n, k)
+            except pr.ImpossibleObservationError:
+                pass
+    martingale = submartingale = True
+    for (n, k), post in posts.items():
+        if n == horizon:
+            continue
+        succ = pr.mean_parameter(post)
+        up, dn = posts.get((n + 1, k + 1)), posts.get((n + 1, k))
+        for theta in thetas:
+            q_now = post.weight_of(theta)
+            q_up = up.weight_of(theta) if up is not None else 0
+            q_dn = dn.weight_of(theta) if dn is not None else 0
+            martingale &= succ * q_up + (1 - succ) * q_dn == q_now
+            submartingale &= F(theta) * q_up + (1 - F(theta)) * q_dn >= q_now
+    own = all(orders.lr_dominates(orders.posterior_law(prior, theta, n, under=theta),
+                                  orders.posterior_law(prior, theta, n))
+              for theta in thetas for n in (1, 2, 3))
+    low, high = min(thetas), max(thetas)
+    extreme = all(orders.lr_dominates(orders.posterior_law(prior, low, n),
+                                      orders.posterior_law(prior, low, n, under=high))
+                  for n in (1, 2))
+    expected, direction = orders.check_prior_criterion(prior, theta0, theta1)
+    pi0, mean = prior.weight_of(theta0), prior.mean()
+    direction_ok = ((expected <= pi0 if direction == "le" else expected >= pi0)
+                    and (expected == pi0) == (mean in (theta0, theta1)) and expected >= 0)
+    own_expected, _ = orders.check_prior_criterion(prior, theta0, theta0)
+    above = own_expected >= pi0 and not (mean != theta0 and own_expected == pi0)
+    one_step = True
+    try:
+        post = pr.posterior_given_suffstat(prior, *state)
+    except pr.ImpossibleObservationError:
+        post = None
+    if post is not None:
+        n, k = state
+        up = pr.posterior_given_suffstat(prior, n + 1, k + 1).weight_of(theta0)
+        dn = pr.posterior_given_suffstat(prior, n + 1, k).weight_of(theta0)
+        direct = F(theta1) * up + (1 - F(theta1)) * dn
+        one_step = orders.one_step_expected_posterior(post, theta0, theta1) == direct
+    return {"martingale_exact": martingale, "submartingale_exact": submartingale,
+            "own_law_dominates_marginal": own, "direction_criterion": direction_ok,
+            "expected_above_prior": above, "one_step_identity": one_step,
+            "extreme_atom_dominance": extreme}
+
+
+@st.composite
+def order_scenarios(draw):
+    """2-4 atoms, often sure coins at 0 and 1, so that some states cannot be
+    reached and some successors are missing; theta0 and theta1 are atoms.
+    A one-step state whose posterior mean is 0 or 1, where V has a pole and
+    a successor may be missing, is replaced by the prior's state (0, 0)."""
+    atom = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=20)
+    thetas = draw(st.lists(atom, min_size=2, max_size=4, unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(thetas), max_size=len(thetas)))
+    prior = pr.atoms(*((t, F(r, sum(raw))) for t, r in zip(thetas, raw)))
+    theta0, theta1 = draw(st.sampled_from(thetas)), draw(st.sampled_from(thetas))
+    horizon, n = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+    state = (n, draw(st.integers(0, n)))
+    try:
+        mean = pr.mean_parameter(pr.posterior_given_suffstat(prior, *state))
+    except pr.ImpossibleObservationError:
+        mean = F(1, 2)
+    return prior, theta0, theta1, horizon, state if 0 < mean < 1 else (0, 0)
+
+
+@settings(max_examples=150)
+@given(order_scenarios())
+def test_integer_verdicts_match_the_fraction_definitions(scenario):
+    assert audit._order_verdicts(*scenario) == fraction_verdicts(*scenario)
+
+
+def test_sure_coins_leave_states_unreachable_and_successors_missing():
+    """Under two sure coins only u_n = 0 and u_n = n can happen, so every
+    state after the first step has one successor the prior cannot reach;
+    the martingale loop skips it as the Fraction definition does."""
+    sure = pr.atoms((F(0), F(1, 2)), (F(1), F(1, 2)))
+    pr.posterior_given_suffstat(sure, 1, 1)
+    with pytest.raises(pr.ImpossibleObservationError):
+        pr.posterior_given_suffstat(sure, 2, 1)
+    for scenario in ((sure, F(1), F(0), 3, (0, 0)), (sure, F(0), F(0), 1, (0, 0))):
+        verdicts = audit._order_verdicts(*scenario)
+        assert verdicts == fraction_verdicts(*scenario) and all(verdicts.values())
+
+
+MUTATION_SCENARIO = (pr.atoms((F(1, 5), F(1, 4)), (F(1, 2), F(1, 4)), (F(4, 5), F(1, 2))),
+                     F(1, 5), F(4, 5), 4, (2, 1))
+
+
+def test_a_perturbed_mass_flips_the_martingale(monkeypatch):
+    assert all(audit._order_verdicts(*MUTATION_SCENARIO).values())
+    masses = pr.AtomIntegerForm.masses
+
+    def perturbed(form, n, k):
+        row = masses(form, n, k)
+        return [row[0] + 1, *row[1:]] if (n, k) == (2, 1) else row
+
+    monkeypatch.setattr(pr.AtomIntegerForm, "masses", perturbed)
+    assert not audit._order_verdicts(*MUTATION_SCENARIO)["martingale_exact"]
+    assert not fraction_verdicts(*MUTATION_SCENARIO)["martingale_exact"]
+    report = audit.run_suite("orders", seed=11)
+    assert not {c["name"]: c["pass"] for c in report["checks"]}["martingale_exact"]
+
+
+def test_swapped_laws_flip_own_law_dominance(monkeypatch):
+    prior, theta = MUTATION_SCENARIO[0], F(1, 2)
+    own = orders.posterior_law(prior, theta, 2, under=theta)
+    marg = orders.posterior_law(prior, theta, 2)
+    assert orders.lr_dominates(own, marg) and not orders.lr_dominates(marg, own)
+    holds = orders._lr_holds
+    monkeypatch.setattr(orders, "_lr_holds", lambda hi, lo: holds(lo, hi))
+    assert not audit._order_verdicts(*MUTATION_SCENARIO)["own_law_dominates_marginal"]
+    report = audit.run_suite("orders", seed=11)
+    assert not {c["name"]: c["pass"] for c in report["checks"]}["own_law_dominates_marginal"]

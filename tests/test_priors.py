@@ -10,6 +10,7 @@ import pytest
 from posterior_dynamics import families as fam
 from posterior_dynamics import priors as pr
 from posterior_dynamics import scenario as sc
+from posterior_dynamics.families import DomainError
 
 
 BERN = fam.bernoulli()
@@ -189,6 +190,13 @@ class TestPriorDensity:
                 want = (fa - 1.0) * math.log(t) + (fb - 1.0) * math.log(1.0 - t) - log_beta
                 got = pr.prior_log_density(pr.Beta(a, b), t)
                 assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("rate,shown", [(F(1, 10**400), "0.0"), (10**400, "inf")])
+def test_a_rate_without_a_positive_finite_float_is_refused_when_built(rate, shown):
+    """The exact rate is positive and finite, but the routes read its float."""
+    with pytest.raises(DomainError, match=rf"^rate={shown} must be finite and > 0$"):
+        pr.ExpPrior(rate)
 
 
 class TestJson:
