@@ -444,10 +444,9 @@ def _order_verdicts(prior: pr.DiscreteAtoms, theta0, theta1, horizon: int,
     ok_onestep = True
     i0, t = thetas.index(theta0), totals[n_state][k_state]
     if t:
-        now = rows[n_state][k_state]
+        post = pr.PosteriorVector(thetas, tuple(Fraction(m, t) for m in rows[n_state][k_state]))
+        predicted = orders.one_step_expected_posterior(post, theta0, theta1)
         up, dn = rows[n_state + 1][k_state + 1], rows[n_state + 1][k_state]
-        mean_now = Fraction(sum(a * m for (_, a, _), m in zip(atoms, now)), d * t)
-        predicted = Fraction(now[i0], t) * orders._update_factor(mean_now, theta0, theta1)
         t1 = Fraction(theta1)
         direct = (t1 * Fraction(up[i0], totals[n_state + 1][k_state + 1])
                   + (1 - t1) * Fraction(dn[i0], totals[n_state + 1][k_state]))

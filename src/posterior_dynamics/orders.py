@@ -165,11 +165,6 @@ def expected_update_factor(mean_theta: Real, theta0: Real, theta1: Real) -> Real
         raise DomainError(f"mean parameter {mean_theta} outside (0, 1)")
     for theta in (theta0, theta1):
         fam.bernoulli().require_theta(theta, closure=True)
-    return _update_factor(y, theta0, theta1)
-
-
-def _update_factor(y: Real, theta0: Real, theta1: Real) -> Real:
-    """V(y) past the checks of ``expected_update_factor``."""
     return theta0 * theta1 / y + (1 - theta0) * (1 - theta1) / (1 - y)
 
 
@@ -194,17 +189,14 @@ def check_prior_criterion(
     equality iff the mean hits theta0 or theta1), "ge" otherwise.
     """
     pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, 1)
-    return _prior_criterion(prior, theta0, theta1, expected_update_factor)
+    return _prior_criterion(prior, theta0, theta1)
 
 
-def _prior_criterion(
-    prior: DiscreteAtoms, theta0: Real, theta1: Real, factor=_update_factor
-) -> tuple[Real, str]:
-    """``check_prior_criterion`` past its gate, with ``factor`` as V.  The
-    default skips V's checks, for a caller that has already gated its
-    inputs and whose prior mean lies inside (0, 1)."""
+def _prior_criterion(prior: DiscreteAtoms, theta0: Real, theta1: Real) -> tuple[Real, str]:
+    """``check_prior_criterion`` past its gate, for a caller that has
+    already gated its inputs."""
+    expected = one_step_expected_posterior(prior, theta0, theta1)
     mean = prior.mean()
-    expected = prior.weight_of(theta0) * factor(mean, theta0, theta1)
     lo, hi = min(theta0, theta1), max(theta0, theta1)
     return expected, "le" if lo <= mean <= hi else "ge"
 
