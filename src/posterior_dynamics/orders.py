@@ -127,6 +127,14 @@ def _law_points(
     return points
 
 
+def _points_law(points: list[tuple[int, int, int]]) -> FiniteLaw:
+    """The law that integer points of ``_law_points`` stand for: each
+    weight divided by their total."""
+    total = sum(weight for _, _, weight in points)
+    return FiniteLaw.from_pairs((Fraction(mass, t), Fraction(weight, total))
+                                for mass, t, weight in points)
+
+
 def posterior_law(
     prior: DiscreteAtoms, theta0: Real, n: int, under: Real | None = None
 ) -> FiniteLaw:
@@ -135,8 +143,7 @@ def posterior_law(
     ``under`` selects the generating parameter; None means the prior
     predictive (marginal) law.  Built by exact enumeration over the
     sufficient statistic, which carries the full distribution: the integer
-    points of ``_law_points`` over the prior's integer masses, each weight
-    divided by their total.
+    points of ``_law_points`` over the prior's integer masses.
     """
     gen_theta = None if under is None else Fraction(under)
     # the prior predictive draws from the atoms: theta0 stands in for theta1
@@ -145,10 +152,7 @@ def posterior_law(
     gen = None if gen_theta is None else (
         gen_theta.numerator, gen_theta.denominator - gen_theta.numerator)
     row = [form.masses(n, k) for k in range(n + 1)]
-    points = _law_points(row, prior.thetas.index(theta0), gen)
-    total = sum(weight for _, _, weight in points)
-    return FiniteLaw.from_pairs((Fraction(mass, t), Fraction(weight, total))
-                                for mass, t, weight in points)
+    return _points_law(_law_points(row, prior.thetas.index(theta0), gen))
 
 
 def expected_update_factor(mean_theta: Real, theta0: Real, theta1: Real) -> Real:
@@ -213,6 +217,86 @@ def symmetry_check(
     return lhs, rhs, lhs == rhs
 
 
+def scenario_verdicts(prior: DiscreteAtoms, theta0: Real, theta1: Real, horizon: int,
+                      state: tuple[int, int], symmetry_n: int) -> dict[str, bool]:
+    """One scenario's verdicts on every order check, in report order,
+    behind one gate of its inputs.  The two-sided symmetry is decided at
+    step ``symmetry_n``; every other check reads one table of the prior's
+    integer masses, rows[n][k][j] = M_j(n, k) = W_j a_j^k b_j^(n-k) with
+    theta_j = a_j/D and total T(n, k), up to the largest n a check asks
+    for: the horizon, the three steps of the dominance checks and the
+    successors of ``state``."""
+    pr.require_inputs(fam.bernoulli(), prior, theta0, theta1, horizon)
+    form = prior.integer_form
+    atoms, d = form.atoms, form.denom
+    n_state, k_state = state
+    top = max(horizon, 3, n_state + 1)
+    rows = [[form.masses(n, k) for k in range(n + 1)] for n in range(top + 1)]
+    totals = [list(map(sum, row)) for row in rows]
+
+    # martingale / submartingale over every reachable state (T > 0) before
+    # the horizon.  Atom j weighs M_j/T there, M_j a_j/T_up after a success
+    # and M_j b_j/T_dn after a failure, and a missing successor (T = 0, so
+    # its masses are 0) weighs 0 over 1; both sides are scaled by D T T_up T_dn
+    ok_martingale = ok_submartingale = True
+    for n in range(horizon):
+        for k, now in enumerate(rows[n]):
+            t = totals[n][k]
+            if not t:
+                continue
+            up, dn = rows[n + 1][k + 1], rows[n + 1][k]
+            t_up, t_dn = totals[n + 1][k + 1] or 1, totals[n + 1][k] or 1
+            s = sum(a * m for (_, a, _), m in zip(atoms, now))  # D T times the mean parameter
+            for (_, a, b), m, m_up, m_dn in zip(atoms, now, up, dn):
+                scaled_now = d * m * t_up * t_dn
+                # expectation under the prior predictive: exact martingale
+                if s * m_up * t_dn + (d * t - s) * m_dn * t_up != scaled_now:
+                    ok_martingale = False
+                # expectation under the atom itself: submartingale
+                if (a * m_up * t_dn + b * m_dn * t_up) * t < scaled_now:
+                    ok_submartingale = False
+
+    # likelihood-ratio dominance of each atom's own-parameter law over the
+    # marginal law, and of the lowest atom's marginal law over its law under
+    # the highest atom, on the integer points of posterior_law
+    thetas = prior.thetas
+    low, high = thetas.index(min(thetas)), thetas.index(max(thetas))
+    own = all(_lr_holds(_law_points(rows[n], i, (a, b)), _law_points(rows[n], i, None))
+              for i, (_, a, b) in enumerate(atoms) for n in (1, 2, 3))
+    extreme = all(_lr_holds(_law_points(rows[n], low, None),
+                            _law_points(rows[n], low, atoms[high][1:]))
+                  for n in (1, 2))
+
+    # one-observation expected posterior and its direction; the
+    # own-parameter expectation never falls below the prior weight
+    pi0, mean = prior.weight_of(theta0), prior.mean()
+    expected, direction = _prior_criterion(prior, theta0, theta1)
+    ok_direction = ((expected <= pi0 if direction == "le" else expected >= pi0)
+                    and (expected == pi0) == (mean == theta0 or mean == theta1)
+                    and expected >= 0)
+    own_expected, _ = _prior_criterion(prior, theta0, theta0)
+    ok_eup = own_expected >= pi0 and not (
+        len(thetas) > 1 and mean != theta0 and own_expected == pi0)
+
+    # one-step identity vs direct enumeration at ``state``, if reachable
+    ok_onestep = True
+    if totals[n_state][k_state]:
+        i0 = thetas.index(theta0)
+        post = pr.posterior_given_suffstat(prior, n_state, k_state)
+        predicted = one_step_expected_posterior(post, theta0, theta1)
+        up, dn = rows[n_state + 1][k_state + 1], rows[n_state + 1][k_state]
+        t1 = Fraction(theta1)
+        direct = (t1 * Fraction(up[i0], totals[n_state + 1][k_state + 1])
+                  + (1 - t1) * Fraction(dn[i0], totals[n_state + 1][k_state]))
+        ok_onestep = predicted == direct
+
+    _, _, symmetric = symmetry_check(prior, theta0, theta1, symmetry_n)
+    return {"martingale_exact": ok_martingale, "submartingale_exact": ok_submartingale,
+            "own_law_dominates_marginal": own, "direction_criterion": ok_direction,
+            "expected_above_prior": ok_eup, "one_step_identity": ok_onestep,
+            "two_sided_symmetry": symmetric, "extreme_atom_dominance": extreme}
+
+
 # ---------------------------------------------------------------------------
 # randomized scenario generation and the dominance-reversal search
 # ---------------------------------------------------------------------------
@@ -236,29 +320,30 @@ def find_lr_reversal(seed: int) -> dict | None:
     The expected direction -- the marginal law of the theta0-posterior
     dominating its law under a different generating atom -- provably holds
     when the generating atom is extreme, so the search scans interior
-    generating atoms.  Returns a witness record or None.
+    generating atoms.  Each trial reads one table of integer masses, as
+    ``scenario_verdicts`` does; only a witness's laws become FiniteLaws.
+    Returns a witness record or None.
     """
     rng = random.Random(seed)
     for trial in range(2000):
         prior = random_rational_scenario(rng, max_atoms=3)
         if len(prior.atoms) != 3:
             continue
-        thetas = prior.thetas
-        middle = thetas[1]
-        for theta0 in (thetas[0], thetas[2]):
+        form = prior.integer_form
+        rows = [[form.masses(n, k) for k in range(n + 1)] for n in range(4)]
+        middle = form.atoms[1][1:]  # the middle atom's (a, b)
+        for i0 in (0, 2):
             for n in (1, 2, 3):
-                marginal_law = posterior_law(prior, theta0, n, under=None)
-                generated_law = posterior_law(prior, theta0, n, under=middle)
-                if not lr_dominates(marginal_law, generated_law) and lr_dominates(
-                    generated_law, marginal_law
-                ):
+                marginal = _law_points(rows[n], i0, None)
+                generated = _law_points(rows[n], i0, middle)
+                if not _lr_holds(marginal, generated) and _lr_holds(generated, marginal):
                     return {
                         "trial": trial,
                         "atoms": [[str(t), str(w)] for t, w in prior.atoms],
-                        "theta0": str(theta0),
-                        "generating_theta": str(middle),
+                        "theta0": str(prior.thetas[i0]),
+                        "generating_theta": str(prior.thetas[1]),
                         "n": n,
-                        "generated_law": generated_law.to_json(),
-                        "marginal_law": marginal_law.to_json(),
+                        "generated_law": _points_law(generated).to_json(),
+                        "marginal_law": _points_law(marginal).to_json(),
                     }
     return None

@@ -160,7 +160,12 @@ class Beta:
     b: Real
 
     def __post_init__(self):
-        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+        # a shape with no float is refused here, one whose float is 0.0 by float_shape
+        try:
+            finite = all(0 < x < math.inf and math.isfinite(float(x)) for x in (self.a, self.b))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise PriorError("Beta prior requires finite a > 0 and b > 0")
 
     @cached_property

@@ -227,17 +227,52 @@ class TestReversalSearch:
         assert not orders.lr_dominates(marg, gen)
         assert orders.lr_dominates(gen, marg)
 
+    def test_matches_the_search_on_built_laws(self):
+        for seed in range(300):
+            assert orders.find_lr_reversal(seed) == search_on_built_laws(seed)
+
+
+def search_on_built_laws(seed):
+    """``find_lr_reversal`` as it searched before it read one integer mass
+    table per trial: four gated ``posterior_law`` builds per (theta0, n),
+    compared by ``lr_dominates``."""
+    rng = random.Random(seed)
+    for trial in range(2000):
+        prior = orders.random_rational_scenario(rng, max_atoms=3)
+        if len(prior.atoms) != 3:
+            continue
+        thetas = prior.thetas
+        middle = thetas[1]
+        for theta0 in (thetas[0], thetas[2]):
+            for n in (1, 2, 3):
+                marginal_law = orders.posterior_law(prior, theta0, n, under=None)
+                generated_law = orders.posterior_law(prior, theta0, n, under=middle)
+                if not orders.lr_dominates(marginal_law, generated_law) and orders.lr_dominates(
+                    generated_law, marginal_law
+                ):
+                    return {
+                        "trial": trial,
+                        "atoms": [[str(t), str(w)] for t, w in prior.atoms],
+                        "theta0": str(theta0),
+                        "generating_theta": str(middle),
+                        "n": n,
+                        "generated_law": generated_law.to_json(),
+                        "marginal_law": marginal_law.to_json(),
+                    }
+    return None
+
 
 # ---------------------------------------------------------------------------
-# audit orders: the integer-mass verdicts against their Fraction definitions
+# scenario_verdicts: the integer-mass verdicts against their Fraction definitions
 # ---------------------------------------------------------------------------
 
 
-def fraction_verdicts(prior, theta0, theta1, horizon, state):
-    """The scenario checks of ``audit.suite_orders`` as it decided them on
-    Fractions: Bayes' rule by ``posterior_given_suffstat`` at every state,
-    ``lr_dominates`` on ``posterior_law`` laws and the gated one-step entry
-    points."""
+def fraction_verdicts(prior, theta0, theta1, horizon, state, symmetry_n):
+    """The scenario checks of ``orders.scenario_verdicts`` as
+    ``audit.suite_orders`` decided them on Fractions: Bayes' rule by
+    ``posterior_given_suffstat`` at every state, ``lr_dominates`` on
+    ``posterior_law`` laws, the gated one-step entry points and
+    ``symmetry_check``."""
     thetas = prior.thetas
     posts = {}
     for n in range(horizon + 1):
@@ -282,10 +317,11 @@ def fraction_verdicts(prior, theta0, theta1, horizon, state):
         dn = pr.posterior_given_suffstat(prior, n + 1, k).weight_of(theta0)
         direct = F(theta1) * up + (1 - F(theta1)) * dn
         one_step = orders.one_step_expected_posterior(post, theta0, theta1) == direct
+    _, _, symmetric = orders.symmetry_check(prior, theta0, theta1, symmetry_n)
     return {"martingale_exact": martingale, "submartingale_exact": submartingale,
             "own_law_dominates_marginal": own, "direction_criterion": direction_ok,
             "expected_above_prior": above, "one_step_identity": one_step,
-            "extreme_atom_dominance": extreme}
+            "two_sided_symmetry": symmetric, "extreme_atom_dominance": extreme}
 
 
 @st.composite
@@ -293,7 +329,8 @@ def order_scenarios(draw):
     """2-4 atoms, often sure coins at 0 and 1, so that some states cannot be
     reached and some successors are missing; theta0 and theta1 are atoms.
     A one-step state whose posterior mean is 0 or 1, where V has a pole and
-    a successor may be missing, is replaced by the prior's state (0, 0)."""
+    a successor may be missing, is replaced by the prior's state (0, 0).
+    The last entry is the step at which the symmetry is checked."""
     atom = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=20)
     thetas = draw(st.lists(atom, min_size=2, max_size=4, unique=True))
     raw = draw(st.lists(st.integers(1, 9), min_size=len(thetas), max_size=len(thetas)))
@@ -305,13 +342,16 @@ def order_scenarios(draw):
         mean = pr.mean_parameter(pr.posterior_given_suffstat(prior, *state))
     except pr.ImpossibleObservationError:
         mean = F(1, 2)
-    return prior, theta0, theta1, horizon, state if 0 < mean < 1 else (0, 0)
+    return (prior, theta0, theta1, horizon, state if 0 < mean < 1 else (0, 0),
+            draw(st.integers(1, 8)))
 
 
 @settings(max_examples=150)
 @given(order_scenarios())
 def test_integer_verdicts_match_the_fraction_definitions(scenario):
-    assert audit._order_verdicts(*scenario) == fraction_verdicts(*scenario)
+    """Key order too: it is the order of the audit report."""
+    got, want = orders.scenario_verdicts(*scenario), fraction_verdicts(*scenario)
+    assert list(got.items()) == list(want.items())
 
 
 def test_sure_coins_leave_states_unreachable_and_successors_missing():
@@ -322,17 +362,17 @@ def test_sure_coins_leave_states_unreachable_and_successors_missing():
     pr.posterior_given_suffstat(sure, 1, 1)
     with pytest.raises(pr.ImpossibleObservationError):
         pr.posterior_given_suffstat(sure, 2, 1)
-    for scenario in ((sure, F(1), F(0), 3, (0, 0)), (sure, F(0), F(0), 1, (0, 0))):
-        verdicts = audit._order_verdicts(*scenario)
+    for scenario in ((sure, F(1), F(0), 3, (0, 0), 2), (sure, F(0), F(0), 1, (0, 0), 5)):
+        verdicts = orders.scenario_verdicts(*scenario)
         assert verdicts == fraction_verdicts(*scenario) and all(verdicts.values())
 
 
 MUTATION_SCENARIO = (pr.atoms((F(1, 5), F(1, 4)), (F(1, 2), F(1, 4)), (F(4, 5), F(1, 2))),
-                     F(1, 5), F(4, 5), 4, (2, 1))
+                     F(1, 5), F(4, 5), 4, (2, 1), 3)
 
 
 def test_a_perturbed_mass_flips_the_martingale(monkeypatch):
-    assert all(audit._order_verdicts(*MUTATION_SCENARIO).values())
+    assert all(orders.scenario_verdicts(*MUTATION_SCENARIO).values())
     masses = pr.AtomIntegerForm.masses
 
     def perturbed(form, n, k):
@@ -340,7 +380,7 @@ def test_a_perturbed_mass_flips_the_martingale(monkeypatch):
         return [row[0] + 1, *row[1:]] if (n, k) == (2, 1) else row
 
     monkeypatch.setattr(pr.AtomIntegerForm, "masses", perturbed)
-    assert not audit._order_verdicts(*MUTATION_SCENARIO)["martingale_exact"]
+    assert not orders.scenario_verdicts(*MUTATION_SCENARIO)["martingale_exact"]
     assert not fraction_verdicts(*MUTATION_SCENARIO)["martingale_exact"]
     report = audit.run_suite("orders", seed=11)
     assert not {c["name"]: c["pass"] for c in report["checks"]}["martingale_exact"]
@@ -353,6 +393,6 @@ def test_swapped_laws_flip_own_law_dominance(monkeypatch):
     assert orders.lr_dominates(own, marg) and not orders.lr_dominates(marg, own)
     holds = orders._lr_holds
     monkeypatch.setattr(orders, "_lr_holds", lambda hi, lo: holds(lo, hi))
-    assert not audit._order_verdicts(*MUTATION_SCENARIO)["own_law_dominates_marginal"]
+    assert not orders.scenario_verdicts(*MUTATION_SCENARIO)["own_law_dominates_marginal"]
     report = audit.run_suite("orders", seed=11)
     assert not {c["name"]: c["pass"] for c in report["checks"]}["own_law_dominates_marginal"]

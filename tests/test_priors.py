@@ -199,6 +199,13 @@ def test_a_rate_without_a_positive_finite_float_is_refused_when_built(rate, show
         pr.ExpPrior(rate)
 
 
+@pytest.mark.parametrize("a,b", [(10**400, 1), (1, F(10**401, 3)), (F(10**400), 10**400)])
+def test_a_beta_shape_without_a_finite_float_is_refused_when_built(a, b):
+    """The exact shape is positive and finite, but the routes read its float."""
+    with pytest.raises(pr.PriorError, match=r"^Beta prior requires finite a > 0 and b > 0$"):
+        pr.Beta(a, b)
+
+
 class TestJson:
     def test_atoms_round_trip(self):
         obj = {

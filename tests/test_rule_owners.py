@@ -55,3 +55,47 @@ def test_no_module_decides_on_an_assumed_tolerance():
         if "isclose" in (getattr(node, "attr", None), getattr(node, "id", None))
     ]
     assert callers == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """``X._name`` where X names a module of the package that the module
+    imported, and ``from .m import _name``; dunders are public."""
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == SRC.name):
+            for alias in node.names:
+                if node.module in (None, SRC.name):
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    reads.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith(SRC.name + ".") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A leading underscore keeps a name to its module, so the module that
+    defines a rule is the one that decides it."""
+    reads = {
+        path.name: found
+        for path in MODULES
+        if (found := _private_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert reads == {}
+
+
+def test_the_private_read_guard_sees_both_forms():
+    tree = ast.parse("from . import orders as o\nfrom .util import _x, y, __all__\n"
+                     "import posterior_dynamics.priors as pr\no._lr_holds(o.__doc__)\n"
+                     "pr._positive_float\nself._cache\n")
+    assert sorted(_private_reads(tree)) == ["o._lr_holds", "pr._positive_float", "util._x"]
