@@ -23,7 +23,6 @@ from . import engine
 from . import figures as fig
 from . import priors as pr
 from .families import DomainError
-from .quadrature import QuadratureError
 from .scenario import ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -50,7 +49,7 @@ def _emit(scenarios, out: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (pr.UnsupportedConjugacyError, pr.ImpossibleObservationError, DomainError,
-            QuadratureError, OverflowError) as exc:
+            OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -38,14 +38,15 @@ _log_error = ExactValue.log_error
 
 def _lists(seq) -> tuple[list, list[float]]:
     """(values, logs) of a sequence or of a raw list of floats or rationals;
-    the rationals become ExactValues, whose logs carry ``log_error``."""
+    the rationals become ExactValues, whose logs carry ``log_error``; 0.0 logs to -inf."""
     if isinstance(seq, ExpectedPosteriorSequence):
         return seq.values, seq.log_values
     values = [
         v if isinstance(v, (float, ExactValue)) else ExactValue(v.numerator, v.denominator)
         for v in seq
     ]
-    return values, [math.log(v) if isinstance(v, float) else v.log() for v in values]
+    return values, [(math.log(v) if v else -math.inf) if isinstance(v, float) else v.log()
+                    for v in values]
 
 
 def _step_signs(seq) -> list[int]:
@@ -95,8 +96,9 @@ def logconcavity_scan(seq) -> list[int]:
         raise DomainError("log-concavity scan needs a horizon of at least 3")
     triples = enumerate(zip(logs, logs[1:], logs[2:]), start=2)
     if isinstance(values[0], float):  # a gap <= 0 skips the costlier scale
+        # a zero between two positive values makes the one infinite gap
         return [n for n, (a, b, c) in triples if (gap := (a + c) - 2.0 * b) > 0.0
-                and gap > LC_FLOAT_GUARD * max(1.0, abs(2.0 * b), abs(a + c))]
+                and (gap > LC_FLOAT_GUARD * max(1.0, abs(2.0 * b), abs(a + c)) or gap == math.inf)]
     out = []
     for n, (a, b, c) in triples:
         gap = (a + c) - 2.0 * b

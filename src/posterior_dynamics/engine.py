@@ -157,8 +157,8 @@ def _bernoulli_float_log(
     """log psi(n) = log sum_k pi(theta0) p_theta0(k) p_theta1(k) / m(k) over
     u_n = k, where ``log_marginal(n, k)`` is log m(k), the prior predictive.
 
-    The thetas are floats: each caller checks its exact inputs once, at its
-    entry, and passes ``float(theta)``, the value the density reads anyway."""
+    The thetas are floats: each caller passes those that its one
+    ``require_inputs`` gate returns, the values the density reads anyway."""
     family = fam.bernoulli()
     density = fam.suff_stat_log_density
     terms = []
@@ -197,19 +197,18 @@ def expected_posterior_discrete(
     produce but no atom can raises ImpossibleObservationError in both.
     """
     family = fam.bernoulli()
-    pr.require_inputs(family, prior, theta0, theta1, horizon)
+    t0, t1 = pr.require_inputs(family, prior, theta0, theta1, horizon)
     exact_ok = _rational(theta0, theta1, *prior.thetas)
     if _resolve_exact(mode, exact_ok, "rational atoms, weights, theta0, theta1"):
         values = _discrete_exact_values(prior, theta0, theta1, horizon)
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
-    t0w = dict(prior.log_weights)[theta0]
+    t0w = pr.prior_log_density(prior, theta0)
     weighted = [(float(t), lw) for t, lw in prior.log_weights]
 
     def log_marginal(n: int, k: int) -> float:
         density = fam.suff_stat_log_density
         return logsumexp([lw + density(family, t, n, k) for t, lw in weighted])
 
-    t0, t1 = float(theta0), float(theta1)
     logs = [_bernoulli_float_log(t0, t1, n, t0w, log_marginal) for n in range(1, horizon + 1)]
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_FLOAT_SUM, log_values=logs)
 
@@ -334,13 +333,13 @@ def expected_posterior_uniform(
     logs, O(1) per step with no branch on the anti-diagonal.
     """
     family = fam.bernoulli()
-    pr.require_inputs(family, Uniform01(), theta0, theta1, horizon)
+    t0, t1 = pr.require_inputs(family, Uniform01(), theta0, theta1, horizon)
     if _resolve_exact(mode, _rational(theta0, theta1), "rational theta0, theta1"):
         y = Fraction(theta0) * Fraction(theta1)
         z = (1 - Fraction(theta0)) * (1 - Fraction(theta1))
         values = binomial_square_sum(y, z, horizon)
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_UNIFORM, values=values)
-    logs = _uniform_float_logs(float(theta0), float(theta1), horizon)
+    logs = _uniform_float_logs(t0, t1, horizon)
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_UNIFORM, log_values=logs)
 
 
@@ -357,8 +356,7 @@ def log_expected_posterior_uniform(theta0: Real, theta1: Real, n: int) -> float:
     w = (sqrt y + sqrt z)^2, c = 4 sqrt(yz)/w; ``specialfn.log_legendre_integral``
     bounds J_n's trapezoid sum within 2^-60 relative before rounding.  Near the diagonal
     log w = log1p(-d^2), d = (theta0 - theta1)/(sqrt(theta0(1-theta1)) + sqrt(theta1(1-theta0)))."""
-    pr.require_inputs(fam.bernoulli(), Uniform01(), theta0, theta1, n)
-    t0, t1 = float(theta0), float(theta1)
+    t0, t1 = pr.require_inputs(fam.bernoulli(), Uniform01(), theta0, theta1, n)
     root_y, root_z = math.sqrt(t0 * t1), math.sqrt((1.0 - t0) * (1.0 - t1))
     d = (t0 - t1) / (math.sqrt(t0 * (1.0 - t1)) + math.sqrt(t1 * (1.0 - t0)))
     log_w = math.log1p(-d * d) if d * d < 0.5 else 2.0 * math.log(root_y + root_z)
@@ -377,7 +375,7 @@ def _normal_logs(theta0: float, theta1: float, sigma: float, ns) -> list[float]:
         + (mid^2 - theta0^2) / 2 - n (theta0 - theta1)^2 / (4s),
     s = sigma^2, mid = (theta0 + theta1) / 2; the terms free of n are
     computed once, each rounded as in the formula."""
-    fam.require_sigma(sigma)
+    sigma = fam.normal(sigma).sigma  # refuses a sigma or sigma^2 with no positive finite float
     log = math.log
     mid = 0.5 * (theta0 + theta1)
     sig2 = sigma * sigma
@@ -402,9 +400,8 @@ def expected_posterior_normal(
 ) -> ExpectedPosteriorSequence:
     """Normal(theta, sigma^2) observations, standard normal prior on theta."""
     family = fam.normal(sigma)
-    pr.require_inputs(family, StdNormal(), theta0, theta1, horizon)
-    t0, t1 = float(theta0), float(theta1)
-    logs = _normal_logs(t0, t1, sigma, range(1, horizon + 1))
+    t0, t1 = pr.require_inputs(family, StdNormal(), theta0, theta1, horizon)
+    logs = _normal_logs(t0, t1, family.sigma, range(1, horizon + 1))
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_NORMAL, log_values=logs)
 
 
@@ -428,17 +425,17 @@ def expected_posterior_exponential(
         log1p((theta rho_n - 1)/(2n+2)) + log1p((1 + theta (rho_{n+1} - rho_n))/G_n),
     so no large logs cancel; the off-diagonal and rate terms are added per n.
     """
-    fam.require_sigma(rate, "rate")
+    lam = fam.float_of(rate)
+    fam.require_sigma(lam, "rate")
     family = fam.exponential()
-    pr.require_inputs(family, ExpPrior(rate), theta0, theta1, horizon)
-    t0, t1 = float(theta0) * rate, float(theta1) * rate
+    t0, t1 = pr.require_inputs(family, ExpPrior(rate), theta0, theta1, horizon, scale=lam)
     mid = 0.5 * (t0 + t1)
     bess = bessel_K_half(mid, horizon)
     rho, log, log1p = bess.rho, math.log, math.log1p
     # log(theta0 theta1/theta^2) = log1p(-gap^2), whose argument loses digits as gap^2 -> 1
     gap = (t0 - t1) / (t0 + t1)
     log_off = log1p(-gap * gap) if gap * gap < 0.5 else log(t0) + log(t1) - 2.0 * log(mid)
-    shift = mid - t0 + log(rate)
+    shift = mid - t0 + log(lam)
     g = (1.0 + mid) + mid * rho[1]
     diag = 0.5 * log(mid) - 1.5 * log(2.0) - 0.5 * log(math.pi) + bess.log_k[1] + log(g)
     logs = [diag + shift + log_off]
@@ -460,7 +457,7 @@ def expected_posterior_beta(
 ) -> ExpectedPosteriorSequence:
     """Bernoulli observations with a Beta(a, b) prior; exact for integer a, b."""
     family = fam.bernoulli()
-    pr.require_inputs(family, prior, theta0, theta1, horizon)
+    f0, f1 = pr.require_inputs(family, prior, theta0, theta1, horizon)
     # the shapes' types decide: a float shape such as 7.0 runs the float sum
     shapes = (prior.a, prior.b)
     exact_ok = _rational(theta0, theta1, *shapes) and all(s.denominator == 1 for s in shapes)
@@ -492,9 +489,8 @@ def expected_posterior_beta(
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_EXACT, values=values)
     log_density0 = pr.prior_log_density(prior, theta0)
     log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
-    t0, t1 = float(theta0), float(theta1)
     logs = [
-        _bernoulli_float_log(t0, t1, n, log_density0, log_marginal) for n in range(1, horizon + 1)
+        _bernoulli_float_log(f0, f1, n, log_density0, log_marginal) for n in range(1, horizon + 1)
     ]
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_FLOAT_SUM, log_values=logs)
 
@@ -520,12 +516,11 @@ def expected_posterior_quadrature(
     pairings with no prior-predictive route.
     """
     # exact checks before the float kernels: 1 + 10^-20 must not round to 1.0
-    pr.require_inputs(family, prior, theta0, theta1, n)
+    t0, t1 = pr.require_inputs(family, prior, theta0, theta1, n)
+    log_pi0 = pr.prior_log_density(prior, theta0)
     if family.kind == BERNOULLI:  # the marginal refuses a prior it cannot take
-        log_pi0 = (math.log(float(prior.weight_of(theta0))) if isinstance(prior, DiscreteAtoms)
-                   else pr.prior_log_density(prior, theta0))
         log_marginal = partial(pr.marginal_suffstat_logpmf, family, prior)
-        log_psi = _bernoulli_float_log(float(theta0), float(theta1), n, log_pi0, log_marginal)
+        log_psi = _bernoulli_float_log(t0, t1, n, log_pi0, log_marginal)
         return math.exp(log_psi), 0.0
     if family.kind == NORMAL and isinstance(prior, StdNormal):
         integrate, support_lo = integrate_real_line, -math.inf
@@ -533,13 +528,12 @@ def expected_posterior_quadrature(
         integrate, support_lo = integrate_half_line, 0.0
     else:
         raise UnsupportedConjugacyError.of(family, prior)
-    log_pi0 = pr.prior_log_density(prior, theta0)
 
     def integrand(u: float) -> float:
         if u <= support_lo:
             return 0.0
-        lp0 = fam.suff_stat_log_density(family, theta0, n, u)
-        lp1 = fam.suff_stat_log_density(family, theta1, n, u)
+        lp0 = fam.suff_stat_log_density(family, t0, n, u)
+        lp1 = fam.suff_stat_log_density(family, t1, n, u)
         lmarg = pr.marginal_suffstat_logpmf(family, prior, n, u)
         return math.exp(log_pi0 + lp0 + lp1 - lmarg)
 

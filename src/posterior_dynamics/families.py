@@ -52,6 +52,14 @@ class DomainError(ValueError):
     """A parameter or observation lies outside its legal domain."""
 
 
+def float_of(x: Real) -> float:
+    """float(x), or the infinity x rounds to past the float range (where ``float`` raises)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def require_sigma(sigma, name: str = "sigma") -> None:
     """DomainError unless a scale is a finite number > 0: the normal
     family's sigma, or (as ``name="rate"``) the exponential prior's rate."""
@@ -71,6 +79,8 @@ class FamilySpec:
             raise DomainError(f"unknown family kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == NORMAL:
             require_sigma(self.sigma)
+            sig = float_of(self.sigma)
+            require_sigma(sig * sig, "sigma^2")  # the routes read sigma^2 too
         elif self.sigma is not None:
             raise DomainError(f"sigma is only meaningful for the normal family, not {self.kind}")
 
@@ -89,7 +99,7 @@ def bernoulli() -> FamilySpec:
 
 
 def normal(sigma: float) -> FamilySpec:
-    return FamilySpec(NORMAL, float(sigma))
+    return FamilySpec(NORMAL, float_of(sigma))
 
 
 def exponential() -> FamilySpec:

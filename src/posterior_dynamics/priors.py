@@ -21,19 +21,11 @@ from typing import Union
 
 from . import families as fam
 from .families import BERNOULLI, EXPONENTIAL, NEG_INF, NORMAL, DomainError, FamilySpec
-from .util import logsumexp
+from .util import ExactValue, logsumexp
 
 Real = Union[int, float, Fraction]
 
 _lgamma = math.lgamma
-
-
-def _positive_float(value: Real, what: str) -> float:
-    """float(value) of a value > 0; DomainError where it rounds to 0.0, which has no log."""
-    f = float(value)
-    if f == 0.0:
-        raise DomainError(f"{what} {value} rounds to 0.0 as a float")
-    return f
 
 
 class PriorError(ValueError):
@@ -104,8 +96,8 @@ class DiscreteAtoms:
 
     @cached_property
     def log_weights(self) -> tuple[tuple[Real, float], ...]:
-        """((theta, log weight), ...), the weights as float logs."""
-        return tuple((t, math.log(_positive_float(w, "weight"))) for t, w in self.atoms)
+        """((theta, log weight), ...), each log from the exact weight, so it never underflows."""
+        return tuple((t, ExactValue(w.numerator, w.denominator).log()) for t, w in self.atoms)
 
     def mean(self) -> Real:
         return sum(t * w for t, w in self.atoms)
@@ -160,19 +152,16 @@ class Beta:
     b: Real
 
     def __post_init__(self):
-        # a shape with no float is refused here, one whose float is 0.0 by float_shape
-        try:
-            finite = all(0 < x < math.inf and math.isfinite(float(x)) for x in (self.a, self.b))
-        except OverflowError:
-            finite = False
-        if not finite:
+        # the routes read each shape as a float, which must be > 0 and finite too
+        if not all(0 < x < math.inf and 0.0 < fam.float_of(x) < math.inf
+                   for x in (self.a, self.b)):
             raise PriorError("Beta prior requires finite a > 0 and b > 0")
 
     @cached_property
     def float_shape(self) -> tuple[float, float, float]:
         """(a, b, log B(a, b)) as floats, kept on the instance like
         ``DiscreteAtoms.integer_form``."""
-        a, b = (_positive_float(x, "Beta shape") for x in (self.a, self.b))
+        a, b = float(self.a), float(self.b)
         return a, b, _lgamma(a) + _lgamma(b) - _lgamma(a + b)
 
     @cached_property
@@ -196,21 +185,19 @@ class ExpPrior:
             raise PriorError("exponential prior requires a finite rate > 0")
         # the routes read the rate as a float: one whose float is 0.0, or
         # that has none, is refused here, by the rule of sigma
-        try:
-            rate = float(self.rate)
-        except OverflowError:
-            rate = math.inf
-        fam.require_sigma(rate, "rate")
+        fam.require_sigma(fam.float_of(self.rate), "rate")
 
 
 Prior = Union[DiscreteAtoms, Uniform01, Beta, StdNormal, ExpPrior]
 
 
 def require_inputs(family: FamilySpec, prior: Prior, theta0: Real, theta1: Real,
-                   horizon: int) -> None:
+                   horizon: int, scale: float = 1.0) -> tuple[float, float]:
     """The gate of every psi entry point: DomainError unless the horizon is an
     int >= 1, not a bool, and theta0, theta1 lie in the family's open interval;
-    under an atom prior theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins."""
+    under an atom prior theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins.
+    Returns the floats a route reads, scale theta0 and scale theta1, which must lie
+    in the interval too off the Bernoulli family, whose density reads 0.0 and 1.0."""
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise DomainError(f"horizon={horizon!r} must be an int >= 1")
     atom_prior = isinstance(prior, DiscreteAtoms)
@@ -220,6 +207,11 @@ def require_inputs(family: FamilySpec, prior: Prior, theta0: Real, theta1: Real,
             raise DomainError(f"theta0={theta0} must be an atom of the prior")
     for theta in (theta0, theta1):
         family.require_theta(theta, closure=atom_prior and family.kind == BERNOULLI)
+    reads = fam.float_of(theta0) * scale, fam.float_of(theta1) * scale
+    if family.kind != BERNOULLI:
+        for t in reads:
+            family.require_theta(t)
+    return reads
 
 
 def atoms(*pairs: tuple[Real, Real]) -> DiscreteAtoms:
@@ -228,23 +220,29 @@ def atoms(*pairs: tuple[Real, Real]) -> DiscreteAtoms:
 
 
 def prior_log_density(prior: Prior, theta: Real) -> float:
-    """log density of a continuous prior at theta."""
-    t = float(theta)
+    """log pi(theta): an atom's log weight or a continuous prior's log density, -inf off
+    the support the exact theta decides; a Beta prior refuses a theta whose float is off it."""
+    if isinstance(prior, DiscreteAtoms):
+        prior.weight_of(theta)  # the PriorError of a theta that is no atom
+        return dict(prior.log_weights)[theta]
+    t = fam.float_of(theta)
     if isinstance(prior, Uniform01):
-        return 0.0 if 0.0 < t < 1.0 else float("-inf")
+        return 0.0 if 0 < theta < 1 else NEG_INF
     if isinstance(prior, Beta):
+        if not 0 < theta < 1:
+            return NEG_INF
         if not 0.0 < t < 1.0:
-            return float("-inf")
+            raise DomainError(f"theta={theta} rounds to {t} as a float, outside (0, 1)")
         a, b, log_beta = prior.float_shape
         return (a - 1.0) * math.log(t) + (b - 1.0) * math.log(1.0 - t) - log_beta
     if isinstance(prior, StdNormal):
         return -0.5 * math.log(2.0 * math.pi) - 0.5 * t * t
     if isinstance(prior, ExpPrior):
-        if t <= 0.0:
-            return float("-inf")
+        if not theta > 0:
+            return NEG_INF
         lam = float(prior.rate)
         return math.log(lam) - lam * t
-    raise PriorError("prior_log_density needs a continuous prior")
+    raise PriorError(f"no log density for the prior {prior!r}")
 
 
 # ---------------------------------------------------------------------------

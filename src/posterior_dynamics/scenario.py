@@ -118,11 +118,8 @@ def rational_from_json(value) -> Real:
         except (ValueError, ZeroDivisionError):
             pass
         else:
-            try:
-                float(exact)
-            except OverflowError:
-                return math.inf if exact > 0 else -math.inf
-            return exact
+            rounded = fam.float_of(exact)
+            return exact if math.isfinite(rounded) else rounded
     raise ScenarioError(f"cannot parse rational {value!r}")
 
 
@@ -195,20 +192,19 @@ def load_scenario(path: str) -> Scenario:
 
 
 def run_scenario(scenario: Scenario) -> engine.ExpectedPosteriorSequence:
-    """Dispatch to the route for the (family, prior) pairing.  Only the
-    Bernoulli routes have an exact mode; asking the float closed forms for
-    it is refused rather than silently downgraded."""
+    """Dispatch to the route for the (family, prior) pairing, with the
+    scenario's thetas as they are: each route gates the floats it reads.
+    Only the Bernoulli routes have an exact mode; asking the float closed
+    forms for it is refused rather than silently downgraded."""
     family, prior = scenario.family, scenario.prior
     t0, t1, horizon = scenario.theta0, scenario.theta1, scenario.horizon
     mode = scenario.numeric_mode
     if mode == "exact" and family.kind != BERNOULLI:
         raise fam.DomainError(f"exact mode is not available for the {family.kind} family")
     if family.kind == NORMAL and isinstance(prior, StdNormal):
-        return engine.expected_posterior_normal(float(t0), float(t1), family.sigma, horizon)
+        return engine.expected_posterior_normal(t0, t1, family.sigma, horizon)
     if family.kind == EXPONENTIAL and isinstance(prior, ExpPrior):
-        return engine.expected_posterior_exponential(
-            float(t0), float(t1), horizon, rate=float(prior.rate)
-        )
+        return engine.expected_posterior_exponential(t0, t1, horizon, rate=prior.rate)
     if family.kind == BERNOULLI and isinstance(prior, Uniform01):
         return engine.expected_posterior_uniform(t0, t1, horizon, mode=mode)
     if family.kind == BERNOULLI and isinstance(prior, DiscreteAtoms):

@@ -135,9 +135,12 @@ def exp_scenario(rate, theta0=1):
                             theta0=theta0, theta1=1)
 
 
-# a number past the float range reads as the infinity it rounds to, which its
-# value rule refuses (exit 2); one a float route would take the log of 0.0 of
-# is a numeric failure (exit 3); neither ends in a traceback
+# a number past the float range reads as the infinity it rounds to, and a
+# sigma, rate, Beta shape or normal/exponential theta whose float (or sigma^2)
+# is 0.0 or infinite is refused by its value rule when loaded (exit 2); an
+# exponential theta that leaves (0, inf) only once the route rescales it by the
+# rate is a numeric failure (exit 3); none ends in a traceback, and an atom
+# weight takes its log from the exact weight
 FLOAT_RANGE = {
     "lambda-big": (exp_scenario(BIG), cli.EXIT_SCHEMA, "requires a finite rate > 0"),
     "lambda-tiny": (exp_scenario(TINY), cli.EXIT_SCHEMA, "rate=0.0 must be finite and > 0"),
@@ -145,20 +148,28 @@ FLOAT_RANGE = {
                   cli.EXIT_SCHEMA, "sigma=inf must be finite and > 0"),
     "sigma-tiny": (minimal_scenario(family={"kind": "normal", "sigma": TINY}, prior=STDNORMAL),
                    cli.EXIT_SCHEMA, "sigma=0.0 must be finite and > 0"),
+    "sigma-square-tiny": (minimal_scenario(family={"kind": "normal", "sigma": 1e-200},
+                                           prior=STDNORMAL),
+                          cli.EXIT_SCHEMA, "sigma^2=0.0 must be finite and > 0"),
+    "sigma-square-big": (minimal_scenario(family={"kind": "normal", "sigma": 1e200},
+                                          prior=STDNORMAL),
+                         cli.EXIT_SCHEMA, "sigma^2=inf must be finite and > 0"),
     "beta-shape-big": (minimal_scenario(prior={"type": "beta", "a": BIG, "b": 1}),
                        cli.EXIT_SCHEMA, "requires finite a > 0 and b > 0"),
     "beta-shape-tiny-auto": (minimal_scenario(prior={"type": "beta", "a": TINY, "b": 1}),
-                             cli.EXIT_NUMERIC, "rounds to 0.0 as a float"),
+                             cli.EXIT_SCHEMA, "Beta prior requires finite a > 0 and b > 0"),
     "beta-shape-tiny-float": (
         minimal_scenario(prior={"type": "beta", "a": TINY, "b": 1}, numeric_mode="float"),
-        cli.EXIT_NUMERIC, "rounds to 0.0 as a float"),
+        cli.EXIT_SCHEMA, "Beta prior requires finite a > 0 and b > 0"),
     "normal-theta0-big": (
         minimal_scenario(family={"kind": "normal", "sigma": 1}, prior=STDNORMAL, theta0=BIG),
         cli.EXIT_SCHEMA, "theta=inf outside"),
-    "atom-weight-tiny-float": (minimal_scenario(prior=TINY_ATOM, numeric_mode="float"),
-                               cli.EXIT_NUMERIC, "rounds to 0.0 as a float"),
     "exp-theta0-1e300": (exp_scenario(1, theta0=1e300), cli.EXIT_NUMERIC,
                          "affinity of theta0=1e+300 and theta1=1.0 underflows to 0.0"),
+    "exp-rate-theta0-underflows": (exp_scenario(1e-100, theta0=1e-300), cli.EXIT_NUMERIC,
+                                   "theta=0.0 outside (0.0, inf) for the exponential family"),
+    "exp-theta0-tiny": (exp_scenario(1, theta0=TINY), cli.EXIT_SCHEMA,
+                        "theta=0.0 outside (0.0, inf) for the exponential family"),
 }
 
 
@@ -178,6 +189,20 @@ def test_a_weight_below_the_float_range_runs_in_exact_mode(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(minimal_scenario(prior=TINY_ATOM, numeric_mode="exact")))
     assert cli.main(["psi", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
+def test_a_weight_below_the_float_range_runs_in_float_mode_as_in_exact_mode(tmp_path):
+    """The float route takes the weight's log from the exact weight, which
+    has a finite log where its float is 0.0."""
+    logs = {}
+    for mode in ("exact", "float"):
+        path = tmp_path / f"tiny_{mode}.json"
+        path.write_text(json.dumps(minimal_scenario(prior=TINY_ATOM, numeric_mode=mode)))
+        assert cli.main(["psi", str(path), "--out", str(tmp_path / mode)]) == cli.EXIT_OK
+        report = json.loads((tmp_path / mode / f"tiny_{mode}.json").read_text())
+        logs[mode] = [row["log_psi"] for row in report["values"]]
+    assert all(math.isfinite(x) for x in logs["float"])
+    assert logs["float"] == pytest.approx(logs["exact"], rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma,want", [(2, 2.0), (2.5, 2.5), ("5/2", 2.5)])

@@ -477,6 +477,65 @@ class TestNonFiniteParameters:
             call(x)
 
 
+TINY = F(1, 10**400)
+
+
+class TestFloatBoundary:
+    """Each route gates the floats it reads: a theta whose float leaves the
+    family's interval, once read, is a DomainError, never a traceback from
+    a log or a division, and never a silent -inf."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: engine.expected_posterior_exponential(TINY, 1, 5),
+        lambda: engine.expected_posterior_exponential(1e-300, 1, 5, rate=1e-100),
+        lambda: engine.expected_posterior_exponential(1, 1e-300, 5, rate=1e-100),
+        lambda: engine.expected_posterior_exponential(1e300, 1, 5, rate=1e100),
+        lambda: engine.expected_posterior_quadrature(
+            fam.exponential(), pr.ExpPrior(1), TINY, 1, 3),
+        lambda: engine.expected_posterior_normal(10**400, 0, 1.0, 5),
+        lambda: engine.expected_posterior_quadrature(
+            fam.normal(1.0), pr.StdNormal(), 0, -(10**400), 3),
+    ], ids=["exp-theta0", "exp-rate-theta0", "exp-rate-theta1", "exp-rate-big",
+            "exp-oracle", "normal-theta0", "normal-oracle"])
+    def test_a_theta_read_off_the_interval_is_refused(self, call):
+        with pytest.raises(DomainError, match="outside"):
+            call()
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200, F(1, 10**200)])
+    def test_a_sigma_whose_square_has_no_float_is_refused(self, sigma):
+        for call in (lambda: fam.normal(sigma),
+                     lambda: engine.log_expected_posterior_normal(0.0, 0.5, sigma, 3)):
+            with pytest.raises(DomainError, match=r"^sigma\^2=(0\.0|inf) must be finite"):
+                call()
+
+    @pytest.mark.parametrize("theta0", [TINY, 1 - TINY])
+    def test_the_float_beta_route_refuses_a_theta0_whose_float_leaves_the_interval(self, theta0):
+        calls = (
+            lambda: engine.expected_posterior_beta(pr.Beta(2, 3), theta0, F(1, 2), 3, mode="float"),
+            lambda: engine.expected_posterior_quadrature(
+                fam.bernoulli(), pr.Beta(2, 3), theta0, F(1, 2), 3),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="as a float, outside"):
+                call()
+        exact = engine.expected_posterior_beta(pr.Beta(2, 3), theta0, F(1, 2), 3)
+        assert all(math.isfinite(x) for x in exact.log_values)
+
+    def test_the_uniform_float_route_takes_no_log_of_a_tiny_theta(self):
+        floats = engine.expected_posterior_uniform(TINY, F(1, 2), 4, mode="float")
+        exact = engine.expected_posterior_uniform(TINY, F(1, 2), 4, mode="exact")
+        assert floats.log_values == pytest.approx(exact.log_values, rel=1e-12)
+
+    def test_the_bernoulli_oracle_takes_a_tiny_weight_from_the_exact_weight(self):
+        prior = pr.atoms((F(1, 2), TINY), (F(3, 4), 1 - TINY))
+        value, error = engine.expected_posterior_quadrature(
+            fam.bernoulli(), prior, F(1, 2), F(3, 4), 3)
+        assert (value, error) == (0.0, 0.0)  # psi(3) is about 10^-400
+        floats = engine.expected_posterior_discrete(prior, F(1, 2), F(3, 4), 3, mode="float")
+        exact = engine.expected_posterior_discrete(prior, F(1, 2), F(3, 4), 3, mode="exact")
+        assert floats.log_values == pytest.approx(exact.log_values, rel=1e-12)
+
+
 class TestExponentialRoute:
     def test_unit_value(self):
         seq = engine.expected_posterior_exponential(1.0, 1.0, 1)

@@ -199,11 +199,44 @@ def test_a_rate_without_a_positive_finite_float_is_refused_when_built(rate, show
         pr.ExpPrior(rate)
 
 
-@pytest.mark.parametrize("a,b", [(10**400, 1), (1, F(10**401, 3)), (F(10**400), 10**400)])
+@pytest.mark.parametrize("a,b", [(10**400, 1), (1, F(10**401, 3)), (F(10**400), 10**400),
+                                 (F(1, 10**400), 1)])
 def test_a_beta_shape_without_a_finite_float_is_refused_when_built(a, b):
     """The exact shape is positive and finite, but the routes read its float."""
     with pytest.raises(pr.PriorError, match=r"^Beta prior requires finite a > 0 and b > 0$"):
         pr.Beta(a, b)
+
+
+def test_an_atom_log_weight_is_taken_from_the_exact_weight():
+    """A weight whose float is 0.0 keeps its finite log, which
+    ``prior_log_density`` reads as the atom's log pi(theta)."""
+    prior = pr.atoms((F(1, 2), F(1, 10**400)), (F(3, 4), 1 - F(1, 10**400)))
+    assert dict(prior.log_weights)[F(1, 2)] == pytest.approx(-400 * math.log(10), rel=1e-15)
+    assert pr.prior_log_density(prior, F(1, 2)) == dict(prior.log_weights)[F(1, 2)]
+    assert pr.prior_log_density(prior, 0.75) == 0.0  # the float of 1 - 10^-400 is 1.0
+
+
+def test_a_non_atom_reads_the_same_error_from_both_owners():
+    prior = pr.atoms((F(1, 2), F(1, 2)), (F(3, 4), F(1, 2)))
+    texts = set()
+    for call in (prior.weight_of, lambda t: pr.prior_log_density(prior, t)):
+        with pytest.raises(pr.PriorError) as info:
+            call(F(1, 3))
+        texts.add(str(info.value))
+    assert texts == {"theta=1/3 is not an atom of the prior"}
+
+
+@pytest.mark.parametrize("theta", [F(1, 10**400), 1 - F(1, 10**400)])
+def test_a_beta_density_refuses_a_theta_whose_float_leaves_the_interval(theta):
+    """The exact theta lies in (0, 1), but the log density reads its float."""
+    with pytest.raises(DomainError, match="as a float, outside"):
+        pr.prior_log_density(pr.Beta(2, 3), theta)
+
+
+def test_the_support_is_decided_on_the_exact_theta():
+    for prior in (pr.Uniform01(), pr.Beta(2, 3)):
+        assert pr.prior_log_density(prior, 0) == pr.prior_log_density(prior, 1) == -math.inf
+    assert pr.prior_log_density(pr.Uniform01(), F(1, 10**400)) == 0.0
 
 
 class TestJson:

@@ -1,7 +1,9 @@
 """Each rule has one owner: a refusal's text is written in one module of
 src/, only ``families`` defines a domain error, and only ``scenario`` reads
 or writes the scenario JSON, so two copies of a rule cannot drift apart.
-No module decides a comparison on an assumed tolerance (``math.isclose``)."""
+No module decides a comparison on an assumed tolerance (``math.isclose``),
+and only ``families.float_of`` turns an exact number past the float range
+into the float a route reads."""
 
 import ast
 from pathlib import Path
@@ -99,3 +101,21 @@ def test_the_private_read_guard_sees_both_forms():
                      "import posterior_dynamics.priors as pr\no._lr_holds(o.__doc__)\n"
                      "pr._positive_float\nself._cache\n")
     assert sorted(_private_reads(tree)) == ["o._lr_holds", "pr._positive_float", "util._x"]
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node else set()
+
+
+def test_one_module_reads_a_number_past_the_float_range():
+    """An ``except`` naming OverflowError sits in ``families`` (the one
+    exact-to-float rule), ``util`` (the exact values' own floats) and ``cli``
+    (the exit code); every other module reads a number through
+    ``families.float_of``."""
+    owners = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler) and "OverflowError" in _names(node.type)
+    }
+    assert owners == {"families.py", "util.py", "cli.py"}

@@ -357,6 +357,29 @@ class TestLogconcavityScan:
         assert dg.logconcavity_scan(values) == _brute_force_scan(values)
 
 
+ZERO_RUNS = st.lists(st.integers(0, 5), min_size=3, max_size=12)
+
+
+@given(ZERO_RUNS)
+def test_zeros_give_the_same_verdicts_as_floats_and_as_fractions(ints):
+    """A raw list with zeros: 0.0 reads as the log -inf, as an exact zero does,
+    so floats and Fractions agree with the brute force on every verdict."""
+    exact = [ExactValue(k, 1) for k in ints]
+    want = (_brute_force_scan(exact), *_brute_force_verdicts(exact))
+    for seq in ([float(k) for k in ints], [F(k) for k in ints]):
+        got = (dg.logconcavity_scan(seq), dg.detect_modes(seq), dg.detect_minima(seq),
+               dg.eventual_decrease_index(seq))
+        assert got == want, seq
+
+
+@pytest.mark.parametrize("scan", [dg.detect_modes, dg.logconcavity_scan,
+                                  dg.eventual_decrease_index])
+def test_a_float_zero_is_read_and_a_negative_float_refused(scan):
+    assert scan([1.0, 0.0, 0.0]) == scan([F(1), F(0), F(0)])
+    with pytest.raises(ValueError):
+        scan([1.0, -1.0, 0.5])
+
+
 class TestStepVerdicts:
     @given(*GEOMETRIC[:1], st.integers(-1, 1), *GEOMETRIC[2:])
     def test_match_fraction_scan_near_ties(self, p, dq, shift, nudges, scale_bits):
