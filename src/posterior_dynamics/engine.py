@@ -391,8 +391,14 @@ def _normal_logs(theta0: float, theta1: float, sigma: float, ns) -> list[float]:
 
 
 def log_expected_posterior_normal(theta0: float, theta1: float, sigma: float, n: float) -> float:
-    """Closed-form log value at (possibly real) n >= 0."""
-    return _normal_logs(theta0, theta1, sigma, (n,))[0]
+    """Closed-form log value at (possibly real) n >= 0, read at the thetas'
+    floats; DomainError for a theta off the real line or an n that is not a
+    finite real >= 0."""
+    if not 0 <= n < math.inf:
+        raise DomainError(f"n={n!r} must be a finite real >= 0")
+    family = fam.normal(sigma)
+    t0, t1 = pr.require_thetas(family, StdNormal(), theta0, theta1)
+    return _normal_logs(t0, t1, family.sigma, (n,))[0]
 
 
 def expected_posterior_normal(

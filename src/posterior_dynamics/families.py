@@ -84,14 +84,16 @@ class FamilySpec:
         elif self.sigma is not None:
             raise DomainError(f"sigma is only meaningful for the normal family, not {self.kind}")
 
-    def require_theta(self, theta: Real, closure: bool = False) -> None:
+    def require_theta(self, theta: Real, closure: bool = False, shown: str = "") -> None:
         """Raise DomainError unless theta lies in the open parameter
-        interval, or in its closure when ``closure`` is set."""
+        interval, or in its closure when ``closure`` is set; the message
+        names theta as ``shown`` where that is given."""
         lo, hi = _DOMAINS[self.kind]
         if not (lo <= theta <= hi if closure else lo < theta < hi):
             kind = "closure of " if closure else ""
             bounds = f"({float(lo)}, {float(hi)})"
-            raise DomainError(f"theta={theta} outside {kind}{bounds} for the {self.kind} family")
+            raise DomainError(f"{shown or f'theta={theta}'} outside {kind}{bounds} "
+                              f"for the {self.kind} family")
 
 
 def bernoulli() -> FamilySpec:

@@ -80,11 +80,19 @@ def turan_polynomials(n: int) -> tuple[list[int], list[int]]:
 
 
 def binomial_square_sum(y: Real, z: Real, n_max: int) -> list:
-    """[S_1, ..., S_{n_max}] as exact ExactValues, for rational y, z.
+    """[S_1, ..., S_{n_max}] as exact ExactValues in lowest terms, for rational y, z.
 
     S_n is symmetric in (y, z), homogeneous of degree n, and connects to
     Legendre polynomials through S_n(y,z) = (y-z)^n (n+1) P_n((y+z)/(y-z))
     for y > z; for y == z it collapses to y^n (n+1) C(2n, n).
+
+    Over the common denominator D, y = Y/D and z = Z/D, and with c = gcd(Y, Z)
+    homogeneity gives Q_n(Y, Z) = c^n Q_n(Y/c, Z/c), so S_n = a u^n / v^n with
+    a = (n+1) Q_n(Y/c, Z/c) and u/v = c/D in lowest terms.  Only primes of v can
+    cancel, and k rounds of t = gcd(a mod v, v), each dividing a by t, take out
+    exactly gcd(a, v^k): a prime p with p^e || v and p^alpha || a loses
+    min(alpha, e) per round, min(alpha, k e) in all.  So n rounds, fewer where a
+    round finds t = 1, reduce S_n with gcds no wider than v, and nothing is factorised.
     """
     y = Fraction(y)
     z = Fraction(z)
@@ -94,20 +102,32 @@ def binomial_square_sum(y: Real, z: Real, n_max: int) -> list:
     # Q_n = sum_k C(n,k)^2 Y^k Z^(n-k) is an integer obeying the Legendre
     # recurrence in homogeneous form (the division by n is exact):
     #   n Q_n = (2n-1)(Y+Z) Q_{n-1} - (n-1)(Z-Y)^2 Q_{n-2},  Q_0 = 1, Q_1 = Y+Z
+    # run here on Y/c and Z/c
     p, q = y.numerator, y.denominator
     r, s = z.numerator, z.denominator
     big_y, big_z, d = p * s, r * q, q * s
+    c = math.gcd(big_y, big_z)
+    big_y, big_z = big_y // c, big_z // c
+    g = math.gcd(c, d)
+    u, v = c // g, d // g
     sum_yz, diff_sq = big_y + big_z, (big_z - big_y) ** 2
-    prev, cur, den = 1, sum_yz, 1  # Q_0, Q_1, D^0
+    prev, cur, u_pow, v_pow = 1, sum_yz, 1, 1  # Q_0, Q_1, u^0, v^0
+    gcd = math.gcd
     out = []
     for n in range(1, n_max + 1):
         if n > 1:
             prev, cur = cur, ((2 * n - 1) * sum_yz * cur - (n - 1) * diff_sq * prev) // n
-        den *= d
+        u_pow *= u
+        v_pow *= v
         # reduced, because canonical_str judges the size of the stored pair
-        num = (n + 1) * cur
-        g = math.gcd(num, den)
-        out.append(ExactValue(num // g, den // g))
+        num, common = (n + 1) * cur, 1
+        for _ in range(n):
+            t = gcd(num % v, v)
+            if t == 1:
+                break
+            num //= t
+            common *= t
+        out.append(ExactValue(num * u_pow, v_pow // common))
     return out
 
 

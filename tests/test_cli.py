@@ -166,8 +166,9 @@ FLOAT_RANGE = {
         cli.EXIT_SCHEMA, "theta=inf outside"),
     "exp-theta0-1e300": (exp_scenario(1, theta0=1e300), cli.EXIT_NUMERIC,
                          "affinity of theta0=1e+300 and theta1=1.0 underflows to 0.0"),
-    "exp-rate-theta0-underflows": (exp_scenario(1e-100, theta0=1e-300), cli.EXIT_NUMERIC,
-                                   "theta=0.0 outside (0.0, inf) for the exponential family"),
+    "exp-rate-theta0-underflows": (
+        exp_scenario(1e-100, theta0=1e-300), cli.EXIT_NUMERIC,
+        "rate*theta0 = 1e-100*1e-300 = 0.0 outside (0.0, inf) for the exponential family"),
     "exp-theta0-tiny": (exp_scenario(1, theta0=TINY), cli.EXIT_SCHEMA,
                         "theta=0.0 outside (0.0, inf) for the exponential family"),
 }

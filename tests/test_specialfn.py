@@ -188,6 +188,11 @@ class TestBinomialSquareSum:
     @example(F(2, 3), F(2, 3), 60)
     @example(F(0), F(5, 7), 60)
     @example(F(5, 7), F(0), 60)
+    @example(F(1, 4), F(3, 4), 60)  # c/D = 1/4: the n rounds of cancelling run out at n = 1
+    @example(F(1, 100), F(81, 100), 60)
+    @example(F(9, 20), F(1, 20), 60)
+    @example(F(1, 10**40), F(1, 3), 60)
+    @example(F(0), F(1, 2), 60)
     def test_matches_direct_double_sum(self, y, z, n_max):
         assume(y or z)
         values = sf.binomial_square_sum(y, z, n_max)
@@ -198,6 +203,19 @@ class TestBinomialSquareSum:
             )
             # stored in lowest terms
             assert (value.num, value.den) == (direct.numerator, direct.denominator)
+
+    def test_reduces_with_no_gcd_wider_than_v_on_both_sides(self, monkeypatch):
+        """Here c = gcd(Y, Z) takes out c^n and c/D = 1/100, so v = 100: each S_n
+        reduces by gcds against v, never by one of (n+1) Q_n(Y, Z) against D^n,
+        both ~2,650 bits wide at n = 200; the reduced S_200 is ~1,320 bits over ~1,320."""
+        calls, gcd = [], math.gcd
+        monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        values = sf.binomial_square_sum(F(1, 100), F(81, 100), 200)
+        monkeypatch.undo()
+        wide = [args for args in calls if min(abs(a).bit_length() for a in args) > 7]
+        assert calls and wide == []
+        assert values[199].den.bit_length() > 1300
+        assert math.gcd(values[199].num, values[199].den) == 1
 
     def test_equal_arguments(self):
         values = sf.binomial_square_sum(F(1), F(1), 3)
