@@ -397,7 +397,7 @@ def log_expected_posterior_normal(theta0: float, theta1: float, sigma: float, n:
     if not 0 <= n < math.inf:
         raise DomainError(f"n={n!r} must be a finite real >= 0")
     family = fam.normal(sigma)
-    t0, t1 = pr.require_thetas(family, StdNormal(), theta0, theta1)
+    t0, t1 = pr.require_inputs(family, StdNormal(), theta0, theta1, 1)
     return _normal_logs(t0, t1, family.sigma, (n,))[0]
 
 

@@ -194,19 +194,13 @@ Prior = Union[DiscreteAtoms, Uniform01, Beta, StdNormal, ExpPrior]
 def require_inputs(family: FamilySpec, prior: Prior, theta0: Real, theta1: Real,
                    horizon: int, scale: float = 1.0) -> tuple[float, float]:
     """The gate of every psi entry point: DomainError unless the horizon is an
-    int >= 1, not a bool, and the thetas pass ``require_thetas``, whose floats it returns."""
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-        raise DomainError(f"horizon={horizon!r} must be an int >= 1")
-    return require_thetas(family, prior, theta0, theta1, scale)
-
-
-def require_thetas(family: FamilySpec, prior: Prior, theta0: Real, theta1: Real,
-                   scale: float = 1.0) -> tuple[float, float]:
-    """DomainError unless theta0, theta1 lie in the family's open interval; under an
-    atom prior theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins.
+    int >= 1, not a bool, and theta0, theta1 lie in the family's open interval;
+    under an atom prior theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins.
     Returns the floats a route reads, scale theta0 and scale theta1, which must lie
     in the interval too off the Bernoulli family, whose density reads 0.0 and 1.0;
-    the refusal of a scaled float (by the exponential prior's rate) names both factors."""
+    the refusal of a scaled float names theta, the scale and their product."""
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise DomainError(f"horizon={horizon!r} must be an int >= 1")
     atom_prior = isinstance(prior, DiscreteAtoms)
     if atom_prior:
         prior.validate_for(family)

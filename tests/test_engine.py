@@ -501,23 +501,26 @@ class TestFloatBoundary:
         with pytest.raises(DomainError, match="outside"):
             call()
 
-    @pytest.mark.parametrize("theta", [1e-300, F(1, 10**300)])
-    def test_a_rescaled_theta_refusal_names_theta_the_rate_and_their_product(self, theta):
-        with pytest.raises(DomainError, match=r"^rate\*theta1 = 1e-100\*1e-300 = 0\.0 outside"):
-            engine.expected_posterior_exponential(1, 1e-300, 5, rate=1e-100)
-        with pytest.raises(DomainError, match=rf"^rate\*theta0 = 1e-100\*{theta} = 0\.0 outside"):
-            engine.expected_posterior_exponential(theta, 1, 5, rate=1e-100)
+    @pytest.mark.parametrize("theta0,theta1,shown", [
+        (1e-300, 1, "rate*theta0 = 1e-100*1e-300"),
+        (F(1, 10**300), 1, f"rate*theta0 = 1e-100*{F(1, 10**300)}"),
+        (1, 1e-300, "rate*theta1 = 1e-100*1e-300"),
+    ], ids=["theta0", "theta0-exact", "theta1"])
+    def test_a_rescaled_theta_refusal_names_theta_the_rate_and_their_product(
+            self, theta0, theta1, shown):
+        with pytest.raises(DomainError) as err:
+            engine.expected_posterior_exponential(theta0, theta1, 5, rate=1e-100)
+        assert str(err.value) == f"{shown} = 0.0 outside (0.0, inf) for the exponential family"
 
     @pytest.mark.parametrize("theta0,theta1,n", [
         (math.inf, 0.5, 3), (math.nan, 0.5, 3), (0.0, -math.inf, 3),
         (0.0, 0.5, math.nan), (0.0, 0.5, -5), (0.0, 0.5, math.inf),
     ], ids=["theta0-inf", "theta0-nan", "theta1-minus-inf", "n-nan", "n-negative", "n-inf"])
     def test_the_normal_one_value_evaluator_gates_its_inputs(self, theta0, theta1, n):
-        """Once a nan or a bare math domain error; n = 0 and real n stay legal."""
+        """Once a nan or a bare math domain error; real n >= 0 keep their bits
+        (tests/test_float_loops.py::test_normal_log_at_real_n_bits)."""
         with pytest.raises(DomainError, match="outside|must be a finite real >= 0"):
             engine.log_expected_posterior_normal(theta0, theta1, 1.0, n)
-        assert math.isfinite(engine.log_expected_posterior_normal(0.0, 0.5, 1.0, 0))
-        assert math.isfinite(engine.log_expected_posterior_normal(0.0, 0.5, 1.0, 2.5))
 
     @pytest.mark.parametrize("sigma", [1e-200, 1e200, F(1, 10**200)])
     def test_a_sigma_whose_square_has_no_float_is_refused(self, sigma):
