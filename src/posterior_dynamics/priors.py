@@ -198,7 +198,8 @@ def require_inputs(family: FamilySpec, prior: Prior, theta0: Real, theta1: Real,
     under an atom prior theta0 is an atom, and Bernoulli atoms and theta1 may be sure coins.
     Returns the floats a route reads, scale theta0 and scale theta1, which must lie
     in the interval too off the Bernoulli family, whose density reads 0.0 and 1.0;
-    the refusal of a scaled float names theta, the scale and their product."""
+    the refusal of a scaled float (the exponential prior's rate times theta) names
+    theta, the rate and their product."""
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise DomainError(f"horizon={horizon!r} must be an int >= 1")
     atom_prior = isinstance(prior, DiscreteAtoms)
