@@ -60,7 +60,7 @@ def _step_signs(seq) -> list[int]:
     return [
         (1 if b > a else -1)
         if abs(b - a) > _log_error(a) + _log_error(b) + ROUNDING * (abs(a) + abs(b))
-        else (y > x) - (y < x)
+        else y.compare(x)
         for a, b, x, y in zip(logs, logs[1:], values, values[1:])
     ]
 
@@ -224,21 +224,27 @@ def asymptotic_expected_posterior(
 
 def _asymptote_parts(family: FamilySpec, prior: Prior, theta0, theta1, n: float):
     """(log_scale, const) with asymptote exp(log_scale) * const * sqrt(n);
-    log_scale is 0 on the diagonal."""
+    log_scale is 0 on the diagonal.  DomainError unless the affinity and the
+    constant are positive floats: far out, I(theta) underflows to 0.0 and
+    the affinity to 0.0 or to inf/inf = nan."""
     if isinstance(prior, DiscreteAtoms):
         raise DomainError("asymptotics require continuous prior")
     t0, t1 = float(theta0), float(theta1)
     if t0 == t1:
         if pr.prior_log_density(prior, t0) == float("-inf"):
             raise DomainError(f"prior density vanishes at theta={t0}")
-        return 0.0, 0.5 * math.sqrt(fam.fisher_information(family, t0) / math.pi)
-    mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
-    if affinity == 0.0:
-        raise DomainError(f"the affinity of theta0={t0} and theta1={t1} underflows to 0.0")
-    lr = pr.prior_log_density(prior, t0) - pr.prior_log_density(prior, mid)
-    if not math.isfinite(lr):
-        raise DomainError("prior density vanishes at theta0 or the midpoint")
+        mid, affinity, lr = t0, 1.0, 0.0
+    else:
+        mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
+        if affinity == 0.0:
+            raise DomainError(f"the affinity of theta0={t0} and theta1={t1} underflows to 0.0")
+        lr = pr.prior_log_density(prior, t0) - pr.prior_log_density(prior, mid)
+        if not math.isfinite(lr):
+            raise DomainError("prior density vanishes at theta0 or the midpoint")
     const = 0.5 * math.sqrt(fam.fisher_information(family, mid) / math.pi)
+    if not (affinity > 0.0 and const > 0.0):
+        raise DomainError(f"the growth law's affinity {affinity} and constant {const} at "
+                          f"theta0={t0}, theta1={t1} must be positive floats")
     return lr + n * math.log(affinity), const
 
 

@@ -205,6 +205,8 @@ def expected_posterior_discrete(
     t0w = pr.prior_log_density(prior, theta0)
     weighted = [(float(t), lw) for t, lw in prior.log_weights]
 
+    # its own loop over float atoms: partial(marginal_suffstat_logpmf, ...)
+    # made float figure1 at H=150 4.7% slower (2-core host)
     def log_marginal(n: int, k: int) -> float:
         density = fam.suff_stat_log_density
         return logsumexp([lw + density(family, t, n, k) for t, lw in weighted])
@@ -374,8 +376,7 @@ def _normal_logs(theta0: float, theta1: float, sigma: float, ns) -> list[float]:
         log(n + s) - log sigma - log(2 pi (2n + s)) / 2 - mid^2 s / (4n + 2s)
         + (mid^2 - theta0^2) / 2 - n (theta0 - theta1)^2 / (4s),
     s = sigma^2, mid = (theta0 + theta1) / 2; the terms free of n are
-    computed once, each rounded as in the formula."""
-    sigma = fam.normal(sigma).sigma  # refuses a sigma or sigma^2 with no positive finite float
+    computed once, each rounded as in the formula; sigma is a ``FamilySpec``'s."""
     log = math.log
     mid = 0.5 * (theta0 + theta1)
     sig2 = sigma * sigma

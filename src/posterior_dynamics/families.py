@@ -41,9 +41,10 @@ NEG_INF = float("-inf")
 _log = math.log
 _lgamma = math.lgamma
 # _LOG_FACT[i] = lgamma(i + 1) = log i!.  The table is empty at import and
-# ``log_factorials`` grows it to the largest n ``log_binomial`` or the
-# integer-shape Beta marginal asks for, up to LOG_FACT_MAX (about 2 MB of
-# floats); a larger n takes lgamma directly.
+# ``log_binomial`` grows it to the largest n it is asked for, up to
+# LOG_FACT_MAX (about 2 MB of floats); a larger n takes lgamma directly.
+# Three lgamma calls per log C(n, k) instead made float figure1 (H=150) plus Beta
+# (H=200) 22-35% slower on a 2-core host, losing 15 of 16 pairs in each of two runs.
 LOG_FACT_MAX = 1 << 16
 _LOG_FACT: list[float] = []
 
@@ -151,17 +152,9 @@ def log_binomial(n: int, k: int) -> float:
     except (IndexError, TypeError):
         pass
     if type(n) is int and n <= LOG_FACT_MAX:
-        lf = log_factorials(n)
+        lf.extend(map(_lgamma, range(len(lf) + 1, n + 2)))  # grow to hold log n!
         return lf[n] - lf[k] - lf[n - k]
     return _lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)
-
-
-def log_factorials(m: int) -> list[float]:
-    """``_LOG_FACT``, grown to hold log m! for an int m <= LOG_FACT_MAX."""
-    lf = _LOG_FACT
-    if len(lf) <= m:
-        lf.extend(map(_lgamma, range(len(lf) + 1, m + 2)))
-    return lf
 
 
 def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> float:
@@ -194,7 +187,9 @@ def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> f
         if t == 1.0:
             return 0.0 if k == n else NEG_INF
         lf = _LOG_FACT
-        try:  # log_binomial(n, k), inlined for a table hit
+        # log_binomial(n, k), inlined for a table hit: calling it made the
+        # float figure1, figure2 and Beta routes 4-6% slower (2-core host)
+        try:
             log_choose = lf[n] - lf[k] - lf[n - k]
         except (IndexError, TypeError):
             log_choose = log_binomial(n, k)

@@ -164,12 +164,6 @@ class Beta:
         a, b = float(self.a), float(self.b)
         return a, b, _lgamma(a) + _lgamma(b) - _lgamma(a + b)
 
-    @cached_property
-    def integer_shape(self) -> tuple[int, int] | None:
-        """(a, b) as ints when both shapes are integer-valued, else None."""
-        a, b, _ = self.float_shape
-        return (int(a), int(b)) if a.is_integer() and b.is_integer() else None
-
 
 @dataclass(frozen=True)
 class StdNormal:
@@ -306,26 +300,16 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
     if isinstance(prior, DiscreteAtoms):  # the density checks each atom
         density = fam.suff_stat_log_density
         return logsumexp([lw + density(family, t, n, u) for t, lw in prior.log_weights])
-    if family.kind == BERNOULLI and isinstance(prior, Uniform01):
+    if family.kind == BERNOULLI and isinstance(prior, (Uniform01, Beta)):
         uf = float(u)
         if uf < 0 or uf > n or uf != int(uf):
             return NEG_INF
-        return -math.log(n + 1)
-    if family.kind == BERNOULLI and isinstance(prior, Beta):
-        uf = float(u)
-        if uf < 0 or uf > n or uf != int(uf):
-            return NEG_INF
+        if isinstance(prior, Uniform01):
+            return -math.log(n + 1)
         k = int(uf)
         a, b, log_beta_ab = prior.float_shape
-        shape = prior.integer_shape
-        if shape is not None and type(n) is int and n + sum(shape) - 1 <= fam.LOG_FACT_MAX:
-            # lgamma(j) = log (j - 1)! for an int j >= 1: the same floats
-            i, j = k + shape[0] - 1, n - k + shape[1] - 1
-            lf = fam.log_factorials(i + j + 1)
-            log_beta_xy = lf[i] + lf[j] - lf[i + j + 1]
-        else:
-            x, y = k + a, n - k + b
-            log_beta_xy = _lgamma(x) + _lgamma(y) - _lgamma(x + y)
+        x, y = k + a, n - k + b
+        log_beta_xy = _lgamma(x) + _lgamma(y) - _lgamma(x + y)
         return fam.log_binomial(n, k) + log_beta_xy - log_beta_ab
     if family.kind == NORMAL and isinstance(prior, StdNormal):
         var = n * n + n * family.sigma**2

@@ -222,7 +222,9 @@ class ExactValue:
 
     __rmul__ = __mul__
 
-    def _cmp(self, other) -> int:
+    def compare(self, other) -> int:
+        """sign(self - other), exact: from the floats where ``certified_sign``
+        decides it, else from one cross-multiplication."""
         if not isinstance(other, (ExactValue, int, Fraction)):
             raise TypeError(f"cannot compare ExactValue with {type(other)!r}")
         try:
@@ -239,21 +241,21 @@ class ExactValue:
         return (d > 0) - (d < 0)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self.compare(other) < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self.compare(other) <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self.compare(other) > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self.compare(other) >= 0
 
     def __eq__(self, other):
         if not isinstance(other, (ExactValue, int, Fraction)):
             return NotImplemented
-        return self._cmp(other) == 0
+        return self.compare(other) == 0
 
     def __hash__(self):
         return hash(self.as_fraction())

@@ -130,9 +130,9 @@ TINY_ATOM = {"type": "atoms", "atoms": [{"theta": "1/2", "weight": TINY},
                                         {"theta": "3/4", "weight": "9" * 400 + "/1" + "0" * 400}]}
 
 
-def exp_scenario(rate, theta0=1):
+def exp_scenario(rate, theta0=1, theta1=1):
     return minimal_scenario(family=EXP_FAMILY, prior={"type": "exp", "lambda": rate},
-                            theta0=theta0, theta1=1)
+                            theta0=theta0, theta1=theta1)
 
 
 # a number past the float range reads as the infinity it rounds to, and a
@@ -166,6 +166,16 @@ FLOAT_RANGE = {
         cli.EXIT_SCHEMA, "theta=inf outside"),
     "exp-theta0-1e300": (exp_scenario(1, theta0=1e300), cli.EXIT_NUMERIC,
                          "affinity of theta0=1e+300 and theta1=1.0 underflows to 0.0"),
+    # I(theta) = 1/theta^2 underflows to 0.0; off the diagonal the affinity is inf/inf = nan
+    "exp-diagonal-1e200": (
+        exp_scenario(1, theta0=1e200, theta1=1e200), cli.EXIT_NUMERIC,
+        "affinity 1.0 and constant 0.0 at theta0=1e+200, theta1=1e+200"),
+    "exp-diagonal-1e300": (
+        exp_scenario(1, theta0=1e300, theta1=1e300), cli.EXIT_NUMERIC,
+        "affinity 1.0 and constant 0.0 at theta0=1e+300, theta1=1e+300"),
+    "exp-affinity-nan": (
+        exp_scenario(1, theta0=1e300, theta1=1e10), cli.EXIT_NUMERIC,
+        "affinity nan and constant 0.0 at theta0=1e+300, theta1=10000000000.0"),
     "exp-rate-theta0-underflows": (
         exp_scenario(1e-100, theta0=1e-300), cli.EXIT_NUMERIC,
         "rate*theta0 = 1e-100*1e-300 = 0.0 outside (0.0, inf) for the exponential family"),

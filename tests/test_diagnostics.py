@@ -13,6 +13,7 @@ from posterior_dynamics import engine
 from posterior_dynamics import families as fam
 from posterior_dynamics import priors as pr
 from posterior_dynamics.families import DomainError
+from posterior_dynamics.util import ExactValue
 
 
 class TestDetectModes:
@@ -38,6 +39,16 @@ class TestDetectModes:
     def test_needs_three_points(self):
         with pytest.raises(DomainError):
             dg.detect_modes([F(1), F(2)])
+
+    def test_undecided_step_makes_one_exact_comparison(self, monkeypatch):
+        # every value's float is 1.0, so no log step clears its bounds
+        values = [ExactValue(2**200 + j, 2**200) for j in (0, 2, 1, 3, 5, 4)]
+        calls = []
+        compare = ExactValue.compare
+        monkeypatch.setattr(ExactValue, "compare",
+                            lambda self, other: calls.append(1) or compare(self, other))
+        assert dg.detect_modes(values) == [2, 5]
+        assert len(calls) == len(values) - 1
 
     @given(st.lists(st.integers(0, 3), min_size=3, max_size=30))
     def test_modes_and_minima_follow_the_convention(self, ints):

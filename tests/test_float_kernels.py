@@ -218,19 +218,20 @@ def test_beta_marginal_bits(a, b, data):
 
 
 @pytest.mark.parametrize("a,b", [(30, 40), (30.0, 40.0), (Fraction(30), 40)])
-def test_integer_beta_shapes_read_the_log_factorial_table(monkeypatch, a, b):
-    """lgamma(k + a), lgamma(n - k + b) and lgamma(n + a + b) come off the
-    table while n + a + b - 1 is within its cap, with the same bits."""
+def test_integer_beta_shapes_grow_the_table_only_through_log_binomial(monkeypatch, a, b):
+    """The same bits with n + a + b - 1 on both sides of the table's cap
+    (n = 31 and 32) and with n past it; only log C(n, k) grows the table,
+    to n + 1 entries."""
     monkeypatch.setattr(fam, "_LOG_FACT", [])
     monkeypatch.setattr(fam, "LOG_FACT_MAX", 100)
     prior = pr.Beta(a, b)
-    for n in (31, 32, 5, 200):  # n + a + b - 1 = 100 is the cap, 101 passes it
+    largest = 0
+    for n in (31, 32, 5, 100, 101, 200):
         for k in (0, 1, n // 2, n - 1, n):
             assert outcome(pr.marginal_suffstat_logpmf, BERNOULLI, prior, n, k) == outcome(
                 earlier_beta_logpmf, prior, n, k)
-        if n == 31:
-            assert len(fam._LOG_FACT) == 101
-    assert len(fam._LOG_FACT) == 101
+        largest = max(largest, min(n, 100))
+        assert len(fam._LOG_FACT) == largest + 1
     monkeypatch.setattr(fam, "_LOG_FACT", [])
     assert outcome(pr.marginal_suffstat_logpmf, BERNOULLI, pr.Beta(2.5, 3), 10, 4) == outcome(
         earlier_beta_logpmf, pr.Beta(2.5, 3), 10, 4)
