@@ -22,9 +22,9 @@ from .families import (
     FamilySpec,
     DomainError,
     bernoulli,
-    bhattacharyya_reduction,
     exponential,
     fisher_information,
+    log_bhattacharyya_reduction,
     normal,
     suff_stat_log_density,
 )

@@ -459,13 +459,11 @@ def suite_asymptotics(seed: int = 0) -> dict:
 
     # off-diagonal: the normalized log value settles at the predicted level
     t0, t1 = 0.5, 0.75
-    mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
-    log_aff = math.log(affinity)
+    limit, log_aff = dg.growth_law(family, uniform, t0, t1)
 
     def centered(k: int) -> float:
         return engine.log_expected_posterior_uniform(t0, t1, k) - k * log_aff - 0.5 * math.log(k)
 
-    limit = math.log(math.sqrt(fam.fisher_information(family, mid)) / (2.0 * math.sqrt(math.pi)))
     step = abs(centered(2000) - centered(1999))
     gap = abs(centered(2000) - limit)
     checks.append(_check("off_diagonal_step", step < 1e-3, step=step))

@@ -190,16 +190,10 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
             0.5 * (float(seq.theta0) + float(seq.theta1)), sigma
         )
     if prior is not None and not isinstance(prior, DiscreteAtoms):
-        args = (seq.family, prior, seq.theta0, seq.theta1)
+        log_c, log_w = growth_law(seq.family, prior, seq.theta0, seq.theta1)
         for n in _log_spaced(seq.horizon):
-            asym = asymptotic_expected_posterior(*args, n)
-            if asym > 0.0:
-                ratio = float(seq.value(n)) / asym
-            else:  # the asymptote underflows; divide in log space instead
-                log_scale, const = _asymptote_parts(*args, n)
-                log_asym = log_scale + math.log(const * math.sqrt(n))
-                ratio = math.exp(seq.log_values[n - 1] - log_asym)
-            report.asymptotic_ratios.append((n, ratio))
+            log_asym = log_c + n * log_w + 0.5 * math.log(n)
+            report.asymptotic_ratios.append((n, math.exp(seq.log_values[n - 1] - log_asym)))
     return report
 
 
@@ -208,44 +202,37 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
 # ---------------------------------------------------------------------------
 
 
-def asymptotic_expected_posterior(
-    family: FamilySpec, prior: Prior, theta0, theta1, n: float
-) -> float:
-    """The asymptotic equivalent of the expected posterior at n.
-
-    Diagonal: sqrt(I(theta0)) / (2 sqrt(pi)) * sqrt(n).  Off-diagonal the
-    same constant at the midpoint parameter, scaled by the prior density
-    ratio and the n-th power of the affinity.  Requires a continuous prior
-    with positive density at the relevant parameter.
-    """
-    log_scale, const = _asymptote_parts(family, prior, theta0, theta1, n)
-    return math.exp(log_scale) * const * math.sqrt(n)
+def asymptotic_expected_posterior(family: FamilySpec, prior: Prior, theta0, theta1,
+                                  n: float) -> float:
+    """The asymptotic equivalent C sqrt(n) w^n of the expected posterior at n, the
+    exp of its log from ``growth_law``; 0.0 where that log is below the float range."""
+    log_c, log_w = growth_law(family, prior, theta0, theta1)
+    return math.exp(log_c + n * log_w + 0.5 * math.log(n))
 
 
-def _asymptote_parts(family: FamilySpec, prior: Prior, theta0, theta1, n: float):
-    """(log_scale, const) with asymptote exp(log_scale) * const * sqrt(n);
-    log_scale is 0 on the diagonal.  DomainError unless the affinity and the
-    constant are positive floats: far out, I(theta) underflows to 0.0 and
-    the affinity to 0.0 or to inf/inf = nan."""
+def growth_law(family: FamilySpec, prior: Prior, theta0, theta1) -> tuple[float, float]:
+    """(log C, log w) of the growth law psi(n) ~ C sqrt(n) w^n.
+
+    C = pi(theta0)/pi(mid) sqrt(I(mid)) / (2 sqrt(pi)), with mid = theta0 and w = 1 on
+    the diagonal, else those of ``families.log_bhattacharyya_reduction``.  Requires a
+    continuous prior with positive density at theta0 and mid, and a positive float
+    I(mid), which underflows to 0.0 far out."""
     if isinstance(prior, DiscreteAtoms):
         raise DomainError("asymptotics require continuous prior")
-    t0, t1 = float(theta0), float(theta1)
-    if t0 == t1:
-        if pr.prior_log_density(prior, t0) == float("-inf"):
-            raise DomainError(f"prior density vanishes at theta={t0}")
-        mid, affinity, lr = t0, 1.0, 0.0
+    if float(theta0) == float(theta1):
+        if pr.prior_log_density(prior, theta0) == float("-inf"):
+            raise DomainError(f"prior density vanishes at theta={theta0}")
+        mid, log_w, lr = theta0, 0.0, 0.0
     else:
-        mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
-        if affinity == 0.0:
-            raise DomainError(f"the affinity of theta0={t0} and theta1={t1} underflows to 0.0")
-        lr = pr.prior_log_density(prior, t0) - pr.prior_log_density(prior, mid)
+        mid, log_w = fam.log_bhattacharyya_reduction(family, theta0, theta1)
+        lr = pr.prior_log_density(prior, theta0) - pr.prior_log_density(prior, mid)
         if not math.isfinite(lr):
             raise DomainError("prior density vanishes at theta0 or the midpoint")
     const = 0.5 * math.sqrt(fam.fisher_information(family, mid) / math.pi)
-    if not (affinity > 0.0 and const > 0.0):
-        raise DomainError(f"the growth law's affinity {affinity} and constant {const} at "
-                          f"theta0={t0}, theta1={t1} must be positive floats")
-    return lr + n * math.log(affinity), const
+    if not const > 0.0:
+        raise DomainError(f"the growth law's constant sqrt(I({mid})/pi)/2 = {const} at "
+                          f"theta0={theta0}, theta1={theta1} must be a positive float")
+    return lr + math.log(const), log_w
 
 
 # ---------------------------------------------------------------------------

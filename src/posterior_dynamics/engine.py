@@ -335,19 +335,25 @@ def expected_posterior_uniform(
     logs, O(1) per step with no branch on the anti-diagonal.
     """
     family = fam.bernoulli()
-    t0, t1 = pr.require_inputs(family, Uniform01(), theta0, theta1, horizon)
+    pr.require_inputs(family, Uniform01(), theta0, theta1, horizon)
     if _resolve_exact(mode, _rational(theta0, theta1), "rational theta0, theta1"):
         y = Fraction(theta0) * Fraction(theta1)
         z = (1 - Fraction(theta0)) * (1 - Fraction(theta1))
         values = binomial_square_sum(y, z, horizon)
         return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_UNIFORM, values=values)
-    logs = _uniform_float_logs(t0, t1, horizon)
+    logs = _uniform_float_logs(theta0, theta1, horizon)
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_UNIFORM, log_values=logs)
 
 
-def _uniform_float_logs(theta0: float, theta1: float, horizon: int) -> list[float]:
+def _uniform_yz(theta0: Real, theta1: Real) -> tuple[float, float]:
+    """The floats y = theta0 theta1 and z = (1-theta0)(1-theta1), each 1 - theta
+    read as the float of the theta given, which keeps its digits near 1."""
+    return float(theta0) * float(theta1), fam.float_of(1 - theta0) * fam.float_of(1 - theta1)
+
+
+def _uniform_float_logs(theta0: Real, theta1: Real, horizon: int) -> list[float]:
     """log psi(n) = log(n + 1) + log q_1 + ... + log q_n over the Legendre ratios q_k."""
-    ratios = legendre_ratios(horizon, theta0 * theta1, (1.0 - theta0) * (1.0 - theta1))
+    ratios = legendre_ratios(horizon, *_uniform_yz(theta0, theta1))
     log = math.log
     return [log(n + 1) + log_q for n, log_q in enumerate(accumulate(map(log, ratios)), start=1)]
 
@@ -356,12 +362,12 @@ def log_expected_posterior_uniform(theta0: Real, theta1: Real, n: int) -> float:
     """log psi(n) of the uniform prior at one n, with no sequence built:
     psi(n) = (n+1) w^n J_n(c), y = theta0 theta1, z = (1-theta0)(1-theta1),
     w = (sqrt y + sqrt z)^2, c = 4 sqrt(yz)/w; ``specialfn.log_legendre_integral``
-    bounds J_n's trapezoid sum within 2^-60 relative before rounding.  Near the diagonal
-    log w = log1p(-d^2), d = (theta0 - theta1)/(sqrt(theta0(1-theta1)) + sqrt(theta1(1-theta0)))."""
-    t0, t1 = pr.require_inputs(fam.bernoulli(), Uniform01(), theta0, theta1, n)
-    root_y, root_z = math.sqrt(t0 * t1), math.sqrt((1.0 - t0) * (1.0 - t1))
-    d = (t0 - t1) / (math.sqrt(t0 * (1.0 - t1)) + math.sqrt(t1 * (1.0 - t0)))
-    log_w = math.log1p(-d * d) if d * d < 0.5 else 2.0 * math.log(root_y + root_z)
+    bounds J_n's trapezoid sum within 2^-60 relative before rounding, and
+    ``families.log_bhattacharyya_reduction`` gives log w."""
+    family = fam.bernoulli()
+    pr.require_inputs(family, Uniform01(), theta0, theta1, n)
+    _, log_w = fam.log_bhattacharyya_reduction(family, theta0, theta1)
+    root_y, root_z = map(math.sqrt, _uniform_yz(theta0, theta1))
     c = min(1.0, 4.0 * root_y * root_z / math.exp(log_w))
     return n * log_w + math.log(n + 1) + log_legendre_integral(n, c)[0]
 
@@ -436,12 +442,9 @@ def expected_posterior_exponential(
     fam.require_sigma(lam, "rate")
     family = fam.exponential()
     t0, t1 = pr.require_inputs(family, ExpPrior(rate), theta0, theta1, horizon, scale=lam)
-    mid = 0.5 * (t0 + t1)
+    mid, log_off = fam.log_bhattacharyya_reduction(family, t0, t1)  # log(theta0 theta1/theta^2)
     bess = bessel_K_half(mid, horizon)
     rho, log, log1p = bess.rho, math.log, math.log1p
-    # log(theta0 theta1/theta^2) = log1p(-gap^2), whose argument loses digits as gap^2 -> 1
-    gap = (t0 - t1) / (t0 + t1)
-    log_off = log1p(-gap * gap) if gap * gap < 0.5 else log(t0) + log(t1) - 2.0 * log(mid)
     shift = mid - t0 + log(lam)
     g = (1.0 + mid) + mid * rho[1]
     diag = 0.5 * log(mid) - 1.5 * log(2.0) - 0.5 * log(math.pi) + bess.log_k[1] + log(g)

@@ -12,10 +12,10 @@ Binomial(n,t), Normal(n t, n sigma^2) and Gamma(n, rate=t), all in closed
 form; n = 1 gives the density of a single draw.
 
 For two parameters t0, t1 the density p_{tmid} proportional to
-sqrt(p_{t0} p_{t1}) stays inside the family; ``bhattacharyya_reduction``
-returns that midpoint parameter together with the squared Bhattacharyya
-affinity (integral of sqrt(p_{t0} p_{t1}), squared), the per-observation
-geometric decay factor of expected posteriors.
+sqrt(p_{t0} p_{t1}) stays inside the family; ``log_bhattacharyya_reduction``,
+the one owner of log w, returns that midpoint parameter and log w for the squared
+Bhattacharyya affinity w (integral of sqrt(p_{t0} p_{t1}), squared), the
+per-observation geometric decay factor of expected posteriors.
 """
 
 from __future__ import annotations
@@ -114,32 +114,39 @@ def fisher_information(family: FamilySpec, theta: Real) -> float:
     family.require_theta(theta)
     t = float(theta)
     if family.kind == BERNOULLI:
-        return 1.0 / (t * (1.0 - t))
+        return 1.0 / (t * float_of(1 - theta))
     if family.kind == NORMAL:
         return 1.0 / (family.sigma**2)
     return 1.0 / (t * t)  # exponential
 
 
-def bhattacharyya_reduction(family: FamilySpec, theta0: Real, theta1: Real) -> tuple[float, float]:
-    """Midpoint parameter and squared Bhattacharyya affinity for (theta0, theta1).
+def log_bhattacharyya_reduction(family: FamilySpec, theta0: Real,
+                                theta1: Real) -> tuple[float, float]:
+    """Midpoint parameter and log w, w the squared Bhattacharyya affinity of (theta0, theta1).
 
     The midpoint is taken in the natural parameterization, so the density at
     the midpoint is the normalized geometric average of the two densities.
-    The affinity lies in (0, 1], equals 1 iff theta0 == theta1, and is
-    symmetric in its arguments.
+    log w lies in [-inf, 0], is 0 on the diagonal and is symmetric.  Near the
+    diagonal log w = log1p(-d^2), so n log w carries no cancellation, with
+    d = (theta0 - theta1)/(sqrt(theta0(1-theta1)) + sqrt(theta1(1-theta0))) (Bernoulli,
+    each 1 - theta the float of the theta given) or (theta0 - theta1)/(theta0 + theta1).
     """
     family.require_theta(theta0)
     family.require_theta(theta1)
     t0, t1 = float(theta0), float(theta1)
     if family.kind == BERNOULLI:
-        r = math.sqrt(t0 * t1)
-        s = math.sqrt((1.0 - t0) * (1.0 - t1))
-        return r / (r + s), (r + s) ** 2
+        c0, c1 = float_of(1 - theta0), float_of(1 - theta1)
+        r, s = math.sqrt(t0 * t1), math.sqrt(c0 * c1)
+        d = (t0 - t1) / (math.sqrt(t0 * c1) + math.sqrt(t1 * c0))
+        return r / (r + s), math.log1p(-d * d) if d * d < 0.5 else 2.0 * math.log(r + s)
     if family.kind == NORMAL:
         sig = family.sigma
-        return (t0 + t1) / 2.0, math.exp(-((t0 - t1) ** 2) / (4.0 * sig * sig))
-    mid = (t0 + t1) / 2.0
-    return mid, t0 * t1 / (mid * mid)  # exponential
+        return (t0 + t1) / 2.0, -((t0 - t1) ** 2) / (4.0 * sig * sig)
+    mid = (t0 + t1) / 2.0  # exponential: w = theta0 theta1 / mid^2
+    d = (t0 - t1) / (t0 + t1)
+    if d * d < 0.5:
+        return mid, math.log1p(-d * d)
+    return mid, math.log(t0) + math.log(t1) - 2.0 * math.log(mid)
 
 
 def log_binomial(n: int, k: int) -> float:

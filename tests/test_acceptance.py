@@ -127,14 +127,12 @@ def test_criterion_05_growth_law():
     part1, ratio = fair["pass"], fair["ratio"]
 
     t0, t1 = 0.5, 0.75
-    mid, affinity = fam.bhattacharyya_reduction(fam.bernoulli(), t0, t1)
+    limit, log_aff = dg.growth_law(fam.bernoulli(), pr.Uniform01(), t0, t1)
     seq = engine.expected_posterior_uniform(t0, t1, 2000, mode="float")
-    log_aff = math.log(affinity)
 
     def centered(k: int) -> float:
         return seq.log_values[k - 1] - k * log_aff - 0.5 * math.log(k)
 
-    limit = math.log(math.sqrt(fam.fisher_information(fam.bernoulli(), mid)) / (2 * math.sqrt(math.pi)))
     step = abs(centered(2000) - centered(1999))
     gap = abs(centered(2000) - limit)
     part2 = step < 1e-3 and gap < 5e-3

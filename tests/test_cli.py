@@ -164,18 +164,21 @@ FLOAT_RANGE = {
     "normal-theta0-big": (
         minimal_scenario(family={"kind": "normal", "sigma": 1}, prior=STDNORMAL, theta0=BIG),
         cli.EXIT_SCHEMA, "theta=inf outside"),
-    "exp-theta0-1e300": (exp_scenario(1, theta0=1e300), cli.EXIT_NUMERIC,
-                         "affinity of theta0=1e+300 and theta1=1.0 underflows to 0.0"),
-    # I(theta) = 1/theta^2 underflows to 0.0; off the diagonal the affinity is inf/inf = nan
+    # the growth law's constant sqrt(I(mid)/pi)/2 underflows to 0.0 where
+    # I(theta) = 1/theta^2 does; the log affinity stays finite (a linear
+    # affinity, theta0 theta1 / mid^2, read inf/inf = nan in the last row)
+    "exp-theta0-1e300": (
+        exp_scenario(1, theta0=1e300), cli.EXIT_NUMERIC,
+        "constant sqrt(I(5e+299)/pi)/2 = 0.0 at theta0=1e+300, theta1=1 must be"),
     "exp-diagonal-1e200": (
         exp_scenario(1, theta0=1e200, theta1=1e200), cli.EXIT_NUMERIC,
-        "affinity 1.0 and constant 0.0 at theta0=1e+200, theta1=1e+200"),
+        "constant sqrt(I(1e+200)/pi)/2 = 0.0 at theta0=1e+200, theta1=1e+200 must be"),
     "exp-diagonal-1e300": (
         exp_scenario(1, theta0=1e300, theta1=1e300), cli.EXIT_NUMERIC,
-        "affinity 1.0 and constant 0.0 at theta0=1e+300, theta1=1e+300"),
+        "constant sqrt(I(1e+300)/pi)/2 = 0.0 at theta0=1e+300, theta1=1e+300 must be"),
     "exp-affinity-nan": (
         exp_scenario(1, theta0=1e300, theta1=1e10), cli.EXIT_NUMERIC,
-        "affinity nan and constant 0.0 at theta0=1e+300, theta1=10000000000.0"),
+        "constant sqrt(I(5e+299)/pi)/2 = 0.0 at theta0=1e+300, theta1=10000000000.0 must be"),
     "exp-rate-theta0-underflows": (
         exp_scenario(1e-100, theta0=1e-300), cli.EXIT_NUMERIC,
         "rate*theta0 = 1e-100*1e-300 = 0.0 outside (0.0, inf) for the exponential family"),
@@ -194,6 +197,38 @@ def test_a_number_out_of_float_range_is_refused_in_one_line(tmp_path, capsys, pa
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+# the growth law is taken in log space, so an affinity whose float is 0.0
+# (w = e^-2500 here) or a prior ratio past the float range (e^(1.6e299)) still
+# gives a finite ratio, and a 1 - theta of 10^-21 is read from the theta given,
+# on the route, in the log affinity and in the Fisher information of the diagonal
+NEAR_ONE = f"{10**21 - 1}/1" + "0" * 21
+GROWTH_LAW_EDGES = {
+    "normal-affinity-underflows": (
+        minimal_scenario(family={"kind": "normal", "sigma": "1/100"}, prior=STDNORMAL,
+                         theta0=0, theta1=1, horizon=50), 1.0),
+    "exp-prior-ratio-overflows": (
+        {**exp_scenario(1e300, theta0=1e-30, theta1="325/994"), "numeric_mode": "float"}, 0.0),
+    "uniform-complement-1e-21": (
+        minimal_scenario(prior=UNIFORM, theta0="1/1" + "0" * 21, theta1=NEAR_ONE,
+                         numeric_mode="float"), None),
+    "uniform-diagonal-near-1": (
+        minimal_scenario(prior=UNIFORM, theta0=NEAR_ONE, theta1=NEAR_ONE,
+                         numeric_mode="float"), None),
+}
+
+
+@pytest.mark.parametrize("payload,last", GROWTH_LAW_EDGES.values(), ids=GROWTH_LAW_EDGES)
+def test_the_growth_law_is_taken_in_log_space(tmp_path, payload, last):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["psi", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "edge.json").read_text())
+    ratios = [row["ratio"] for row in report["diagnostics"]["asymptotic_ratios"]]
+    assert ratios and all(math.isfinite(r) for r in ratios)
+    if last is not None:
+        assert ratios[-1] == pytest.approx(last, abs=1e-5)
 
 
 def test_a_weight_below_the_float_range_runs_in_exact_mode(tmp_path):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from posterior_dynamics import diagnostics as dg
 from posterior_dynamics import engine
 from posterior_dynamics import families as fam
+from posterior_dynamics import figures as fig
 from posterior_dynamics import priors as pr
+from posterior_dynamics import scenario as sc
 from posterior_dynamics.families import DomainError
 from posterior_dynamics.util import ExactValue
 
@@ -159,24 +161,76 @@ class TestAsymptotics:
         v20 = dg.asymptotic_expected_posterior(family, prior, 1.0, 4.0, 20)
         assert v20 < v10
 
-    @pytest.mark.parametrize("route,prior", [
-        (lambda h: engine.expected_posterior_uniform(F(1, 2), F(3, 4), h, mode="float"),
-         pr.Uniform01()),
-        (lambda h: engine.expected_posterior_exponential(1.0, 4.0, h), pr.ExpPrior(1)),
-    ])
-    def test_growth_law_ratios_survive_asymptote_underflow(self, route, prior):
-        seq = route(12000)
-        ratios = dict(dg.analyze(seq, prior=prior).asymptotic_ratios)
-        underflowed = 0
-        for n, ratio in ratios.items():
-            asym = dg.asymptotic_expected_posterior(seq.family, prior, seq.theta0, seq.theta1, n)
-            if asym > 0.0:
-                assert ratio == float(seq.value(n)) / asym
-            else:
-                underflowed += 1
-                assert math.isfinite(ratio)
-        assert underflowed > 0
-        assert ratios[12000] == pytest.approx(1.0, abs=1e-4)
+
+def mpf_of(x):
+    x = F(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def mp_log_asymptote(family, prior, theta0, theta1, n):
+    """log(C sqrt(n) w^n) at 50 digits from the exact thetas, by the closed
+    forms of the midpoint, w and I(mid) and the prior's log density, with
+    C = pi(theta0)/pi(mid) sqrt(I(mid)) / (2 sqrt(pi)); on the diagonal the
+    midpoint is theta0 and w = 1."""
+    with mp.workdps(50):
+        t0, t1 = mpf_of(theta0), mpf_of(theta1)
+        if family.kind == fam.BERNOULLI:
+            r, s = mp.sqrt(t0 * t1), mp.sqrt((1 - t0) * (1 - t1))
+            mid, log_w = r / (r + s), 2 * mp.log(r + s)
+            info = 1 / (mid * (1 - mid))
+        elif family.kind == fam.NORMAL:
+            s2 = mp.mpf(family.sigma) ** 2
+            mid, log_w, info = (t0 + t1) / 2, -((t0 - t1) ** 2) / (4 * s2), 1 / s2
+        else:
+            mid = (t0 + t1) / 2
+            log_w, info = mp.log(t0 * t1 / mid**2), 1 / mid**2
+
+        def log_prior(t):
+            if isinstance(prior, pr.Uniform01):
+                return mp.mpf(0)
+            if isinstance(prior, pr.Beta):
+                a, b = mpf_of(prior.a), mpf_of(prior.b)
+                return (a - 1) * mp.log(t) + (b - 1) * mp.log(1 - t) - mp.log(mp.beta(a, b))
+            if isinstance(prior, pr.StdNormal):
+                return -mp.log(2 * mp.pi) / 2 - t * t / 2
+            rate = mpf_of(prior.rate)
+            return mp.log(rate) - rate * t
+
+        return (log_prior(t0) - log_prior(mid) + mp.log(mp.sqrt(info) / (2 * mp.sqrt(mp.pi)))
+                + mp.log(n) / 2 + n * log_w)
+
+
+def bundled_run(name):
+    scenario = fig.bundled_scenario(name)
+    return sc.run_scenario(scenario), scenario.prior
+
+
+GROWTH_LAW_CASES = {
+    "figure3": lambda: bundled_run("figure3"),
+    "exponential_1_4": lambda: (engine.expected_posterior_exponential(1.0, 4.0, 12_000),
+                                pr.ExpPrior(1)),
+    "uniform_float_half_three_quarters": lambda: (
+        engine.expected_posterior_uniform(F(1, 2), F(3, 4), 12_000, mode="float"),
+        pr.Uniform01()),
+    "beta71": lambda: bundled_run("beta71"),
+}
+
+
+@pytest.mark.parametrize("case", GROWTH_LAW_CASES.values(), ids=GROWTH_LAW_CASES)
+def test_growth_law_ratios_are_within_their_bound(case):
+    """Each ratio against exp(log psi(n) - log asym(n)) at 50 digits, with the
+    route's own float log psi(n), so this measures the growth law and not the
+    route: within (8 + 2 |log asym(n)|) ulp, since the float log asymptote is
+    off by a few ulp of its size and exp turns that absolute error into a
+    relative one."""
+    seq, prior = case()
+    ratios = dg.analyze(seq, prior=prior).asymptotic_ratios
+    for n, ratio in ratios:
+        log_asym = mp_log_asymptote(seq.family, prior, seq.theta0, seq.theta1, n)
+        with mp.workdps(50):
+            want = float(mp.exp(mp.mpf(seq.log_values[n - 1]) - log_asym))
+        ulps = abs(ratio - want) / math.ulp(want)
+        assert ulps <= 8 + 2 * abs(float(log_asym)), (n, ratio, want, ulps)
 
 
 # float routes at parameters far enough apart that psi underflows to 0.0

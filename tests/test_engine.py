@@ -25,11 +25,11 @@ from posterior_dynamics.util import DeferredExactValue, ExactValue, tree_sum_fra
 
 
 def reduction_check_factor(family, prior, theta0, theta1):
-    """(theta_mid, affinity, prior density ratio at theta0 over theta_mid):
-    the off-diagonal sequence is ratio * diagonal(theta_mid) * affinity^n."""
-    mid, affinity = fam.bhattacharyya_reduction(family, theta0, theta1)
+    """(theta_mid, log w, prior density ratio at theta0 over theta_mid):
+    the off-diagonal sequence is ratio * diagonal(theta_mid) * w^n."""
+    mid, log_w = fam.log_bhattacharyya_reduction(family, theta0, theta1)
     ratio = math.exp(pr.prior_log_density(prior, theta0) - pr.prior_log_density(prior, mid))
-    return mid, affinity, ratio
+    return mid, log_w, ratio
 
 
 COIN_OR_SURE = pr.atoms((F(1, 2), F(1, 2)), (F(1), F(1, 2)))
@@ -340,13 +340,22 @@ class TestUniformRoute:
     def test_reduction_identity_float(self):
         family = fam.bernoulli()
         t0, t1 = 0.3, 0.55
-        mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
+        mid, log_w = fam.log_bhattacharyya_reduction(family, t0, t1)
         off = engine.expected_posterior_uniform(t0, t1, 30, mode="float")
         diag = engine.expected_posterior_uniform(mid, mid, 30, mode="float")
         for n in range(1, 31):
             assert off.value(n) == pytest.approx(
-                diag.value(n) * affinity**n, rel=1e-10
+                diag.value(n) * math.exp(n * log_w), rel=1e-10
             )
+
+    @pytest.mark.parametrize("tail", [F(1, 10**21), F(1, 10**9)])
+    def test_float_reads_each_complement_from_the_theta_given(self, tail):
+        # 1 - float(1 - 10^-21) is 0.0 and 1 - float(1 - 10^-9) keeps 8 digits
+        # of 10^-9, so z = (1 - theta0)(1 - theta1) must come from the exact theta
+        floats = engine.expected_posterior_uniform(tail, 1 - tail, 5, mode="float")
+        exact = engine.expected_posterior_uniform(tail, 1 - tail, 5, mode="exact")
+        for approx, value in zip(floats.values, exact.values):
+            assert approx == pytest.approx(float(value), rel=1e-13, abs=0)
 
     def test_float_matches_exact(self):
         exact = engine.expected_posterior_uniform(F(1, 2), F(3, 4), 60, mode="exact")
@@ -436,12 +445,12 @@ class TestNormalRoute:
     def test_reduction_identity(self):
         family = fam.normal(1.5)
         t0, t1 = -0.3, 0.8
-        mid, affinity, ratio = reduction_check_factor(family, pr.StdNormal(), t0, t1)
+        mid, log_w, ratio = reduction_check_factor(family, pr.StdNormal(), t0, t1)
         off = engine.expected_posterior_normal(t0, t1, 1.5, 20)
         diag = engine.expected_posterior_normal(mid, mid, 1.5, 20)
         for n in range(1, 21):
             assert off.value(n) == pytest.approx(
-                ratio * diag.value(n) * affinity**n, rel=1e-10
+                ratio * diag.value(n) * math.exp(n * log_w), rel=1e-10
             )
 
 
@@ -563,8 +572,8 @@ class TestExponentialRoute:
         assert seq.value(1) == pytest.approx(5.0 / (4.0 * math.e), rel=1e-13)
 
     def test_decay_factor(self):
-        _, affinity = fam.bhattacharyya_reduction(fam.exponential(), 1.0, 4.0)
-        assert affinity == pytest.approx(0.64, abs=1e-15)
+        _, log_w = fam.log_bhattacharyya_reduction(fam.exponential(), 1.0, 4.0)
+        assert log_w == pytest.approx(math.log(0.64), rel=1e-15)
 
     def test_matches_quadrature(self):
         for theta in (0.5, 1.0, 2.0):
@@ -593,12 +602,12 @@ class TestExponentialRoute:
 
     def test_reduction_identity(self):
         t0, t1 = 0.6, 2.1
-        mid, affinity, ratio = reduction_check_factor(fam.exponential(), pr.ExpPrior(1), t0, t1)
+        mid, log_w, ratio = reduction_check_factor(fam.exponential(), pr.ExpPrior(1), t0, t1)
         off = engine.expected_posterior_exponential(t0, t1, 25)
         diag = engine.expected_posterior_exponential(mid, mid, 25)
         for n in range(1, 26):
             assert off.value(n) == pytest.approx(
-                ratio * diag.value(n) * affinity**n, rel=1e-10
+                ratio * diag.value(n) * math.exp(n * log_w), rel=1e-10
             )
 
 

@@ -27,7 +27,7 @@ def log_density(family, theta, x):
 
 def numeric_affinity(family, theta0, theta1):
     """Squared affinity by direct summation or quadrature, independent of
-    the closed forms in ``bhattacharyya_reduction``."""
+    the closed forms in ``log_bhattacharyya_reduction``."""
     tol = 1e-12
 
     def root_density(x):
@@ -96,48 +96,48 @@ class TestFisherInformation:
 
 class TestReduction:
     def test_normal_shift(self):
-        mid, affinity = fam.bhattacharyya_reduction(fam.normal(1.0), 0.0, 2.0)
+        mid, log_w = fam.log_bhattacharyya_reduction(fam.normal(1.0), 0.0, 2.0)
         assert mid == pytest.approx(1.0, abs=0)
-        assert affinity == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert log_w == -1.0
 
     def test_equal_parameters_give_unit_affinity(self):
         for family in ALL_FAMILIES:
             for theta in theta_grid(family):
-                mid, affinity = fam.bhattacharyya_reduction(family, theta, theta)
+                mid, log_w = fam.log_bhattacharyya_reduction(family, theta, theta)
                 assert mid == pytest.approx(theta, rel=1e-15)
-                assert affinity == 1.0
+                assert log_w == 0.0
 
     def test_bernoulli_frozen_values(self):
-        # high-precision evaluation of the closed forms at (1/2, 13/20)
-        mid, affinity = fam.bhattacharyya_reduction(fam.bernoulli(), 0.5, 0.65)
-        assert mid == pytest.approx(0.57676799763842392, rel=1e-14)
-        assert affinity == pytest.approx(0.97696960070847282, rel=1e-14)
+        # 40-digit evaluation of the closed forms at the floats of (1/2, 13/20)
+        mid, log_w = fam.log_bhattacharyya_reduction(fam.bernoulli(), 0.5, 0.65)
+        assert mid == pytest.approx(0.57676799763842393, rel=1e-14)
+        assert log_w == pytest.approx(-0.023299742358466884, rel=1e-14)
 
     def test_midpoint_between_and_symmetric(self):
         for family in ALL_FAMILIES:
             grid = theta_grid(family)
             for t0 in grid:
                 for t1 in grid:
-                    mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
+                    mid, log_w = fam.log_bhattacharyya_reduction(family, t0, t1)
                     assert min(t0, t1) - 1e-12 <= mid <= max(t0, t1) + 1e-12
-                    assert 0.0 < affinity <= 1.0
-                    mid_swap, affinity_swap = fam.bhattacharyya_reduction(family, t1, t0)
+                    assert -math.inf < log_w <= 0.0
+                    mid_swap, log_w_swap = fam.log_bhattacharyya_reduction(family, t1, t0)
                     assert mid_swap == pytest.approx(mid, rel=1e-14)
-                    assert affinity_swap == pytest.approx(affinity, rel=1e-14)
+                    assert log_w_swap == pytest.approx(log_w, rel=1e-14)
                     if t0 != t1:
-                        assert affinity < 1.0
+                        assert log_w < 0.0
 
     def test_affinity_matches_numeric_integral(self):
         for family in ALL_FAMILIES:
             grid = theta_grid(family)
             pairs = [(grid[0], grid[2]), (grid[1], grid[3]), (grid[2], grid[4])]
             for t0, t1 in pairs:
-                _, closed = fam.bhattacharyya_reduction(family, t0, t1)
+                _, log_w = fam.log_bhattacharyya_reduction(family, t0, t1)
                 numeric = numeric_affinity(family, t0, t1)
-                assert numeric == pytest.approx(closed, rel=1e-10)
+                assert numeric == pytest.approx(math.exp(log_w), rel=1e-10)
 
     def test_geometric_average_identity(self):
-        # p0(x) p1(x) = affinity * p_mid(x)^2 pointwise
+        # p0(x) p1(x) = w * p_mid(x)^2 pointwise
         samples = {
             fam.BERNOULLI: [0, 1],
             fam.NORMAL: [-2.0, -0.3, 0.0, 1.1, 4.0],
@@ -146,10 +146,10 @@ class TestReduction:
         for family in ALL_FAMILIES:
             grid = theta_grid(family)
             t0, t1 = grid[1], grid[3]
-            mid, affinity = fam.bhattacharyya_reduction(family, t0, t1)
+            mid, log_w = fam.log_bhattacharyya_reduction(family, t0, t1)
             for x in samples[family.kind]:
                 lhs = log_density(family, t0, x) + log_density(family, t1, x)
-                rhs = math.log(affinity) + 2.0 * log_density(family, mid, x)
+                rhs = log_w + 2.0 * log_density(family, mid, x)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 

@@ -69,32 +69,32 @@ GOLDEN = {
     "figure2.json": "bfa953cac07b64b1849e4d098d054c9650f1562637b3889115f3bb264f34a3d0",
     "figure2.svg": "d02f4296a4e6642a11b933192c0e077034886ee8e70630240275798ba3f44657",
     "figure3.csv": "53d819a209ed7bf532c9e197427f4239c6ff663ab4205cbdc13598f91bee4c54",
-    "figure3.json": "0625f55a71d9d9c7cc4bdbf0e07eb93a2a6367d2bd3b543fb6b45ea2b3b109f6",
+    "figure3.json": "829821e081db79507845d2a642916604f04f23cab64642c8ab27bf1d234d75fa",
     "figure3.svg": "71f9dfd80698be0a71ce295fb9c8c312bebacad0d628a5a86df9114c3285b92a",
     "beta71.csv": "3f7ad6e5aa03a789aaa370835e9a10120a369ae79422ab96c2acec15cedea199",
-    "beta71.json": "70d1578d2241f06204a848b69b99db13d1a3d6486c57278db46c8e329d5618f0",
+    "beta71.json": "d5e48530ed33c7234cf4b97ae1be73022c7595480420100c4ae342d7b30ef2aa",
     "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
     "atoms_float.json": "43731509a729261c8616593ad3a016a2d85ac9f21a51a479e37367927b7d88c7",
     "atoms_rescaled.csv": "2c3a16657bfa6427049249d550a2d4f40560ced37cde571e58f420ba2ab26990",
     "atoms_rescaled.json": "363ee97a3a9097085515d7fdbc359efae06bd3464b41ce9c1caa10717b616aa8",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
-    "beta_float.json": "d45c7a1dfead682b6b2c2cd371f1372a87340384f7d0c345dea8369315dd99fc",
+    "beta_float.json": "06e62a3aa386ea77ddd2a2cca40528452ffb05a4b3ef7f7bd6a7720fdca84673",
     "beta_exact.csv": "de6589d7fdeeec37c170a78f32086c46b8dba81a8f8c45adae55d1fefa4bb33c",
-    "beta_exact.json": "ba18506e1d2cd32b9953c1e121689ab94e665c7e943e6d8b9702514f06951bbe",
+    "beta_exact.json": "158e4c5caa624bebb08c42de5e2be35ef6bb9c26f56b37449b6bfb177d108a9a",
     "exp_diagonal.csv": "0281fe29bbdef1e9c194d10eea17cbda45dd82f7368dbc7a34aeb147ac0fa372",
-    "exp_diagonal.json": "f6f845574276dc6c476fb9a3ca4d784f7f9064b331360f8944150f44ffbf1e3f",
+    "exp_diagonal.json": "f16a618ef65681d40b2ffeae717b77c0ce15635969db1e42c9361e8e1416b537",
     "exp_diagonal.svg": "cc61a308cf9da4b39c8070551b2400828cf7e819d1d87d3d47e42ae1860c5bd5",
     "exp_offdiag.csv": "17d0c67db81c976e9ec5ebd46034a7ba7db117ed708933f31c85a0006d2a5036",
-    "exp_offdiag.json": "a1ad7d0e0423c79c353e8d10efc586e1b2bf83be09d8da4834f584820274b377",
+    "exp_offdiag.json": "615e11fa25a7b3350c6b4ee4f517b540681e43e1236932c15b301a0ba2eaa1e7",
     "exp_offdiag.svg": "7451006a85b440e7e854828c442d89075da036ba288aaa4fa0f987a78f86b163",
     "uniform_diagonal.csv": "cd9dc64d525de8637aba25e49069e7cb510ffb7b30b53570ddc3190a592191e2",
-    "uniform_diagonal.json": "8a9c61cc05bb490b9efe43e2796008d6239b8cdefa7406f0b2cd3851faf350c8",
+    "uniform_diagonal.json": "05f7afee9e5f6be92a06026e4216e6413de03e23ffd1302eee370925aa5f2b53",
     "uniform_diagonal.svg": "d2dc447610b2c1ca0960a313e73484c0dc8a899bef080b043ac9c86b35ab05a4",
     "uniform_offdiag.csv": "ebfa0c9359edc1c21db279fa4bda6a1821e384b6cab777ea48a19c0316d00832",
-    "uniform_offdiag.json": "82fff31c249c69e3f3885cd221b94f513141519dbc7ef1de6b2e2509c07e3b75",
+    "uniform_offdiag.json": "3399e7e0d096316f1d827443c69815313ac045b40cc11b13c7f681fdf1870f56",
     "uniform_offdiag.svg": "5ff6a3c1bcb8424514fa4b28872c63be9921affe67bedcee4cdbbb06f49b1d2b",
-    "audit_all.json": "f5336088cbc2fc8110ba6806a02db339ed4d4d1dbc58e1fc131f22f7d429f118",
-    "seed7/audit_all.json": "393cd3039d18bfa8b32a12685e8f3c506086c05544db49287015aa76ab977896",
+    "audit_all.json": "f7f1a719ebc9ec00b1378417b7deed62b94632cf27f02e565cc570ea62522478",
+    "seed7/audit_all.json": "26f45ced678e9889bb70199d9aa329373ee85abb3e3109a652285626f3b2b2f3",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
     "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",
 }

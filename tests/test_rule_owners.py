@@ -2,10 +2,12 @@
 src/, only ``families`` defines a domain error, and only ``scenario`` reads
 or writes the scenario JSON, so two copies of a rule cannot drift apart.
 No module decides a comparison on an assumed tolerance (``math.isclose``),
-and only ``families.float_of`` turns an exact number past the float range
-into the float a route reads."""
+only ``families.float_of`` turns an exact number past the float range
+into the float a route reads, and only ``families`` takes the log of a
+Bhattacharyya affinity."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,35 @@ def test_one_module_reads_a_number_past_the_float_range():
         if isinstance(node, ast.ExceptHandler) and "OverflowError" in _names(node.type)
     }
     assert owners == {"families.py", "util.py", "cli.py"}
+
+
+# -x * x, -(x * x) or -x ** 2 as ``ast.unparse`` writes it, for any one expression x
+NEGATED_SQUARE = re.compile(r"-\(?(?P<x>.+) \* (?P=x)\)?|-\(?.+ \*\* 2\)?")
+
+
+def _log1p_of_negated_squares(tree: ast.Module) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args
+        and "log1p" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and NEGATED_SQUARE.fullmatch(ast.unparse(node.args[0]))
+    ]
+
+
+def test_only_families_takes_the_log_of_an_affinity():
+    """log w = log1p(-d^2) near the diagonal is written once, in
+    ``families.log_bhattacharyya_reduction``; every route and the growth law
+    read it from there."""
+    owners = {
+        path.name
+        for path in MODULES
+        if _log1p_of_negated_squares(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert owners == {"families.py"}
+
+
+def test_the_affinity_guard_sees_each_form():
+    tree = ast.parse("log1p(-d * d)\nmath.log1p(-(gap * gap))\nlog1p(-x ** 2)\n"
+                     "log1p(-a * b)\nlog1p(x * x)\nmath.log(-d * d)\n")
+    assert _log1p_of_negated_squares(tree) == [1, 2, 3]
