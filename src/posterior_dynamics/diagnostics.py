@@ -33,6 +33,7 @@ FLOAT_TIE_RTOL = 1e-13
 # log-space guard for the float log-concavity scan; second differences of
 # closed-form log values carry ~5e-15 rounding noise, signals sit above 1e-13
 LC_FLOAT_GUARD = 1e-14
+RATIO_RTOL = 1e-6  # the relative error bound past which a growth-law ratio is refused
 _log_error = ExactValue.log_error
 
 
@@ -156,19 +157,16 @@ class DiagnosticsReport:
 def _log_spaced(n_max: int) -> list[int]:
     if n_max <= 20:
         return list(range(1, n_max + 1))
-    points = {1, n_max}
-    for i in range(1, 20):
-        points.add(max(1, round(n_max ** (i / 20))))
-    return sorted(points)
+    return sorted({1, n_max} | {max(1, round(n_max ** (i / 20))) for i in range(1, 20)})
 
 
 def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
     """Full scan of a sequence; adds the continuous-n analysis for the
     normal closed form and, when a continuous prior is supplied, the
-    growth-law ratio table at log-spaced indices.  Checks the unimodality
-    implication: an empty violation list must come with at most one
-    interior mode.  The step signs are computed once for all three step
-    verdicts."""
+    growth-law ratio table at log-spaced indices, each ratio within
+    (8 + 2|log C| + 2n|log w| + log n) ulp and refused past RATIO_RTOL.  Checks
+    the unimodality implication: an empty violation list must come with at most
+    one interior mode.  The step signs are computed once for all three verdicts."""
     steps = _steps_of(seq, "mode detection", 3)
     modes, minima = _extrema(steps), _extrema([-s for s in steps])
     violations = logconcavity_scan(seq)
@@ -192,8 +190,12 @@ def analyze(seq: ExpectedPosteriorSequence, prior=None) -> DiagnosticsReport:
     if prior is not None and not isinstance(prior, DiscreteAtoms):
         log_c, log_w = growth_law(seq.family, prior, seq.theta0, seq.theta1)
         for n in _log_spaced(seq.horizon):
-            log_asym = log_c + n * log_w + 0.5 * math.log(n)
-            report.asymptotic_ratios.append((n, math.exp(seq.log_values[n - 1] - log_asym)))
+            log_psi, log_asym = seq.log_values[n - 1], log_c + n * log_w + 0.5 * math.log(n)
+            diff, err = log_psi - log_asym, (8 + 2 * (abs(log_c) - n * log_w) + math.log(n)) * 2.0**-52
+            if not (math.isfinite(diff) and diff < 709 and (err <= RATIO_RTOL or diff + err < -746)):
+                raise DomainError(f"the growth-law ratio exp({log_psi} - {log_asym}) at n={n} "
+                                  f"is not a float within {RATIO_RTOL} relative")
+            report.asymptotic_ratios.append((n, math.exp(diff)))
     return report
 
 
@@ -220,17 +222,15 @@ def growth_law(family: FamilySpec, prior: Prior, theta0, theta1) -> tuple[float,
     if isinstance(prior, DiscreteAtoms):
         raise DomainError("asymptotics require continuous prior")
     if float(theta0) == float(theta1):
-        if pr.prior_log_density(prior, theta0) == float("-inf"):
-            raise DomainError(f"prior density vanishes at theta={theta0}")
-        mid, log_w, lr = theta0, 0.0, 0.0
+        mid, log_w = theta0, 0.0
     else:
         mid, log_w = fam.log_bhattacharyya_reduction(family, theta0, theta1)
-        lr = pr.prior_log_density(prior, theta0) - pr.prior_log_density(prior, mid)
-        if not math.isfinite(lr):
-            raise DomainError("prior density vanishes at theta0 or the midpoint")
+    lr = pr.prior_log_density(prior, theta0) - pr.prior_log_density(prior, mid)
+    if not math.isfinite(lr):
+        raise DomainError(f"prior density vanishes at theta0={theta0} or the midpoint")
     const = 0.5 * math.sqrt(fam.fisher_information(family, mid) / math.pi)
     if not const > 0.0:
-        raise DomainError(f"the growth law's constant sqrt(I({mid})/pi)/2 = {const} at "
+        raise DomainError(f"the growth law's constant sqrt(I({float(mid)})/pi)/2 = {const} at "
                           f"theta0={theta0}, theta1={theta1} must be a positive float")
     return lr + math.log(const), log_w
 

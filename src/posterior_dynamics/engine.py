@@ -345,15 +345,11 @@ def expected_posterior_uniform(
     return ExpectedPosteriorSequence(family, theta0, theta1, METHOD_UNIFORM, log_values=logs)
 
 
-def _uniform_yz(theta0: Real, theta1: Real) -> tuple[float, float]:
-    """The floats y = theta0 theta1 and z = (1-theta0)(1-theta1), each 1 - theta
-    read as the float of the theta given, which keeps its digits near 1."""
-    return float(theta0) * float(theta1), fam.float_of(1 - theta0) * fam.float_of(1 - theta1)
-
-
 def _uniform_float_logs(theta0: Real, theta1: Real, horizon: int) -> list[float]:
-    """log psi(n) = log(n + 1) + log q_1 + ... + log q_n over the Legendre ratios q_k."""
-    ratios = legendre_ratios(horizon, *_uniform_yz(theta0, theta1))
+    """log psi(n) = log(n + 1) + log q_1 + ... + log q_n over the Legendre ratios q_k of
+    y = theta0 theta1 and z = (1-theta0)(1-theta1), each 1 - theta a ``families.complement``."""
+    ratios = legendre_ratios(horizon, float(theta0) * float(theta1),
+                             fam.complement(theta0) * fam.complement(theta1))
     log = math.log
     return [log(n + 1) + log_q for n, log_q in enumerate(accumulate(map(log, ratios)), start=1)]
 
@@ -361,14 +357,13 @@ def _uniform_float_logs(theta0: Real, theta1: Real, horizon: int) -> list[float]
 def log_expected_posterior_uniform(theta0: Real, theta1: Real, n: int) -> float:
     """log psi(n) of the uniform prior at one n, with no sequence built:
     psi(n) = (n+1) w^n J_n(c), y = theta0 theta1, z = (1-theta0)(1-theta1),
-    w = (sqrt y + sqrt z)^2, c = 4 sqrt(yz)/w; ``specialfn.log_legendre_integral``
-    bounds J_n's trapezoid sum within 2^-60 relative before rounding, and
-    ``families.log_bhattacharyya_reduction`` gives log w."""
+    w = (sqrt y + sqrt z)^2, c = 4 sqrt(yz)/w = 4 mid (1 - mid) <= 1, with mid and log w
+    from ``families.log_bhattacharyya_reduction``; ``specialfn.log_legendre_integral``
+    bounds J_n's trapezoid sum within 2^-60 relative before rounding."""
     family = fam.bernoulli()
     pr.require_inputs(family, Uniform01(), theta0, theta1, n)
-    _, log_w = fam.log_bhattacharyya_reduction(family, theta0, theta1)
-    root_y, root_z = map(math.sqrt, _uniform_yz(theta0, theta1))
-    c = min(1.0, 4.0 * root_y * root_z / math.exp(log_w))
+    mid, log_w = fam.log_bhattacharyya_reduction(family, theta0, theta1)
+    c = fam.float_of(4 * mid * (1 - mid))
     return n * log_w + math.log(n + 1) + log_legendre_integral(n, c)[0]
 
 
@@ -389,6 +384,8 @@ def _normal_logs(theta0: float, theta1: float, sigma: float, ns) -> list[float]:
     log_sigma, two_pi, two_sig2, four_sig2 = log(sigma), 2.0 * math.pi, 2.0 * sig2, 4.0 * sig2
     mid2_sig2 = mid * mid * sig2
     tail = 0.5 * (mid * mid - theta0 * theta0)
+    if not abs(theta0 - theta1) < math.sqrt(math.nextafter(math.inf, 0.0)):
+        raise DomainError(f"(theta0 - theta1)^2 = ({theta0 - theta1})^2 is past the float range")
     slope = (theta0 - theta1) ** 2
     return [
         log(n + sig2) - log_sigma - 0.5 * log(two_pi * (2.0 * n + sig2))

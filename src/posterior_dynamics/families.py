@@ -61,6 +61,11 @@ def float_of(x: Real) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def complement(theta: Real) -> float:
+    """The float of 1 - theta, with the digits near 1 that float(theta) loses."""
+    return float_of(1 - theta)
+
+
 def require_sigma(sigma, name: str = "sigma") -> None:
     """DomainError unless a scale is a finite number > 0: the normal
     family's sigma, or (as ``name="rate"``) the exponential prior's rate."""
@@ -114,31 +119,33 @@ def fisher_information(family: FamilySpec, theta: Real) -> float:
     family.require_theta(theta)
     t = float(theta)
     if family.kind == BERNOULLI:
-        return 1.0 / (t * float_of(1 - theta))
+        return 1.0 / (t * complement(theta))
     if family.kind == NORMAL:
         return 1.0 / (family.sigma**2)
     return 1.0 / (t * t)  # exponential
 
 
 def log_bhattacharyya_reduction(family: FamilySpec, theta0: Real,
-                                theta1: Real) -> tuple[float, float]:
+                                theta1: Real) -> tuple[Real, float]:
     """Midpoint parameter and log w, w the squared Bhattacharyya affinity of (theta0, theta1).
 
     The midpoint is taken in the natural parameterization, so the density at
     the midpoint is the normalized geometric average of the two densities.
     log w lies in [-inf, 0], is 0 on the diagonal and is symmetric.  Near the
     diagonal log w = log1p(-d^2), so n log w carries no cancellation, with
-    d = (theta0 - theta1)/(sqrt(theta0(1-theta1)) + sqrt(theta1(1-theta0))) (Bernoulli,
-    each 1 - theta the float of the theta given) or (theta0 - theta1)/(theta0 + theta1).
+    d = (theta0 - theta1)/(sqrt(theta0(1-theta1)) + sqrt(theta1(1-theta0))) (Bernoulli)
+    or (theta0 - theta1)/(theta0 + theta1).  The Bernoulli branch reads 1 - theta by ``complement``
+    (theta0 - theta1 above 1/2 too) and returns mid = r/(r+s) as a Fraction of the float r, s.
     """
     family.require_theta(theta0)
     family.require_theta(theta1)
     t0, t1 = float(theta0), float(theta1)
     if family.kind == BERNOULLI:
-        c0, c1 = float_of(1 - theta0), float_of(1 - theta1)
+        c0, c1 = complement(theta0), complement(theta1)
         r, s = math.sqrt(t0 * t1), math.sqrt(c0 * c1)
-        d = (t0 - t1) / (math.sqrt(t0 * c1) + math.sqrt(t1 * c0))
-        return r / (r + s), math.log1p(-d * d) if d * d < 0.5 else 2.0 * math.log(r + s)
+        d = (c1 - c0 if min(t0, t1) > 0.5 else t0 - t1) / (math.sqrt(t0 * c1) + math.sqrt(t1 * c0))
+        mid = Fraction(r) / (Fraction(r) + Fraction(s))
+        return mid, math.log1p(-d * d) if d * d < 0.5 else 2.0 * math.log(r + s)
     if family.kind == NORMAL:
         sig = family.sigma
         return (t0 + t1) / 2.0, -((t0 - t1) ** 2) / (4.0 * sig * sig)

@@ -179,6 +179,16 @@ FLOAT_RANGE = {
     "exp-affinity-nan": (
         exp_scenario(1, theta0=1e300, theta1=1e10), cli.EXIT_NUMERIC,
         "constant sqrt(I(5e+299)/pi)/2 = 0.0 at theta0=1e+300, theta1=10000000000.0 must be"),
+    # a ratio exp(log psi - log asym) whose two logs are both about -1.5e300
+    # has no digit left, and a theta gap whose square overflows has no log psi
+    "normal-ratio-cancels": (
+        minimal_scenario(family={"kind": "normal", "sigma": 1}, prior=STDNORMAL,
+                         theta0=-1e150, theta1=1e150), cli.EXIT_NUMERIC,
+        "ratio exp(-1.4999999999999998e+300 - -1.4999999999999998e+300) at n=1 is not a float"),
+    "normal-gap-square-overflows": (
+        minimal_scenario(family={"kind": "normal", "sigma": 1}, prior=STDNORMAL,
+                         theta0=-1e155, theta1=1e155), cli.EXIT_NUMERIC,
+        "(theta0 - theta1)^2 = (-2e+155)^2 is past the float range"),
     "exp-rate-theta0-underflows": (
         exp_scenario(1e-100, theta0=1e-300), cli.EXIT_NUMERIC,
         "rate*theta0 = 1e-100*1e-300 = 0.0 outside (0.0, inf) for the exponential family"),
@@ -202,7 +212,7 @@ def test_a_number_out_of_float_range_is_refused_in_one_line(tmp_path, capsys, pa
 # the growth law is taken in log space, so an affinity whose float is 0.0
 # (w = e^-2500 here) or a prior ratio past the float range (e^(1.6e299)) still
 # gives a finite ratio, and a 1 - theta of 10^-21 is read from the theta given,
-# on the route, in the log affinity and in the Fisher information of the diagonal
+# on the route, in the log affinity, in the midpoint and in the Fisher information
 NEAR_ONE = f"{10**21 - 1}/1" + "0" * 21
 GROWTH_LAW_EDGES = {
     "normal-affinity-underflows": (
@@ -213,6 +223,11 @@ GROWTH_LAW_EDGES = {
     "uniform-complement-1e-21": (
         minimal_scenario(prior=UNIFORM, theta0="1/1" + "0" * 21, theta1=NEAR_ONE,
                          numeric_mode="float"), None),
+    "uniform-midpoint-near-1": (
+        minimal_scenario(prior=UNIFORM, theta0=f"{10**15 - 1}/1" + "0" * 15, theta1=NEAR_ONE,
+                         numeric_mode="float"), None),
+    "uniform-half-to-near-1": (
+        minimal_scenario(prior=UNIFORM, theta1=NEAR_ONE, numeric_mode="float"), None),
     "uniform-diagonal-near-1": (
         minimal_scenario(prior=UNIFORM, theta0=NEAR_ONE, theta1=NEAR_ONE,
                          numeric_mode="float"), None),

@@ -213,6 +213,13 @@ GROWTH_LAW_CASES = {
         engine.expected_posterior_uniform(F(1, 2), F(3, 4), 12_000, mode="float"),
         pr.Uniform01()),
     "beta71": lambda: bundled_run("beta71"),
+    # 1 - theta of 10^-15 and 10^-21: the midpoint and 1 - midpoint keep their digits
+    "uniform_float_near_one": lambda: (
+        engine.expected_posterior_uniform(F(10**15 - 1, 10**15), F(10**21 - 1, 10**21), 20,
+                                          mode="float"), pr.Uniform01()),
+    "uniform_float_half_to_near_one": lambda: (
+        engine.expected_posterior_uniform(F(1, 2), F(10**21 - 1, 10**21), 20, mode="float"),
+        pr.Uniform01()),
 }
 
 
@@ -220,17 +227,18 @@ GROWTH_LAW_CASES = {
 def test_growth_law_ratios_are_within_their_bound(case):
     """Each ratio against exp(log psi(n) - log asym(n)) at 50 digits, with the
     route's own float log psi(n), so this measures the growth law and not the
-    route: within (8 + 2 |log asym(n)|) ulp, since the float log asymptote is
-    off by a few ulp of its size and exp turns that absolute error into a
-    relative one."""
+    route: within (8 + 2|log C| + 2n|log w| + log n) ulp, since each term of the
+    float log asymptote log C + n log w + log(n)/2 is off by a few ulp of its
+    size and exp turns that absolute error into a relative one."""
     seq, prior = case()
     ratios = dg.analyze(seq, prior=prior).asymptotic_ratios
+    log_c, log_w = dg.growth_law(seq.family, prior, seq.theta0, seq.theta1)
     for n, ratio in ratios:
         log_asym = mp_log_asymptote(seq.family, prior, seq.theta0, seq.theta1, n)
         with mp.workdps(50):
             want = float(mp.exp(mp.mpf(seq.log_values[n - 1]) - log_asym))
         ulps = abs(ratio - want) / math.ulp(want)
-        assert ulps <= 8 + 2 * abs(float(log_asym)), (n, ratio, want, ulps)
+        assert ulps <= 8 + 2 * abs(log_c) - 2 * n * log_w + math.log(n), (n, ratio, want, ulps)
 
 
 # float routes at parameters far enough apart that psi underflows to 0.0

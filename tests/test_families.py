@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +113,18 @@ class TestReduction:
         mid, log_w = fam.log_bhattacharyya_reduction(fam.bernoulli(), 0.5, 0.65)
         assert mid == pytest.approx(0.57676799763842393, rel=1e-14)
         assert log_w == pytest.approx(-0.023299742358466884, rel=1e-14)
+
+    def test_bernoulli_midpoint_keeps_its_digits_near_one(self):
+        """mid = r/(r+s) is the exact Fraction of the float r and s, so 1 - mid
+        = s/(r+s) is read to full precision where float(mid) would be 1.0."""
+        with mp.workdps(50):
+            near = [Fraction(10**k - 1, 10**k) for k in (15, 21)]
+            for t0, t1 in [tuple(near), (Fraction(1, 2), near[1])]:
+                mid, log_w = fam.log_bhattacharyya_reduction(fam.bernoulli(), t0, t1)
+                a0, a1 = (mp.mpf(t.numerator) / t.denominator for t in (t0, t1))
+                r, s = mp.sqrt(a0 * a1), mp.sqrt((1 - a0) * (1 - a1))
+                assert 0 < mid < 1 and float(1 - mid) == pytest.approx(float(s / (r + s)), rel=1e-15)
+                assert log_w == pytest.approx(float(2 * mp.log(r + s)), rel=1e-15)
 
     def test_midpoint_between_and_symmetric(self):
         for family in ALL_FAMILIES:

@@ -72,15 +72,15 @@ GOLDEN = {
     "figure3.json": "829821e081db79507845d2a642916604f04f23cab64642c8ab27bf1d234d75fa",
     "figure3.svg": "71f9dfd80698be0a71ce295fb9c8c312bebacad0d628a5a86df9114c3285b92a",
     "beta71.csv": "3f7ad6e5aa03a789aaa370835e9a10120a369ae79422ab96c2acec15cedea199",
-    "beta71.json": "d5e48530ed33c7234cf4b97ae1be73022c7595480420100c4ae342d7b30ef2aa",
+    "beta71.json": "32fe178e71413a32f8591905fdebe6b0b08c826b5d975de5ffb503b89072ec96",
     "atoms_float.csv": "478244a83c80e4ca8caa39abe6ad462d9a1158bd84bce942b250ad5d8de797dd",
     "atoms_float.json": "43731509a729261c8616593ad3a016a2d85ac9f21a51a479e37367927b7d88c7",
     "atoms_rescaled.csv": "2c3a16657bfa6427049249d550a2d4f40560ced37cde571e58f420ba2ab26990",
     "atoms_rescaled.json": "363ee97a3a9097085515d7fdbc359efae06bd3464b41ce9c1caa10717b616aa8",
     "beta_float.csv": "50794bab79b9fe80e5b9a0f9e30d0173e5e353e17588bf954d5bf2f58dbf995e",
-    "beta_float.json": "06e62a3aa386ea77ddd2a2cca40528452ffb05a4b3ef7f7bd6a7720fdca84673",
+    "beta_float.json": "1f9989485de2c979a9843ef40b83dce5bceef1c0b44902f0fc0ad47b7f76b542",
     "beta_exact.csv": "de6589d7fdeeec37c170a78f32086c46b8dba81a8f8c45adae55d1fefa4bb33c",
-    "beta_exact.json": "158e4c5caa624bebb08c42de5e2be35ef6bb9c26f56b37449b6bfb177d108a9a",
+    "beta_exact.json": "7385760188ca3545cae49bc85d2c7f4373ac42af369f9b8e227e2808920ed9db",
     "exp_diagonal.csv": "0281fe29bbdef1e9c194d10eea17cbda45dd82f7368dbc7a34aeb147ac0fa372",
     "exp_diagonal.json": "f16a618ef65681d40b2ffeae717b77c0ce15635969db1e42c9361e8e1416b537",
     "exp_diagonal.svg": "cc61a308cf9da4b39c8070551b2400828cf7e819d1d87d3d47e42ae1860c5bd5",
@@ -91,10 +91,10 @@ GOLDEN = {
     "uniform_diagonal.json": "05f7afee9e5f6be92a06026e4216e6413de03e23ffd1302eee370925aa5f2b53",
     "uniform_diagonal.svg": "d2dc447610b2c1ca0960a313e73484c0dc8a899bef080b043ac9c86b35ab05a4",
     "uniform_offdiag.csv": "ebfa0c9359edc1c21db279fa4bda6a1821e384b6cab777ea48a19c0316d00832",
-    "uniform_offdiag.json": "3399e7e0d096316f1d827443c69815313ac045b40cc11b13c7f681fdf1870f56",
+    "uniform_offdiag.json": "d9e66de79f237c619a830a91cab33365c53946b2f7c018c5c42bca66467cd54f",
     "uniform_offdiag.svg": "5ff6a3c1bcb8424514fa4b28872c63be9921affe67bedcee4cdbbb06f49b1d2b",
-    "audit_all.json": "f7f1a719ebc9ec00b1378417b7deed62b94632cf27f02e565cc570ea62522478",
-    "seed7/audit_all.json": "26f45ced678e9889bb70199d9aa329373ee85abb3e3109a652285626f3b2b2f3",
+    "audit_all.json": "77613506c66c0a61b1d6c855ed257623851a9b51e6f4ba1597caa62f0dcb3d28",
+    "seed7/audit_all.json": "e9ab379597c3c98e844f1b2efb6c9e3da63e23cce54329733c47f7aa5e78f075",
     "seed1/audit_orders.json": "6fe75ecc5bdf35a65ba58910d9b42925d13a39a0eba0582e28bd1205f244f10b",
     "seed7/audit_orders.json": "9d5246ae6fed0b386b3b6d9ffaa65c97624a06bb459f48a810f55dbc40c4cc6c",
 }

@@ -4,7 +4,7 @@ or writes the scenario JSON, so two copies of a rule cannot drift apart.
 No module decides a comparison on an assumed tolerance (``math.isclose``),
 only ``families.float_of`` turns an exact number past the float range
 into the float a route reads, and only ``families`` takes the log of a
-Bhattacharyya affinity."""
+Bhattacharyya affinity or reads 1 - theta as a float."""
 
 import ast
 import re
@@ -145,6 +145,21 @@ def test_only_families_takes_the_log_of_an_affinity():
         path.name
         for path in MODULES
         if _log1p_of_negated_squares(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert owners == {"families.py"}
+
+
+def test_only_families_reads_one_minus_theta_as_a_float():
+    """1 - theta is read once, by ``families.complement``, as the float of the
+    exact 1 - theta, so a rational theta near 1 keeps its digits on every
+    path that reads it."""
+    owners = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and node.args
+        and "float_of" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and re.fullmatch(r"1 - .+", ast.unparse(node.args[0]))
     }
     assert owners == {"families.py"}
 
