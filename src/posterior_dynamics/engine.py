@@ -377,15 +377,17 @@ def _normal_logs(theta0: float, theta1: float, sigma: float, ns) -> list[float]:
         log(n + s) - log sigma - log(2 pi (2n + s)) / 2 - mid^2 s / (4n + 2s)
         + (mid^2 - theta0^2) / 2 - n (theta0 - theta1)^2 / (4s),
     s = sigma^2, mid = (theta0 + theta1) / 2; the terms free of n are
-    computed once, each rounded as in the formula; sigma is a ``FamilySpec``'s."""
+    computed once, each rounded as in the formula; sigma is a ``FamilySpec``'s.
+    DomainError where theta0 - theta1, theta0 or theta1 has no float square."""
+    fam.require_square(theta0 - theta1, "(theta0 - theta1)")
+    fam.require_square(theta0, "theta0")
+    fam.require_square(theta1, "theta1")
     log = math.log
     mid = 0.5 * (theta0 + theta1)
     sig2 = sigma * sigma
     log_sigma, two_pi, two_sig2, four_sig2 = log(sigma), 2.0 * math.pi, 2.0 * sig2, 4.0 * sig2
     mid2_sig2 = mid * mid * sig2
     tail = 0.5 * (mid * mid - theta0 * theta0)
-    if not abs(theta0 - theta1) < math.sqrt(math.nextafter(math.inf, 0.0)):
-        raise DomainError(f"(theta0 - theta1)^2 = ({theta0 - theta1})^2 is past the float range")
     slope = (theta0 - theta1) ** 2
     return [
         log(n + sig2) - log_sigma - 0.5 * log(two_pi * (2.0 * n + sig2))

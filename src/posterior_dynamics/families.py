@@ -37,6 +37,8 @@ _DOMAINS = {BERNOULLI: (0, 1), NORMAL: (-math.inf, math.inf), EXPONENTIAL: (0, m
 _KINDS = tuple(_DOMAINS)
 
 NEG_INF = float("-inf")
+# a float x with |x| below this has a float square x * x
+_SQUARE_MAX = math.sqrt(math.nextafter(math.inf, 0.0))
 
 _log = math.log
 _lgamma = math.lgamma
@@ -47,6 +49,11 @@ _lgamma = math.lgamma
 # (H=200) 22-35% slower on a 2-core host, losing 15 of 16 pairs in each of two runs.
 LOG_FACT_MAX = 1 << 16
 _LOG_FACT: list[float] = []
+# _LOG_COIN[t] = (log t, log(1.0 - t)) for a float coin 0 < t < 1, filled by
+# the Bernoulli density on first use; a run reads a few coins, and the table
+# is emptied when it holds LOG_COIN_MAX of them
+LOG_COIN_MAX = 256
+_LOG_COIN: dict[float, tuple[float, float]] = {}
 
 
 class DomainError(ValueError):
@@ -71,6 +78,12 @@ def require_sigma(sigma, name: str = "sigma") -> None:
     family's sigma, or (as ``name="rate"``) the exponential prior's rate."""
     if sigma is None or not 0 < sigma < math.inf:
         raise DomainError(f"{name}={sigma} must be finite and > 0")
+
+
+def require_square(x: float, shown: str) -> None:
+    """DomainError unless the square of the float x, named ``shown``, is in the float range."""
+    if not abs(x) < _SQUARE_MAX:
+        raise DomainError(f"{shown}^2 = ({x})^2 is past the float range")
 
 
 @dataclass(frozen=True)
@@ -147,6 +160,7 @@ def log_bhattacharyya_reduction(family: FamilySpec, theta0: Real,
         mid = Fraction(r) / (Fraction(r) + Fraction(s))
         return mid, math.log1p(-d * d) if d * d < 0.5 else 2.0 * math.log(r + s)
     if family.kind == NORMAL:
+        require_square(t0 - t1, "(theta0 - theta1)")
         sig = family.sigma
         return (t0 + t1) / 2.0, -((t0 - t1) ** 2) / (4.0 * sig * sig)
     mid = (t0 + t1) / 2.0  # exponential: w = theta0 theta1 / mid^2
@@ -200,6 +214,12 @@ def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> f
             return 0.0 if k == 0 else NEG_INF
         if t == 1.0:
             return 0.0 if k == n else NEG_INF
+        try:
+            log_t, log_c = _LOG_COIN[t]
+        except KeyError:
+            if len(_LOG_COIN) >= LOG_COIN_MAX:
+                _LOG_COIN.clear()
+            log_t, log_c = _LOG_COIN[t] = _log(t), _log(1.0 - t)
         lf = _LOG_FACT
         # log_binomial(n, k), inlined for a table hit: calling it made the
         # float figure1, figure2 and Beta routes 4-6% slower (2-core host)
@@ -207,7 +227,7 @@ def suff_stat_log_density(family: FamilySpec, theta: Real, n: int, u: Real) -> f
             log_choose = lf[n] - lf[k] - lf[n - k]
         except (IndexError, TypeError):
             log_choose = log_binomial(n, k)
-        return log_choose + k * _log(t) + (n - k) * _log(1.0 - t)
+        return log_choose + k * log_t + (n - k) * log_c
     if not lo < theta < hi:
         family.require_theta(theta)
     t = float(theta)

@@ -301,12 +301,17 @@ def marginal_suffstat_logpmf(family: FamilySpec, prior: Prior, n: int, u: Real) 
         density = fam.suff_stat_log_density
         return logsumexp([lw + density(family, t, n, u) for t, lw in prior.log_weights])
     if family.kind == BERNOULLI and isinstance(prior, (Uniform01, Beta)):
-        uf = float(u)
-        if uf < 0 or uf > n or uf != int(uf):
-            return NEG_INF
+        if type(u) is int:  # no float round trip, as in ``suff_stat_log_density``
+            if u < 0 or u > n:
+                return NEG_INF
+            k = u
+        else:
+            uf = float(u)
+            if uf < 0 or uf > n or uf != int(uf):
+                return NEG_INF
+            k = int(uf)
         if isinstance(prior, Uniform01):
             return -math.log(n + 1)
-        k = int(uf)
         a, b, log_beta_ab = prior.float_shape
         x, y = k + a, n - k + b
         log_beta_xy = _lgamma(x) + _lgamma(y) - _lgamma(x + y)

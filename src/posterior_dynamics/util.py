@@ -38,14 +38,22 @@ ENCLOSURE_BITS = 160
 
 
 def logsumexp(terms: Iterable[float]) -> float:
-    """log(sum(exp(t))) over finite/-inf terms, stable around the maximum."""
-    ts = [t for t in terms if t != _NEG_INF]
+    """log(sum(exp(t))) over finite/-inf terms, stable around the maximum.
+    The -inf terms are dropped first, in a copy made only where one is present.
+    The exponentials are added in order from 0.0, as the builtin ``sum`` adds
+    floats up to Python 3.11 (3.12 compensates), and faster than it on a list."""
+    ts = terms if type(terms) is list else list(terms)
+    if _NEG_INF in ts:
+        ts = [t for t in ts if t != _NEG_INF]
     if not ts:
         return _NEG_INF
     m = max(ts)
     if m == _INF:
         return m
-    return m + _log(sum([_exp(t - m) for t in ts]))
+    total = 0.0
+    for t in ts:
+        total += _exp(t - m)
+    return m + _log(total)
 
 
 def ratio_to_float(num: int, den: int) -> float:

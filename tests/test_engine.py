@@ -538,6 +538,27 @@ class TestFloatBoundary:
             with pytest.raises(DomainError, match=r"^sigma\^2=(0\.0|inf) must be finite"):
                 call()
 
+    @pytest.mark.parametrize("call,shown", [
+        (lambda: engine.expected_posterior_normal(1e200, 1e200, 1.0, 3), "theta0^2 = (1e+200)^2"),
+        (lambda: engine.expected_posterior_normal(0.0, -1e200, 1.0, 3),
+         "(theta0 - theta1)^2 = (1e+200)^2"),
+        (lambda: engine.log_expected_posterior_normal(1e154, 1.4e154, 1.0, 2.5),
+         "theta1^2 = (1.4e+154)^2"),
+        (lambda: dg.asymptotic_expected_posterior(fam.normal(1.0), pr.StdNormal(),
+                                                  -1e155, 1e155, 5),
+         "(theta0 - theta1)^2 = (-2e+155)^2"),
+    ], ids=["route-diagonal", "route-gap", "one-value-theta1", "asymptote-gap"])
+    def test_a_normal_square_past_the_float_range_is_refused(self, call, shown):
+        """Once the diagonal at 1e200 gave logs [nan, nan, nan] (mid^2 - theta0^2
+        is inf - inf) and the asymptote's gap a bare OverflowError."""
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"{shown} is past the float range"
+
+    def test_a_normal_theta_just_inside_the_square_range_keeps_finite_logs(self):
+        logs = engine.expected_posterior_normal(1.3e154, 1.3e154, 1.0, 3).log_values
+        assert all(-math.inf < v < 0.0 for v in logs)
+
     @pytest.mark.parametrize("theta0", [TINY, 1 - TINY])
     def test_the_float_beta_route_refuses_a_theta0_whose_float_leaves_the_interval(self, theta0):
         calls = (

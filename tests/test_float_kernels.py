@@ -1,9 +1,11 @@
 """The float per-term kernels against in-test copies of their earlier form.
 
 ``families.suff_stat_log_density`` checks theta against its domain in place,
-takes ints u without a float round trip and reads log C(n, k) from a table of
-log factorials; ``util.logsumexp`` sums a list against module constants; the
-Beta prior predictive reads its float shape and log B(a, b) from the prior,
+takes ints u without a float round trip, reads log C(n, k) from a table of
+log factorials and log theta, log(1 - theta) from a bounded table of coins;
+``util.logsumexp`` sums a list against module constants and copies it only
+to drop a -inf; the Beta prior predictive takes ints u without a float round
+trip and reads its float shape and log B(a, b) from the prior,
 and its other log-gammas from the same table when the shapes are integers,
 and the atom one its float log-weights.  The copies below are the kernels as
 they were before; every float must come out with the same bits, and every
@@ -143,6 +145,54 @@ def test_log_factorial_table_stops_at_its_cap(monkeypatch):
     assert len(fam._LOG_FACT) == 101
 
 
+def test_coin_table_stays_under_its_cap(monkeypatch):
+    """More distinct coins than the cap empty the table and fill it again;
+    each coin, evicted or first seen after an eviction, keeps its bits."""
+    monkeypatch.setattr(fam, "_LOG_COIN", {})
+    monkeypatch.setattr(fam, "LOG_COIN_MAX", 8)
+    coins = [i / 25 for i in range(1, 25)]
+    for rnd in range(3):
+        for theta in coins[rnd:] + coins[:rnd]:
+            for n, k in ((1, 0), (1, 1), (150, 70), (2000, 3)):
+                got = fam.suff_stat_log_density(BERNOULLI, theta, n, k)
+                assert bits(got) == bits(earlier_density(BERNOULLI, theta, n, k))
+            assert 0 < len(fam._LOG_COIN) <= 8
+    assert set(fam._LOG_COIN) <= set(coins)
+
+
+def test_coin_table_entries_are_the_two_logs(monkeypatch):
+    monkeypatch.setattr(fam, "_LOG_COIN", {})
+    for theta in (0.3, SUBNORMAL, 1.0 - 2.0**-53, 0.5):
+        fam.suff_stat_log_density(BERNOULLI, theta, 7, 2)
+        log_t, log_c = fam._LOG_COIN[theta]
+        assert (bits(log_t), bits(log_c)) == (bits(math.log(theta)), bits(math.log(1.0 - theta)))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, 0, 1, Fraction(0), Fraction(1)])
+def test_sure_coins_never_enter_the_coin_table(monkeypatch, theta):
+    monkeypatch.setattr(fam, "_LOG_COIN", {})
+    for n, k in ((1, 0), (1, 1), (5, 0), (5, 5), (5, 2)):
+        assert bits(fam.suff_stat_log_density(BERNOULLI, theta, n, k)) == bits(
+            earlier_density(BERNOULLI, theta, n, k))
+    assert fam._LOG_COIN == {}
+
+
+def test_a_fraction_coin_shares_the_entry_of_its_float(monkeypatch):
+    monkeypatch.setattr(fam, "_LOG_COIN", {})
+    exact = Fraction(13, 20)
+    want = bits(earlier_density(BERNOULLI, exact, 40, 17))
+    assert bits(fam.suff_stat_log_density(BERNOULLI, exact, 40, 17)) == want
+    assert bits(fam.suff_stat_log_density(BERNOULLI, 0.65, 40, 17)) == want
+    assert list(fam._LOG_COIN) == [0.65]
+
+
+def test_a_refused_coin_never_enters_the_coin_table(monkeypatch):
+    monkeypatch.setattr(fam, "_LOG_COIN", {})
+    for theta in (-0.1, 1.5, float("nan"), Fraction(1) + Fraction(1, 10**20)):
+        assert not outcome(fam.suff_stat_log_density, BERNOULLI, theta, 5, 2)[0]
+    assert fam._LOG_COIN == {}
+
+
 @pytest.mark.parametrize("n,k", [(5.0, 2), (Fraction(5), 2), (True, 1), (2.5, 1)])
 def test_log_binomial_of_an_n_that_is_no_int(n, k):
     want = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -198,9 +248,16 @@ TERM = (st.floats(-3.0, 3.0) | st.floats(-800.0, 800.0)
 @example([float("-inf")] * 3)
 @example([1.0, float("inf"), float("-inf")])
 @example([0.1 * i for i in range(30)])
+@example([float("-inf"), float("nan"), 1.0])
+@example([float("nan"), float("-inf")])
+@example((1.0, float("-inf"), 2.0))
 def test_logsumexp_bits(terms):
-    assert bits(logsumexp(terms)) == bits(earlier_logsumexp(terms))
-    assert bits(logsumexp(iter(terms))) == bits(earlier_logsumexp(terms))
+    """A list, a tuple and an iterator give the same bits, a nan where it was;
+    a -inf ahead of a nan once decided whether max() saw the nan first."""
+    want = bits(earlier_logsumexp(terms))
+    assert bits(logsumexp(terms)) == want
+    assert bits(logsumexp(tuple(terms))) == want
+    assert bits(logsumexp(iter(terms))) == want
 
 
 SHAPE = st.integers(1, 40) | st.floats(0.01, 40.0) | st.fractions(Fraction(1, 100), 40)

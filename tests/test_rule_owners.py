@@ -20,6 +20,7 @@ MESSAGES = (
     "impossible observation under prior support: u_",
     "must be finite and > 0",
     "cannot parse rational",
+    "is past the float range",
 )
 
 
